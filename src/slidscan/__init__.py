@@ -16,7 +16,6 @@ from .ledger import (
 from .metrics import (
     ProfitReport,
     ProfitTakingEvent,
-    impact_series,
     profit_report,
     realized_profit,
     unrealized_profit,
@@ -28,6 +27,7 @@ from .validators import (
     Verdict,
     classify_pool,
     honeypot_validate,
+    judge_pool,
     owner_activity_validate,
     profit_validate,
     rugpull_detect,

@@ -19,8 +19,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from .dataio import Dataset
 from .ledger import SECONDS_PER_DAY, Category, PoolRecord
-from .metrics import profit_report
-from .validators import DEFAULT_CONFIG, HeuristicConfig, Label, classify_pool
+from .validators import DEFAULT_CONFIG, HeuristicConfig, Label, judge_pool
 
 
 @dataclass
@@ -50,11 +49,8 @@ class AnalysisReport:
 def enrich(dataset: Dataset, cfg: HeuristicConfig = DEFAULT_CONFIG) -> None:
     """Compute the profit report and verdict for every pool in the dataset."""
     for address, pool in dataset.pools.items():
-        report = profit_report(pool, dataset.orders.get(address, ()),
-                               first_month_seconds=cfg.first_month_seconds)
-        verdict = classify_pool(pool, dataset.profile_for(pool), report,
-                                report.profit_taking, None, cfg)
-        dataset.enriched[address] = (report, verdict)
+        dataset.enriched[address] = judge_pool(
+            pool, dataset.profile_for(pool), dataset.orders.get(address, ()), cfg)
 
 
 def _selected_pools(dataset: Dataset,

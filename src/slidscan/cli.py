@@ -4,7 +4,7 @@ Subcommands cover the full pipeline: generate a synthetic corpus, run the
 streaming detector, export feature matrices, train a classifier, run the
 shrinking-window sweep, and produce population reports. Failures exit with
 one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`
-(2 schema error, 3 empty dataset, 4 configuration error).
+(2 schema error or ledger violation, 3 empty dataset, 4 configuration error).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from . import analysis, dataio, earlywarn, features, pipeline, synth
 from .config import ConfigError, load_heuristic_config, parse_kv_file
 from .dataio import EmptyDataset, SchemaError
 from .earlywarn import ClassifierKind, CorpusBundle, DEFAULT_D_LIST
+from .ledger import LedgerError
 from .synth import InfeasibleConfig
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label
 
@@ -108,15 +109,20 @@ def _load_labels_csv(path) -> Dict[str, bool]:
     return labels
 
 
+def _verdict_labels(dataset: dataio.Dataset, cfg: HeuristicConfig) -> Dict[str, bool]:
+    """Pool address -> whether the rule-based verdict is SLID."""
+    analysis.enrich(dataset, cfg)
+    return {address: verdict.label == Label.SLID
+            for address, (_, verdict) in dataset.enriched.items()}
+
+
 def cmd_features(args) -> int:
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(args.pools, args.orders, profiles_file=args.profiles)
     if args.labels:
         label_map = _load_labels_csv(args.labels)
     else:
-        analysis.enrich(dataset, cfg)
-        label_map = {address: verdict.label == Label.SLID
-                     for address, (_, verdict) in dataset.enriched.items()}
+        label_map = _verdict_labels(dataset, cfg)
     vectors = []
     for address, pool in dataset.pools.items():
         vectors.append(features.extract_features(
@@ -142,14 +148,11 @@ def _bundle_from_corpus(corpus_dir, cfg: HeuristicConfig) -> CorpusBundle:
     corpus = Path(corpus_dir)
     dataset = dataio.ingest(corpus / "pools.jsonl", corpus / "orders.jsonl",
                             profiles_file=_existing(corpus / "profiles.jsonl"))
-    analysis.enrich(dataset, cfg)
-    labels = {address: verdict.label == Label.SLID
-              for address, (_, verdict) in dataset.enriched.items()}
     return CorpusBundle(
         pools=list(dataset.pools.values()),
         orders_by_pool=dataset.orders,
         profiles=dataset.profiles,
-        labels=labels,
+        labels=_verdict_labels(dataset, cfg),
         cfg=cfg,
     )
 
@@ -280,7 +283,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, LedgerError) as exc:
         return _fail(2, exc)
     except EmptyDataset as exc:
         return _fail(3, exc)

@@ -2,26 +2,16 @@
 
 One option per line, `key = value`, with `#` comments and blank lines ignored.
 Booleans accept true/false/yes/no/1/0; `none`/`off` clears an optional
-threshold. Used for heuristic thresholds, scenario/corpus definitions and the
-base-token whitelist.
+threshold. Used for heuristic thresholds and scenario/corpus definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from .validators import HeuristicConfig
-
-# Well-established base tokens accepted by default when whitelist filtering
-# is turned on (mainnet WETH, USDT, USDC, DAI).
-DEFAULT_BASE_WHITELIST = (
-    "0xC02aaA39b223FE8D0A0e5C4F27eAD9083C756Cc2",
-    "0xdAC17F958D2ee523a2206206994597C13D831ec7",
-    "0xA0b86991c6218b36c1d19D4a2e9Eb0cE3606eB48",
-    "0x6B175474E89094C44Da98b954EedeAC495271d0F",
-)
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -87,14 +77,3 @@ def load_heuristic_config(path: Union[str, Path]) -> HeuristicConfig:
         return HeuristicConfig(**typed)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def load_base_whitelist(path: Optional[Union[str, Path]] = None) -> frozenset:
-    """Base-token addresses accepted by the ingest whitelist filter."""
-    if path is None:
-        return frozenset(DEFAULT_BASE_WHITELIST)
-    options = parse_kv_file(path)
-    raw = options.get("base_whitelist")
-    if raw is None:
-        return frozenset(DEFAULT_BASE_WHITELIST)
-    return frozenset(token.strip() for token in raw.split(",") if token.strip())

@@ -26,7 +26,6 @@ from .features import (
     feature_matrix,
 )
 from .ledger import DexOrder, PoolRecord
-from .metrics import profit_report
 from .models import (
     ForestModel,
     LogisticModel,
@@ -40,6 +39,7 @@ from .validators import (
     Label,
     SecurityProfile,
     classify_pool,
+    judge_pool,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -234,7 +234,7 @@ def train(matrix, kind: Union[str, ClassifierKind], seed: int = 0,
                 fold_weights = (balanced_class_weights(y[mask])
                                 if class_weighting else (1.0, 1.0))
                 sub = _fit(kind, X[mask], y[mask], fold_weights, params, seed + i)
-                pred = _score_model(kind, sub, X[fold]) >= threshold
+                pred = sub.scores(X[fold]) >= threshold
                 tp, fp, tn, fn = confusion_counts(y[fold] == 1, pred)
                 f1s.append(metrics_from_confusion(tp, fp, tn, fn, 0, "cv").f1)
             mean_f1 = float(np.mean(f1s)) if f1s else -1.0
@@ -248,10 +248,6 @@ def train(matrix, kind: Union[str, ClassifierKind], seed: int = 0,
     model = _fit(kind, X, y, weights, params, seed)
     return ClassifierModel(kind, weights, dict(params), names, model=model,
                            seed=seed, threshold=threshold)
-
-
-def _score_model(kind: ClassifierKind, model, X: np.ndarray) -> np.ndarray:
-    return model.scores(np.asarray(X, dtype=np.float64))
 
 
 def predict(model: ClassifierModel, vector: FeatureVector) -> Tuple[bool, float]:
@@ -317,25 +313,17 @@ class CorpusBundle:
     cfg: HeuristicConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
     @classmethod
-    def from_scenarios(cls, scenarios, cfg: HeuristicConfig = DEFAULT_CONFIG,
-                       label_source: str = "heuristic") -> "CorpusBundle":
-        """Bundle generated scenarios; labels come from full-history verdicts
-        (`heuristic`, the normal protocol) or the generator truth (`truth`)."""
+    def from_scenarios(cls, scenarios,
+                       cfg: HeuristicConfig = DEFAULT_CONFIG) -> "CorpusBundle":
+        """Bundle generated scenarios; labels come from full-history verdicts."""
         pools, orders_by_pool, profiles, labels = [], {}, {}, {}
         for scenario in scenarios:
             pool = scenario.pool
             pools.append(pool)
             orders_by_pool[pool.pool_address] = scenario.orders
             profiles[pool.paired_address] = scenario.profile
-            if label_source == "truth":
-                labels[pool.pool_address] = scenario.true_label in (
-                    "SLID", "SlidSlow", "SlidMultiAddress")
-            else:
-                report = profit_report(pool, scenario.orders,
-                                       first_month_seconds=cfg.first_month_seconds)
-                verdict = classify_pool(pool, scenario.profile, report,
-                                        report.profit_taking, None, cfg)
-                labels[pool.pool_address] = verdict.label == Label.SLID
+            _, verdict = judge_pool(pool, scenario.profile, scenario.orders, cfg)
+            labels[pool.pool_address] = verdict.label == Label.SLID
         return cls(pools, orders_by_pool, profiles, labels, cfg)
 
 
@@ -365,7 +353,7 @@ def prepare_windows(bundle: CorpusBundle, d_list: Sequence[int]) -> WindowedCorp
                                                  label=bool(labels[i]))
             vectors.append(vector)
             verdict = classify_pool(pool, bundle.profiles.get(pool.paired_address),
-                                    report, report.profit_taking, None, cfg)
+                                    report, cfg)
             calls[i] = verdict.label == Label.SLID
         vectors_by_d[d] = vectors
         heuristic_by_d[d] = calls

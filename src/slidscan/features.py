@@ -85,9 +85,6 @@ class FeatureVector:
     def is_missing(self, name: str) -> bool:
         return bool(self.missing[_INDEX[name]])
 
-    def as_dict(self) -> Dict[str, float]:
-        return {name: float(v) for name, v in zip(FEATURE_NAMES, self.values)}
-
 
 def _set(values: np.ndarray, name: str, value: float) -> None:
     values[_INDEX[name]] = value

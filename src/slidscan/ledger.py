@@ -109,6 +109,14 @@ class PoolRecord:
             raise ValueError(f"pool {self.pool_address}: base and paired token identical")
 
 
+def all_finite(*values: float) -> bool:
+    """False when any amount is nan or +-inf; raises TypeError on non-numbers."""
+    for value in values:
+        if not math.isfinite(value):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DexOrder:
     """One timestamped DEX activity against a pool.
@@ -133,6 +141,9 @@ class DexOrder:
     gas_fee_usd: float = 0.0
 
     def __post_init__(self):
+        if not all_finite(self.y_paired, self.y_base, self.price_paired,
+                          self.price_base, self.gas_fee_usd):
+            raise ValueError(f"order {self.hash}: non-finite amount")
         if self.y_base < 0 or self.y_paired < 0:
             raise ValueError(f"order {self.hash}: negative token leg")
         if self.price_base <= 0:
@@ -353,10 +364,9 @@ def apply_order(state: LedgerState, order: DexOrder, is_owner: bool) -> LedgerSt
     return new_state
 
 
-def replay(pool: PoolRecord, orders: Iterable[DexOrder],
-           track_series: bool = True) -> LedgerState:
+def replay(pool: PoolRecord, orders: Iterable[DexOrder]) -> LedgerState:
     """Replay a pool's full (sorted) order stream from an empty state."""
-    state = LedgerState(track_series=track_series)
+    state = LedgerState()
     owner = pool.owner_address
     for order in orders:
         if order.pool_address != pool.pool_address:

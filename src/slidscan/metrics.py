@@ -8,12 +8,13 @@ Three quantities drive the drain heuristics downstream:
   * unrealized profit -- pool_value * owner_share at an evaluation time; the
                         first-month variant is snapshotted 30 days after pool
                         deployment;
-  * impact series    -- one event per owner sell/withdraw, sized by
+  * profit-taking events -- one per owner sell/withdraw, sized by
                         value / pool_value_immediately_before.
 
-ProfitTracker is the single incremental implementation; the list-based helpers
-below and the streaming detect pipeline both drive it, so batch and streaming
-paths cannot diverge.
+ProfitTracker is the single incremental implementation: profit_report,
+replay_until and the streaming detect pipeline all drive it, so batch and
+streaming paths cannot diverge. realized_profit is a separate summation over
+owner orders alone, kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ class ProfitTracker:
         "month1_seen",
     )
 
-    def __init__(self, pool: PoolRecord, track_series: bool = False,
+    def __init__(self, pool: PoolRecord,
                  first_month_seconds: int = FIRST_MONTH_SECONDS):
         self.pool = pool
-        self.state = LedgerState(track_series=track_series)
+        self.state = LedgerState(track_series=False)
         self.invested = 0.0
         self.returned = 0.0
         self.gas = float(pool.deployment_gas_usd)
@@ -200,45 +201,9 @@ def realized_profit(orders: Sequence[DexOrder],
     )
 
 
-def unrealized_profit(state: LedgerState, at: Optional[int] = None) -> float:
-    """Owner's unextracted stake: pool value times owner share.
-
-    The caller is responsible for having replayed the ledger up to the last
-    order at or before `at`; the timestamp is accepted for interface clarity.
-    """
+def unrealized_profit(state: LedgerState) -> float:
+    """Owner's unextracted stake: pool value times owner share."""
     return state.pool_value_usd * state.owner_share
-
-
-def impact_series(orders: Iterable[DexOrder], owner: str,
-                  pool: Optional[PoolRecord] = None) -> List[ProfitTakingEvent]:
-    """Profit-taking events (owner sells/withdraws) with impact ratios.
-
-    `orders` is the pool's complete sorted stream; pool value immediately
-    before each owner exit is tracked by replaying every order through the
-    ledger. A zero pool value before an exit yields the +inf sentinel.
-    """
-    if pool is None:
-        probe = PoolRecord(
-            pool_address="", base_address="b", paired_address="p",
-            owner_address=owner, created_time_pool=0, created_time_token=0)
-        tracker = ProfitTracker(probe)
-        for order in orders:
-            tracker.add(
-                timestamp=order.timestamp,
-                category=order.category.value if isinstance(order.category, Category) else order.category,
-                sender=order.sender,
-                y_paired=order.y_paired,
-                y_base=order.y_base,
-                price_base=order.price_base,
-                gas_fee_usd=order.gas_fee_usd,
-                x_paired=order.x_paired,
-                x_base=order.x_base,
-            )
-    else:
-        tracker = ProfitTracker(pool)
-        for order in orders:
-            tracker.add_order(order)
-    return list(tracker.events)
 
 
 def replay_until(pool: PoolRecord, orders: Iterable[DexOrder],

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from .dataio import SchemaError, anonymize_address, ingest
+from .ledger import LedgerError, all_finite
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Verdict, classify_pool
 
@@ -62,11 +63,19 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
                 skipped += 1
                 continue
             try:
+                y_paired = float(row["y_paired"])
+                y_base = float(row["y_base"])
+                price_base = row["price_base"]
+                gas_fee_usd = row.get("gas_fee_usd", 0.0)
+                if not all_finite(y_paired, y_base, price_base, gas_fee_usd):
+                    raise ValueError("non-finite amount")
                 tracker.add(row["timestamp"], row["category"], row["sender"],
-                            float(row["y_paired"]), float(row["y_base"]),
-                            row["price_base"], row.get("gas_fee_usd", 0.0))
+                            y_paired, y_base, price_base, gas_fee_usd)
             except (KeyError, ValueError, TypeError) as exc:
                 raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
+            except LedgerError as exc:
+                raise SchemaError(orders_file, lineno,
+                                  f"{type(exc).__name__}: {exc}") from exc
     summary.orders_read = orders_read
     summary.orders_skipped_unknown_pool = skipped
 
@@ -77,7 +86,7 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
         if profile is None:
             summary.pools_without_profile += 1
         report = tracker.report()
-        verdict = classify_pool(pool, profile, report, tracker.events, None, cfg)
+        verdict = classify_pool(pool, profile, report, cfg)
         results[address] = (report, verdict)
         summary.label_counts[verdict.label.value] = (
             summary.label_counts.get(verdict.label.value, 0) + 1)
@@ -110,13 +119,3 @@ def write_verdicts_csv(results: Dict[str, Tuple[ProfitReport, Verdict]],
                 repr(report.max_impact),
                 report.profit_taking_count,
             ])
-
-
-def read_verdicts_csv(path: PathLike) -> Dict[str, str]:
-    """pool_address -> label map from a verdicts CSV."""
-    labels: Dict[str, str] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            labels[row["pool_address"]] = row["label"]
-    return labels

@@ -26,10 +26,10 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .ledger import LedgerState, PoolRecord
-from .metrics import ProfitReport, ProfitTakingEvent
+from .ledger import DexOrder, LedgerState, PoolRecord
+from .metrics import ProfitReport, ProfitTakingEvent, profit_report
 
 
 class EmptySeries(Exception):
@@ -74,10 +74,7 @@ class HeuristicConfig:
     """Tunable thresholds for the rule-based detector.
 
     t_count / t_impact drive the owner-activity validator; tax_threshold the
-    honeypot validator. delta / beta / epsilon mirror the formal definition's
-    small-trade, significant-total and per-withdrawal bounds; they are exposed
-    for experimentation and default to the t_impact scale since no measured
-    values exist for them. theta_p / theta_v (volatility) are disabled unless
+    honeypot validator. theta_p / theta_v (volatility) are disabled unless
     set; the stability check is diagnostic-only either way.
     """
 
@@ -85,9 +82,6 @@ class HeuristicConfig:
     t_impact: float = 0.95
     tax_threshold: float = 0.5
     min_owner_actions_layer4: int = 3
-    delta: float = 0.95
-    beta: float = 0.0
-    epsilon: float = 0.95
     theta_p: Optional[float] = None
     theta_v: Optional[float] = None
     first_month_seconds: int = 2_592_000
@@ -178,7 +172,6 @@ def owner_activity_validate(pool: PoolRecord,
 
 
 def rugpull_detect(pool: PoolRecord, events: Sequence[ProfitTakingEvent],
-                   state: Optional[LedgerState] = None,
                    cfg: HeuristicConfig = DEFAULT_CONFIG) -> bool:
     """Single near-total drain: any finite impact at or above t_impact.
 
@@ -222,15 +215,16 @@ def stability_check(state: LedgerState,
 # ---------------------------------------------------------------------------
 
 def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
-                  report: ProfitReport, events: Sequence[ProfitTakingEvent],
-                  state: Optional[LedgerState] = None,
+                  report: ProfitReport,
                   cfg: HeuristicConfig = DEFAULT_CONFIG) -> Verdict:
     """Run the exclusion layers then the three validators.
 
     Layer order: owner-profit check, honeypot, rug pull, owner-action
     eligibility. Pools surviving all four are SLID exactly when every
-    validator passes.
+    validator passes. The rug-pull layer and the owner-activity validator
+    read the report's profit-taking events.
     """
+    events = report.profit_taking
     trace: List[Tuple[str, bool, str]] = []
     is_honeypot, honeypot_pass = honeypot_validate(profile, cfg)
     profit_pass = profit_validate(report)
@@ -260,7 +254,7 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
     else:
         trace.append(("honeypot", True, "no honeypot features"))
 
-    if rugpull_detect(pool, events, state, cfg):
+    if rugpull_detect(pool, events, cfg):
         trace.append(("rug_pull", False,
                       f"max impact {report.max_impact:.4f} >= {cfg.t_impact}"))
         return verdict(Label.RUGPULL)
@@ -281,3 +275,11 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
         ("owner_activity", activity_pass)) if not ok]
     trace.append(("validators", False, "failed: " + ", ".join(failed)))
     return verdict(Label.UNDETERMINED)
+
+
+def judge_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
+               orders: Iterable[DexOrder],
+               cfg: HeuristicConfig = DEFAULT_CONFIG) -> Tuple[ProfitReport, Verdict]:
+    """Profit report and verdict of one pool from its complete sorted orders."""
+    report = profit_report(pool, orders, first_month_seconds=cfg.first_month_seconds)
+    return report, classify_pool(pool, profile, report, cfg)

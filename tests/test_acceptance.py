@@ -31,7 +31,7 @@ from slidscan.synth import (
     generate,
     oracle_report,
 )
-from slidscan.validators import DEFAULT_CONFIG, Label, classify_pool
+from slidscan.validators import DEFAULT_CONFIG, Label, judge_pool
 
 from conftest import OWNER, USER, UnitShareOracle, make_order
 
@@ -43,10 +43,8 @@ def _passline(n: int, message: str) -> None:
 
 
 def classify_scenario(scenario, cfg=DEFAULT_CONFIG):
-    report = profit_report(scenario.pool, scenario.orders,
-                           first_month_seconds=cfg.first_month_seconds)
-    verdict = classify_pool(scenario.pool, scenario.profile, report,
-                            report.profit_taking, None, cfg)
+    report, verdict = judge_pool(scenario.pool, scenario.profile, scenario.orders,
+                                 cfg)
     return verdict, report
 
 

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
+from slidscan import analysis, dataio, pipeline
 from slidscan.cli import main
 
 CORPUS_CFG = """
@@ -36,6 +38,33 @@ def corpus(tmp_path_factory):
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def mutated_corpus(corpus, out, mutate):
+    """Copy the corpus into `out`, letting `mutate` edit the parsed order rows
+    in place; returns the 1-based order-file line it reports as bad."""
+    out.mkdir()
+    for name in ("pools.jsonl", "profiles.jsonl"):
+        shutil.copy(corpus / name, out / name)
+    rows = [json.loads(line)
+            for line in (corpus / "orders.jsonl").read_text().splitlines()]
+    lineno = mutate(rows)
+    (out / "orders.jsonl").write_text(
+        "".join(dataio.dump_row(row) + "\n" for row in rows))
+    return lineno
+
+
+def run_on(command, corpus, tmp_path):
+    """One subcommand over `corpus` with every input file, writing to tmp."""
+    inputs = ["--pools", str(corpus / "pools.jsonl"),
+              "--orders", str(corpus / "orders.jsonl"),
+              "--profiles", str(corpus / "profiles.jsonl")]
+    out = ["--out", str(tmp_path / "out.csv")]
+    if command == "detect":
+        return main(["detect"] + inputs + out)
+    if command == "features":
+        return main(["features"] + inputs + ["--window", "60"] + out)
+    return main(["report", "--kind", "trend"] + inputs + out)
 
 
 class TestGenerate:
@@ -122,6 +151,72 @@ class TestDetect:
         code = main(["detect", "--pools", str(pools),
                      "--orders", str(pools), "--out", str(tmp_path / "v.csv")])
         assert code == 3
+
+
+def swap_first_increasing_pair(rows):
+    for i in range(len(rows) - 1):
+        a, b = rows[i], rows[i + 1]
+        if a["pool_address"] == b["pool_address"] and a["timestamp"] < b["timestamp"]:
+            rows[i], rows[i + 1] = b, a
+            return i + 2
+    raise AssertionError("no increasing pair in the corpus")
+
+
+def oversize_first_sell(rows):
+    for i, row in enumerate(rows):
+        if row["category"] == "Sell":
+            row["y_base"] = repr(float(row["y_base"]) * 1e12)
+            return i + 1
+    raise AssertionError("no sell in the corpus")
+
+
+class TestBadOrderRows:
+    @pytest.mark.parametrize("command,mutate,violation", [
+        ("detect", swap_first_increasing_pair, "NonMonotonicTime"),
+        ("detect", oversize_first_sell, "NegativePoolValue"),
+        ("features", oversize_first_sell, "NegativePoolValue"),
+    ], ids=["detect-out-of-order", "detect-negative-value", "features-negative-value"])
+    def test_ledger_violation_exit_code(self, corpus, tmp_path, capsys,
+                                        command, mutate, violation):
+        bad = tmp_path / "bad"
+        lineno = mutated_corpus(corpus, bad, mutate)
+        code = run_on(command, bad, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error code=2" in err
+        assert violation in err
+        if command == "detect":
+            assert "kind=SchemaError" in err
+            assert f"orders.jsonl line {lineno}:" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["detect", "features", "trend"])
+    def test_non_finite_amount_is_schema_error(self, corpus, tmp_path, capsys,
+                                               command, value):
+        def poison_first_row(rows):
+            rows[0]["y_base"] = value
+            return 1
+
+        bad = tmp_path / "bad"
+        lineno = mutated_corpus(corpus, bad, poison_first_row)
+        code = run_on(command, bad, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error code=2 kind=SchemaError" in err
+        assert f"orders.jsonl line {lineno}:" in err
+        assert "non-finite" in err
+
+
+class TestStreamBatchAgreement:
+    def test_batch_verdicts_equal_stream_verdicts(self, corpus, tmp_path):
+        files = (corpus / "pools.jsonl", corpus / "orders.jsonl",
+                 corpus / "profiles.jsonl")
+        dataset = dataio.ingest(*files)
+        analysis.enrich(dataset)
+        pipeline.write_verdicts_csv(dataset.enriched, tmp_path / "batch.csv")
+        pipeline.stream_detect(*files, out_csv=tmp_path / "stream.csv")
+        assert ((tmp_path / "batch.csv").read_bytes()
+                == (tmp_path / "stream.csv").read_bytes())
 
 
 class TestFeaturesTrain:

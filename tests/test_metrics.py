@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from slidscan.ledger import LedgerState
 from slidscan.metrics import (
-    impact_series,
     profit_report,
     realized_profit,
     replay_until,
@@ -82,7 +81,7 @@ class TestUnrealizedProfit:
         pool = scenario.pool
         at = pool.created_time_pool + 30 * 86_400
         state = replay_until(pool, scenario.orders, at)
-        mine = unrealized_profit(state, at)
+        mine = unrealized_profit(state)
         reference = oracle_report(scenario.orders, pool).unrealized_first_month_usd
         assert mine == pytest.approx(reference, rel=1e-6)
         assert mine > 0
@@ -94,7 +93,7 @@ class TestImpactSeries:
             make_order("Deposit", 1000.0, 100.0),
             make_order("Sell", 50.0, 5.0),
         ]
-        events = impact_series(orders, OWNER)
+        events = profit_report(make_pool(), orders).profit_taking
         assert len(events) == 1
         assert events[0].impact == pytest.approx(0.05)
         assert events[0].pool_value_before_usd == 1000.0
@@ -104,7 +103,7 @@ class TestImpactSeries:
             make_order("Deposit", 1000.0, 100.0),
             make_order("Withdraw", 1000.0, 100.0),
         ]
-        events = impact_series(orders, OWNER)
+        events = profit_report(make_pool(), orders).profit_taking
         assert events[0].impact == pytest.approx(1.0)
 
     def test_rug_pull_scenario_has_near_total_impact(self):
@@ -132,7 +131,7 @@ class TestImpactSeries:
             make_order("Sell", 50.0, 5.0, sender=USER),
             make_order("Withdraw", 30.0, 5.0, sender=USER),
         ]
-        assert impact_series(orders, OWNER) == []
+        assert profit_report(make_pool(), orders).profit_taking == []
 
 
 class TestProperties:

@@ -15,7 +15,7 @@ from slidscan.synth import (
     plan_corpus,
     scenario_pool_address,
 )
-from slidscan.validators import DEFAULT_CONFIG, Label, classify_pool
+from slidscan.validators import DEFAULT_CONFIG, Label, judge_pool
 
 
 def classify_scenario(scenario, cfg=DEFAULT_CONFIG, window_days=None):
@@ -24,9 +24,8 @@ def classify_scenario(scenario, cfg=DEFAULT_CONFIG, window_days=None):
     if window_days is not None:
         cutoff = pool.created_time_pool + window_days * SECONDS_PER_DAY
         orders = [o for o in orders if o.timestamp < cutoff]
-    report = profit_report(pool, orders, first_month_seconds=cfg.first_month_seconds)
-    return classify_pool(pool, scenario.profile, report, report.profit_taking,
-                         None, cfg), report
+    report, verdict = judge_pool(pool, scenario.profile, orders, cfg)
+    return verdict, report
 
 
 class TestLabelFidelity:

@@ -114,28 +114,28 @@ class TestOwnerActivityValidator:
 class TestRugPullDetect:
     def test_near_total_drain_flags(self):
         pool = make_pool()
-        assert rugpull_detect(pool, [event(0.999, kind="Withdraw")], None,
+        assert rugpull_detect(pool, [event(0.999, kind="Withdraw")],
                               DEFAULT_CONFIG)
 
     def test_slid_range_drains_do_not_flag(self):
         pool = make_pool()
         events = [event(0.0739 + 0.02 * i, index=i) for i in range(18)]
         assert max(e.impact for e in events) < 0.43
-        assert not rugpull_detect(pool, events, None, DEFAULT_CONFIG)
+        assert not rugpull_detect(pool, events, DEFAULT_CONFIG)
 
     def test_no_events_do_not_flag(self):
-        assert not rugpull_detect(make_pool(), [], None, DEFAULT_CONFIG)
+        assert not rugpull_detect(make_pool(), [], DEFAULT_CONFIG)
 
     def test_exactly_095_is_rug_territory(self):
         pool = make_pool()
         events = [event(0.95)]
-        assert rugpull_detect(pool, events, None, DEFAULT_CONFIG)
+        assert rugpull_detect(pool, events, DEFAULT_CONFIG)
         assert not owner_activity_validate(pool, events + [event(0.1, index=i)
                                                            for i in range(5)],
                                            DEFAULT_CONFIG)
 
     def test_infinite_sentinel_does_not_flag(self):
-        assert not rugpull_detect(make_pool(), [event(math.inf)], None,
+        assert not rugpull_detect(make_pool(), [event(math.inf)],
                                   DEFAULT_CONFIG)
 
 
@@ -143,7 +143,7 @@ class TestClassifyPool:
     def test_legitimate_pool_fails_profit_layer(self):
         pool = make_pool(lpt_burned=True)
         verdict = classify_pool(pool, SecurityProfile(),
-                                report(realized=-1000.0), [], None, DEFAULT_CONFIG)
+                                report(realized=-1000.0), DEFAULT_CONFIG)
         assert verdict.label == Label.LEGITIMATE
         assert not verdict.profit_pass
 
@@ -151,7 +151,7 @@ class TestClassifyPool:
         pool = make_pool()
         events = [event(0.99, kind="Withdraw")]
         verdict = classify_pool(pool, SecurityProfile(),
-                                report(events=events), events, None, DEFAULT_CONFIG)
+                                report(events=events), DEFAULT_CONFIG)
         assert verdict.label == Label.RUGPULL
 
     def test_canonical_slid(self):
@@ -159,8 +159,7 @@ class TestClassifyPool:
         events = [event(0.07 + (0.36 * i / 422), index=i) for i in range(423)]
         verdict = classify_pool(pool, SecurityProfile(),
                                 report(realized=196_000.0, unrealized_1m=29_000.0,
-                                       events=events),
-                                events, None, DEFAULT_CONFIG)
+                                       events=events), DEFAULT_CONFIG)
         assert verdict.label == Label.SLID
         assert verdict.honeypot_pass and verdict.profit_pass and verdict.owner_activity_pass
 
@@ -168,7 +167,7 @@ class TestClassifyPool:
         pool = make_pool()
         events = [event(0.2, index=i) for i in range(10)]
         verdict = classify_pool(pool, SecurityProfile(sell_tax=0.9),
-                                report(events=events), events, None, DEFAULT_CONFIG)
+                                report(events=events), DEFAULT_CONFIG)
         assert verdict.label == Label.HONEYPOT
         assert not verdict.honeypot_pass
 
@@ -176,7 +175,7 @@ class TestClassifyPool:
         pool = make_pool()
         events = [event(0.2, index=i) for i in range(6)]
         verdict = classify_pool(pool, None,
-                                report(events=events), events, None, DEFAULT_CONFIG)
+                                report(events=events), DEFAULT_CONFIG)
         assert verdict.label == Label.SLID
         assert not verdict.profile_known
         assert any("unknown" in reason for _, _, reason in verdict.layer_trace)
@@ -185,8 +184,7 @@ class TestClassifyPool:
         pool = make_pool()
         events = [event(0.2)]
         verdict = classify_pool(pool, SecurityProfile(),
-                                report(events=events, owner_orders=2),
-                                events, None, DEFAULT_CONFIG)
+                                report(events=events, owner_orders=2), DEFAULT_CONFIG)
         assert verdict.label == Label.UNDETERMINED
         assert [name for name, ok, _ in verdict.layer_trace if not ok] == ["owner_actions"]
 
@@ -199,7 +197,7 @@ class TestClassifyPool:
              Label.UNDETERMINED),
         ]
         for profile, rep, expected in cases:
-            verdict = classify_pool(pool, profile, rep, events, None, DEFAULT_CONFIG)
+            verdict = classify_pool(pool, profile, rep, DEFAULT_CONFIG)
             assert verdict.label == expected
             assert (verdict.label == Label.SLID) == (
                 verdict.honeypot_pass and verdict.profit_pass
@@ -212,8 +210,7 @@ class TestClassifyPool:
         for max_impact in (0.3, 0.9499, 0.95, 0.999):
             events = [event(0.1, index=i) for i in range(5)] + [event(max_impact)]
             verdict = classify_pool(pool, SecurityProfile(),
-                                    report(events=events), events, None,
-                                    DEFAULT_CONFIG)
+                                    report(events=events), DEFAULT_CONFIG)
             if max_impact >= 0.95:
                 assert verdict.label == Label.RUGPULL
             else:
@@ -228,8 +225,8 @@ class TestClassifyPool:
         labels = []
         for t_count in (1, 3, 5, 7, 8, 20):
             cfg = HeuristicConfig(t_count=t_count)
-            labels.append(classify_pool(pool, SecurityProfile(), rep, events,
-                                        None, cfg).label == Label.SLID)
+            labels.append(classify_pool(pool, SecurityProfile(), rep,
+                                        cfg).label == Label.SLID)
         # once it drops out of SLID it never comes back
         assert labels == sorted(labels, reverse=True)
 
@@ -237,8 +234,8 @@ class TestClassifyPool:
         pool = make_pool()
         events = [event(0.2, index=i) for i in range(6)]
         rep = report(events=events)
-        first = classify_pool(pool, SecurityProfile(), rep, events, None, DEFAULT_CONFIG)
-        second = classify_pool(pool, SecurityProfile(), rep, events, None, DEFAULT_CONFIG)
+        first = classify_pool(pool, SecurityProfile(), rep, DEFAULT_CONFIG)
+        second = classify_pool(pool, SecurityProfile(), rep, DEFAULT_CONFIG)
         assert first == second
 
 
@@ -291,9 +288,10 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("nonsense = 1\n")
-        with pytest.raises(ConfigError):
-            load_heuristic_config(path)
+        for text in ("nonsense = 1\n", "delta = 0.5\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_heuristic_config(path)
 
     def test_invalid_threshold_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
