@@ -10,6 +10,7 @@ compact separators so generate -> ingest -> re-emit is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -46,7 +47,11 @@ def anonymize_address(address: str) -> str:
 # Row codecs
 # ---------------------------------------------------------------------------
 
-_CATEGORIES = {c.value for c in Category}
+_CATEGORIES = {c.value: c for c in Category}
+_INF = math.inf
+
+# What a malformed row raises while decoded; readers wrap it in SchemaError.
+ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
 def pool_to_row(pool: PoolRecord) -> dict:
@@ -84,7 +89,7 @@ def order_to_row(order: DexOrder) -> dict:
         "block": order.block,
         "timestamp": order.timestamp,
         "hash": order.hash,
-        "category": order.category.value if isinstance(order.category, Category) else order.category,
+        "category": order.category,
         "pool_address": order.pool_address,
         "sender": order.sender,
         "x_paired": repr(order.x_paired) if order.x_paired is not None else None,
@@ -97,21 +102,54 @@ def order_to_row(order: DexOrder) -> dict:
     }
 
 
+def decode_order(row: dict) -> Tuple[int, str, str, float, float, float, float]:
+    """The one check of outside order values, for batch and streaming alike:
+    the validated leading `ProfitTracker.add` arguments (timestamp, category,
+    sender, y_paired, y_base, price_base, gas_fee_usd), or one of ROW_ERRORS."""
+    timestamp = row["timestamp"]
+    category = row["category"]
+    y_paired = float(row["y_paired"])
+    y_base = float(row["y_base"])
+    price_base = float(row["price_base"])
+    gas_fee_usd = float(row.get("gas_fee_usd", 0.0))
+    if (type(timestamp) is not int or category not in _CATEGORIES
+            or not (0.0 <= y_paired < _INF and 0.0 <= y_base < _INF
+                    and 0.0 < price_base < _INF and -_INF < gas_fee_usd < _INF)):
+        raise ValueError(_order_fault(timestamp, category, y_paired, y_base,
+                                      price_base, gas_fee_usd))
+    return timestamp, category, row["sender"], y_paired, y_base, price_base, gas_fee_usd
+
+
+def _order_fault(timestamp, category, *amounts: float) -> str:
+    if type(timestamp) is not int:
+        return f"timestamp {timestamp!r} is not an integer"
+    if category not in _CATEGORIES:
+        return f"unknown category {category!r}"
+    if not all(map(math.isfinite, amounts)):
+        return "non-finite amount"
+    return "negative token leg" if min(amounts[:2]) < 0 else "price_base must be positive"
+
+
 def order_from_row(row: dict) -> DexOrder:
+    timestamp, category, sender, y_paired, y_base, price_base, gas_fee_usd = (
+        decode_order(row))
+    price_paired = float(row.get("price_paired", 0.0))
+    if not 0.0 <= price_paired < _INF:
+        raise ValueError("price_paired must be finite and non-negative")
     return DexOrder(
         block=int(row["block"]),
-        timestamp=int(row["timestamp"]),
+        timestamp=timestamp,
         hash=row["hash"],
-        category=Category(row["category"]),
+        category=_CATEGORIES[category],
         pool_address=row["pool_address"],
-        sender=row["sender"],
+        sender=sender,
         x_paired=None if row.get("x_paired") is None else float(row["x_paired"]),
         x_base=None if row.get("x_base") is None else float(row["x_base"]),
-        y_paired=float(row["y_paired"]),
-        y_base=float(row["y_base"]),
-        price_paired=float(row.get("price_paired", 0.0)),
-        price_base=float(row["price_base"]),
-        gas_fee_usd=float(row.get("gas_fee_usd", 0.0)),
+        y_paired=y_paired,
+        y_base=y_base,
+        price_paired=price_paired,
+        price_base=price_base,
+        gas_fee_usd=gas_fee_usd,
     )
 
 
@@ -203,64 +241,70 @@ class Dataset:
         return self.profiles.get(pool.paired_address)
 
 
-def _iter_jsonl(path: PathLike):
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
+def iter_jsonl(path: PathLike):
+    """(line number, row) for every non-blank line: the one JSONL reader.
+    Invalid JSON and rows that are not objects raise SchemaError."""
+    scan = _SCAN_JSON
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+            # Fast path skips json.loads' per-line wrapper; loads does the rest.
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(path, lineno, f"invalid JSON: {exc}") from exc
+                row, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end < 0 or not line[end:].isspace():
+                if line.isspace():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(path, lineno, f"invalid JSON: {exc}") from exc
+            if type(row) is not dict:
+                raise SchemaError(path, lineno, "row is not a JSON object")
+            yield lineno, row
 
 
 def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
-           profiles_file: Optional[PathLike] = None,
-           base_whitelist: Optional[frozenset] = None) -> Dataset:
+           profiles_file: Optional[PathLike] = None) -> Dataset:
     """Load a dataset; orders referencing unknown pools are counted and
     skipped, malformed rows raise SchemaError with their line number."""
     stats = IngestStats()
     pools: Dict[str, PoolRecord] = {}
-    for lineno, row in _iter_jsonl(pool_file):
+    for lineno, row in iter_jsonl(pool_file):
         stats.rows_read["pools"] += 1
         try:
             pool = pool_from_row(row)
-        except (KeyError, ValueError, TypeError) as exc:
+        except ROW_ERRORS as exc:
             raise SchemaError(pool_file, lineno, f"bad pool row: {exc}") from exc
-        if base_whitelist is not None and pool.base_address not in base_whitelist:
-            stats.rows_skipped["pool_base_not_whitelisted"] += 1
-            continue
         pools[pool.pool_address] = pool
     if not pools:
         raise EmptyDataset(f"no usable pools in {pool_file}")
 
     orders: Dict[str, List[DexOrder]] = {address: [] for address in pools}
     if orders_file is not None:
-        for lineno, row in _iter_jsonl(orders_file):
+        for lineno, row in iter_jsonl(orders_file):
             stats.rows_read["orders"] += 1
             try:
-                address = row["pool_address"]
-            except KeyError as exc:
-                raise SchemaError(orders_file, lineno,
-                                  "order row missing pool_address") from exc
-            if address not in orders:
-                stats.rows_skipped["order_unknown_pool"] += 1
-                continue
-            try:
-                orders[address].append(order_from_row(row))
-            except (KeyError, ValueError, TypeError) as exc:
+                pool_orders = orders.get(row["pool_address"])
+                if pool_orders is None:
+                    stats.rows_skipped["order_unknown_pool"] += 1
+                    continue
+                pool_orders.append(order_from_row(row))
+            except ROW_ERRORS as exc:
                 raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
         for address in orders:
             orders[address].sort(key=DexOrder.sort_key)
 
     profiles: Dict[str, SecurityProfile] = {}
     if profiles_file is not None:
-        for lineno, row in _iter_jsonl(profiles_file):
+        for lineno, row in iter_jsonl(profiles_file):
             stats.rows_read["profiles"] += 1
             try:
                 token, profile = profile_from_row(row)
-            except (KeyError, ValueError, TypeError) as exc:
+            except ROW_ERRORS as exc:
                 raise SchemaError(profiles_file, lineno, f"bad profile row: {exc}") from exc
             profiles[token] = profile
 

@@ -146,7 +146,7 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
         tracker.add_order(order)
         day = (order.timestamp - pool.created_time_pool) // SECONDS_PER_DAY
         is_owner = order.sender == owner
-        counts[("owner" if is_owner else "user", Category(order.category))] += 1
+        counts[("owner" if is_owner else "user", order.category)] += 1
         if not is_owner:
             all_users.add(order.sender)
             day_users.setdefault(day, set()).add(order.sender)

@@ -109,21 +109,15 @@ class PoolRecord:
             raise ValueError(f"pool {self.pool_address}: base and paired token identical")
 
 
-def all_finite(*values: float) -> bool:
-    """False when any amount is nan or +-inf; raises TypeError on non-numbers."""
-    for value in values:
-        if not math.isfinite(value):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DexOrder:
     """One timestamped DEX activity against a pool.
 
     y_* legs are unsigned token amounts; the direction comes from `category`.
     x_* are the recorded post-order pool balances (None when the source did
-    not record them, e.g. reconstructed-only synthetic streams).
+    not record them, e.g. reconstructed-only synthetic streams). The type does
+    not check its values: rows read from outside are validated by the one
+    order decoder, `dataio.decode_order`.
     """
 
     block: int
@@ -139,17 +133,6 @@ class DexOrder:
     price_paired: float
     price_base: float
     gas_fee_usd: float = 0.0
-
-    def __post_init__(self):
-        if not all_finite(self.y_paired, self.y_base, self.price_paired,
-                          self.price_base, self.gas_fee_usd):
-            raise ValueError(f"order {self.hash}: non-finite amount")
-        if self.y_base < 0 or self.y_paired < 0:
-            raise ValueError(f"order {self.hash}: negative token leg")
-        if self.price_base <= 0:
-            raise ValueError(f"order {self.hash}: price_base must be positive")
-        if self.price_paired < 0:
-            raise ValueError(f"order {self.hash}: negative price_paired")
 
     def sort_key(self) -> Tuple[int, int, str]:
         return (self.timestamp, self.block, self.hash)
@@ -265,7 +248,7 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
                   x_base: Optional[float] = None, price_paired: float = 0.0) -> None:
     """Apply one order in place. Hot path shared by replay and streaming.
 
-    `category` is the Category value string ("Buy"/"Sell"/"Deposit"/"Withdraw").
+    `category` is a Category or its value string ("Buy"/"Sell"/"Deposit"/"Withdraw").
     Positional calling keeps the per-order overhead low on big streams.
     """
     if timestamp < state.last_timestamp:
@@ -349,18 +332,9 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
 def apply_order(state: LedgerState, order: DexOrder, is_owner: bool) -> LedgerState:
     """Apply one order and return the successor state (input untouched)."""
     new_state = state.copy()
-    advance_state(
-        new_state,
-        timestamp=order.timestamp,
-        category=order.category.value if isinstance(order.category, Category) else order.category,
-        is_owner=is_owner,
-        y_paired=order.y_paired,
-        y_base=order.y_base,
-        price_base=order.price_base,
-        x_paired=order.x_paired,
-        x_base=order.x_base,
-        price_paired=order.price_paired,
-    )
+    advance_state(new_state, order.timestamp, order.category, is_owner,
+                  order.y_paired, order.y_base, order.price_base,
+                  order.x_paired, order.x_base, order.price_paired)
     return new_state
 
 
@@ -372,18 +346,9 @@ def replay(pool: PoolRecord, orders: Iterable[DexOrder]) -> LedgerState:
         if order.pool_address != pool.pool_address:
             raise ValueError(
                 f"order {order.hash} targets {order.pool_address}, not {pool.pool_address}")
-        advance_state(
-            state,
-            timestamp=order.timestamp,
-            category=order.category.value if isinstance(order.category, Category) else order.category,
-            is_owner=order.sender == owner,
-            y_paired=order.y_paired,
-            y_base=order.y_base,
-            price_base=order.price_base,
-            x_paired=order.x_paired,
-            x_base=order.x_base,
-            price_paired=order.price_paired,
-        )
+        advance_state(state, order.timestamp, order.category, order.sender == owner,
+                      order.y_paired, order.y_base, order.price_base,
+                      order.x_paired, order.x_base, order.price_paired)
     return state
 
 

@@ -26,6 +26,7 @@ from typing import Iterable, List, Optional, Sequence
 from .ledger import (
     Category,
     DexOrder,
+    LedgerError,
     LedgerState,
     PoolRecord,
     advance_state,
@@ -131,12 +132,15 @@ class ProfitTracker:
             ))
 
     def add_order(self, order: DexOrder) -> None:
-        category = order.category
-        self.add(order.timestamp,
-                 category.value if isinstance(category, Category) else category,
-                 order.sender, order.y_paired, order.y_base, order.price_base,
-                 order.gas_fee_usd, order.x_paired, order.x_base,
-                 order.price_paired)
+        """add() one order; a ledger violation names the pool and the order."""
+        try:
+            self.add(order.timestamp, order.category, order.sender,
+                     order.y_paired, order.y_base, order.price_base,
+                     order.gas_fee_usd, order.x_paired, order.x_base,
+                     order.price_paired)
+        except LedgerError as exc:
+            raise type(exc)(
+                f"pool {self.pool.pool_address} order {order.hash}: {exc}") from exc
 
     def report(self) -> ProfitReport:
         state = self.state

@@ -9,13 +9,13 @@ are block-ordered, and the generator emits sorted streams).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from .dataio import SchemaError, anonymize_address, ingest
-from .ledger import LedgerError, all_finite
+from .dataio import (ROW_ERRORS, SchemaError, anonymize_address, decode_order,
+                     ingest, iter_jsonl)
+from .ledger import LedgerError
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Verdict, classify_pool
 
@@ -45,37 +45,22 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
     }
 
     summary = DetectSummary(pools=len(trackers))
-    loads = json.loads
     get_tracker = trackers.get
     orders_read = 0
     skipped = 0
-    with open(orders_file) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if len(line) < 3:
-                continue
-            try:
-                row = loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(orders_file, lineno, f"invalid JSON: {exc}") from exc
-            orders_read += 1
-            tracker = get_tracker(row.get("pool_address"))
+    for lineno, row in iter_jsonl(orders_file):
+        orders_read += 1
+        try:
+            tracker = get_tracker(row["pool_address"])
             if tracker is None:
                 skipped += 1
                 continue
-            try:
-                y_paired = float(row["y_paired"])
-                y_base = float(row["y_base"])
-                price_base = row["price_base"]
-                gas_fee_usd = row.get("gas_fee_usd", 0.0)
-                if not all_finite(y_paired, y_base, price_base, gas_fee_usd):
-                    raise ValueError("non-finite amount")
-                tracker.add(row["timestamp"], row["category"], row["sender"],
-                            y_paired, y_base, price_base, gas_fee_usd)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
-            except LedgerError as exc:
-                raise SchemaError(orders_file, lineno,
-                                  f"{type(exc).__name__}: {exc}") from exc
+            tracker.add(*decode_order(row))
+        except ROW_ERRORS as exc:
+            raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
+        except LedgerError as exc:
+            raise SchemaError(orders_file, lineno,
+                              f"{type(exc).__name__}: {exc}") from exc
     summary.orders_read = orders_read
     summary.orders_skipped_unknown_pool = skipped
 

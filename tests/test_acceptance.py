@@ -35,6 +35,8 @@ from slidscan.validators import DEFAULT_CONFIG, Label, judge_pool
 
 from conftest import OWNER, USER, UnitShareOracle, make_order
 
+pytestmark = pytest.mark.acceptance
+
 D_LIST = (267, 150, 100, 60, 59, 58, 57, 56)
 
 

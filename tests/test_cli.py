@@ -188,23 +188,55 @@ class TestBadOrderRows:
         if command == "detect":
             assert "kind=SchemaError" in err
             assert f"orders.jsonl line {lineno}:" in err
+        else:
+            row = json.loads((bad / "orders.jsonl").read_text().splitlines()[lineno - 1])
+            assert f"pool {row['pool_address']} order {row['hash']}:" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("mutate,message", [
+        pytest.param(lambda row: {**row, "y_base": "nan"},
+                     "bad order row: non-finite amount", id="nan"),
+        pytest.param(lambda row: {**row, "y_base": "inf"},
+                     "bad order row: non-finite amount", id="inf"),
+        pytest.param(lambda row: {**row, "category": "Bogus"},
+                     "bad order row: unknown category 'Bogus'", id="unknown-category"),
+        pytest.param(lambda row: {**row, "y_base": "-1.0"},
+                     "bad order row: negative token leg", id="negative-y-base"),
+        pytest.param(lambda row: {**row, "y_paired": "-1.0"},
+                     "bad order row: negative token leg", id="negative-y-paired"),
+        pytest.param(lambda row: {**row, "price_base": 0},
+                     "bad order row: price_base must be positive", id="zero-price-base"),
+        pytest.param(lambda row: {**row, "price_base": 10 ** 400},
+                     "bad order row: int too large to convert to float",
+                     id="huge-price-base"),
+        pytest.param(lambda row: {**row, "timestamp": row["timestamp"] + 0.5},
+                     "bad order row: timestamp {row[timestamp]!r} is not an integer",
+                     id="fractional-timestamp"),
+        pytest.param(lambda row: [1, 2], "row is not a JSON object", id="array-row"),
+        pytest.param(lambda row: 5, "row is not a JSON object", id="bare-number"),
+        pytest.param(lambda row: {k: v for k, v in row.items() if k != "pool_address"},
+                     "bad order row: 'pool_address'", id="no-pool-address"),
+    ])
     @pytest.mark.parametrize("command", ["detect", "features", "trend"])
     def test_non_finite_amount_is_schema_error(self, corpus, tmp_path, capsys,
-                                               command, value):
-        def poison_first_row(rows):
-            rows[0]["y_base"] = value
-            return 1
+                                               command, mutate, message):
+        """Every command prints the same error line for a bad mid-file row."""
+        def poison_middle_row(rows):
+            i = len(rows) // 2
+            rows[i] = mutate(rows[i])
+            return i + 1
 
         bad = tmp_path / "bad"
-        lineno = mutated_corpus(corpus, bad, poison_first_row)
+        lineno = mutated_corpus(corpus, bad, poison_middle_row)
+        orders = bad / "orders.jsonl"
+        row = json.loads(orders.read_text().splitlines()[lineno - 1])
         code = run_on(command, bad, tmp_path)
         err = capsys.readouterr().err
         assert code == 2
         assert "error code=2 kind=SchemaError" in err
         assert f"orders.jsonl line {lineno}:" in err
-        assert "non-finite" in err
+        assert ("non-finite" in err) == ("non-finite" in message)
+        assert err == (f'error code=2 kind=SchemaError msg="{orders} '
+                       f'line {lineno}: {message.format(row=row)}"\n')
 
 
 class TestStreamBatchAgreement:

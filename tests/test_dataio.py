@@ -114,16 +114,6 @@ class TestIngestContracts:
         with pytest.raises(EmptyDataset):
             ingest(tmp_path / "pools.jsonl")
 
-    def test_base_whitelist_filters_pools(self, tmp_path):
-        keep = make_pool(pool_address="0x" + "1" * 40)
-        drop = make_pool(pool_address="0x" + "2" * 40)
-        object.__setattr__(drop, "base_address", "0xunlisted")
-        write_pools_jsonl([keep, drop], tmp_path / "pools.jsonl")
-        dataset = ingest(tmp_path / "pools.jsonl",
-                         base_whitelist=frozenset({keep.base_address}))
-        assert list(dataset.pools) == [keep.pool_address]
-        assert dataset.stats.rows_skipped["pool_base_not_whitelisted"] == 1
-
 
 class TestAnonymize:
     def test_truncation_keeps_ends(self):
