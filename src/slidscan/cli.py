@@ -33,6 +33,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _window_days(text: str) -> int:
+    """A window length from the command line: a whole number of days >= 1."""
+    try:
+        days = int(text)
+    except ValueError:
+        days = 0
+    if days < 1:
+        raise argparse.ArgumentTypeError(
+            f"window must be a whole number of days >= 1, got {text!r}")
+    return days
+
+
+def _d_list(text: str) -> List[int]:
+    d_list = [_window_days(part) for part in text.split(",") if part.strip()]
+    if not d_list:
+        raise argparse.ArgumentTypeError("must name at least one window")
+    return d_list
+
+
 def _heuristic_config(args) -> HeuristicConfig:
     if getattr(args, "config", None):
         return load_heuristic_config(args.config)
@@ -163,13 +182,10 @@ def _existing(path: Path) -> Optional[Path]:
 
 def cmd_sweep(args) -> int:
     cfg = _heuristic_config(args)
-    d_list = [int(part) for part in args.d_list.split(",") if part.strip()]
-    if not d_list:
-        raise UsageError("--d-list must name at least one window")
     bundle = _bundle_from_corpus(args.corpus, cfg)
     grid = ({kind: earlywarn.DEFAULT_HYPER_GRID[kind] for kind in ClassifierKind}
             if args.grid else None)
-    results = earlywarn.sweep(bundle, d_list, seed=args.seed, hyper_grid=grid)
+    results = earlywarn.sweep(bundle, args.d_list, seed=args.seed, hyper_grid=grid)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["detector", "d", "accuracy", "precision", "recall",
@@ -238,7 +254,8 @@ def build_parser() -> _Parser:
     p.add_argument("--orders", required=True)
     p.add_argument("--profiles")
     p.add_argument("--labels", help="labels CSV (pool_address,true_label)")
-    p.add_argument("--window", type=int, required=True, help="days of history")
+    p.add_argument("--window", type=_window_days, required=True,
+                   help="days of history")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--anonymize", action="store_true")
@@ -257,7 +274,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="shrinking-window detector evaluation")
     p.add_argument("--corpus", required=True,
                    help="directory with pools/orders/profiles JSONL")
-    p.add_argument("--d-list", default=",".join(str(d) for d in DEFAULT_D_LIST))
+    p.add_argument("--d-list", type=_d_list,
+                   default=",".join(str(d) for d in DEFAULT_D_LIST))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", action="store_true")
     p.add_argument("--config")

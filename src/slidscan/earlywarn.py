@@ -4,7 +4,9 @@ Ground truth comes from the full-history rule-based verdicts; features come
 from truncated observation windows, so a classifier learns to call the final
 label from early behavior. The sweep retrains per window length and also
 scores the rule-based detector on the same truncated windows, which is where
-its recall degrades: drains it has not seen yet cannot trigger it.
+its recall degrades: drains it has not seen yet cannot trigger it. One replay
+of each pool's orders, up to the largest window, yields the features and the
+truncated profit report of every window.
 """
 
 from __future__ import annotations
@@ -329,7 +331,8 @@ class CorpusBundle:
 
 @dataclass
 class WindowedCorpus:
-    """Features and truncated-window heuristic calls, cached per window."""
+    """Features and truncated-window heuristic calls for every window,
+    from one replay per pool."""
 
     vectors_by_d: Dict[int, List[FeatureVector]]
     heuristic_by_d: Dict[int, np.ndarray]
@@ -338,25 +341,25 @@ class WindowedCorpus:
 
 
 def prepare_windows(bundle: CorpusBundle, d_list: Sequence[int]) -> WindowedCorpus:
-    """Extract features and heuristic calls for every pool at every window."""
+    """Extract features and heuristic calls for every pool at every window.
+
+    Each pool is replayed once, up to its largest window; the heuristic
+    classifies each window's truncated profit report from that replay.
+    """
     cfg = bundle.cfg
+    d_list = list(dict.fromkeys(d_list))    # a repeated window counts once
     addresses = [p.pool_address for p in bundle.pools]
     labels = np.array([bundle.labels[a] for a in addresses], dtype=bool)
-    vectors_by_d: Dict[int, List[FeatureVector]] = {}
-    heuristic_by_d: Dict[int, np.ndarray] = {}
-    for d in d_list:
-        vectors: List[FeatureVector] = []
-        calls = np.zeros(len(addresses), dtype=bool)
-        for i, pool in enumerate(bundle.pools):
-            orders = bundle.orders_by_pool[pool.pool_address]
-            vector, report = extract_with_report(pool, orders, d, cfg,
-                                                 label=bool(labels[i]))
-            vectors.append(vector)
-            verdict = classify_pool(pool, bundle.profiles.get(pool.paired_address),
-                                    report, cfg)
-            calls[i] = verdict.label == Label.SLID
-        vectors_by_d[d] = vectors
-        heuristic_by_d[d] = calls
+    vectors_by_d: Dict[int, List[FeatureVector]] = {d: [] for d in d_list}
+    heuristic_by_d = {d: np.zeros(len(addresses), dtype=bool) for d in d_list}
+    for i, pool in enumerate(bundle.pools):
+        profile = bundle.profiles.get(pool.paired_address)
+        windows = extract_with_report(pool, bundle.orders_by_pool[pool.pool_address],
+                                      d_list, cfg, label=bool(labels[i]))
+        for d, (vector, report) in zip(d_list, windows):
+            vectors_by_d[d].append(vector)
+            verdict = classify_pool(pool, profile, report, cfg)
+            heuristic_by_d[d][i] = verdict.label == Label.SLID
     return WindowedCorpus(vectors_by_d, heuristic_by_d, labels, addresses)
 
 

@@ -23,12 +23,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .ledger import SECONDS_PER_DAY, Category, DexOrder, PoolRecord
-from .metrics import ProfitTracker
+from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig
 
 RATIO_CAP = 1e9
@@ -109,24 +109,27 @@ def extract_features(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
     orders at or beyond the window end are ignored, so passing the full
     history or a pre-truncated prefix is equivalent.
     """
-    vector, _ = extract_with_report(pool, orders, d, cfg, label)
+    [(vector, _)] = extract_with_report(pool, orders, (d,), cfg, label)
     return vector
 
 
-def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
+def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
+                        d_list: Sequence[int],
                         cfg: HeuristicConfig = DEFAULT_CONFIG,
-                        label: Optional[bool] = None):
-    """extract_features plus the windowed profit report it replayed.
+                        label: Optional[bool] = None
+                        ) -> List[Tuple[FeatureVector, ProfitReport]]:
+    """extract_features and the windowed profit report, for every d in d_list.
 
-    A window with no orders is not an error: it yields the all-zero vector
-    with every missing flag set.
+    One replay of the sorted orders, up to the end of the largest window,
+    serves every window: when the replay reaches a window's end, that
+    window's vector and report are read from the running state. Returns one
+    (FeatureVector, ProfitReport) pair per entry of `d_list`, in `d_list`
+    order; a repeated d gets the same pair. A window with no orders is not an
+    error: it yields the all-zero vector with every missing flag set.
     """
-    if d < 1:
+    if any(d < 1 for d in d_list):
         raise ValueError("window must be at least one day")
-    values = np.zeros(FEATURE_COUNT, dtype=np.float64)
-    missing = np.zeros(FEATURE_COUNT, dtype=bool)
-    window_end = pool.created_time_pool + d * SECONDS_PER_DAY
-
+    start = pool.created_time_pool
     tracker = ProfitTracker(pool, first_month_seconds=cfg.first_month_seconds)
     owner = pool.owner_address
 
@@ -140,28 +143,49 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
     pval_max = -math.inf
     last_ts: Optional[int] = None
 
-    for order in orders:
-        if order.timestamp >= window_end:
-            break
-        tracker.add_order(order)
-        day = (order.timestamp - pool.created_time_pool) // SECONDS_PER_DAY
-        is_owner = order.sender == owner
-        counts[("owner" if is_owner else "user", order.category)] += 1
-        if not is_owner:
-            all_users.add(order.sender)
-            day_users.setdefault(day, set()).add(order.sender)
-        else:
-            day_users.setdefault(day, set())
-        day_volume[day] = day_volume.get(day, 0.0) + order.y_base * order.price_base
-        value = tracker.state.pool_value_usd
-        day_close[day] = value
-        pval_min = min(pval_min, value)
-        pval_max = max(pval_max, value)
-        last_ts = order.timestamp
+    by_d: Dict[int, Tuple[FeatureVector, ProfitReport]] = {}
+    stream = iter(orders)
+    order = next(stream, None)
+    for d in sorted(set(d_list)):
+        window_end = start + d * SECONDS_PER_DAY
+        while order is not None and order.timestamp < window_end:
+            tracker.add_order(order)
+            day = (order.timestamp - start) // SECONDS_PER_DAY
+            is_owner = order.sender == owner
+            counts[("owner" if is_owner else "user", order.category)] += 1
+            if not is_owner:
+                all_users.add(order.sender)
+                day_users.setdefault(day, set()).add(order.sender)
+            else:
+                day_users.setdefault(day, set())
+            day_volume[day] = day_volume.get(day, 0.0) + order.y_base * order.price_base
+            value = tracker.state.pool_value_usd
+            day_close[day] = value
+            pval_min = min(pval_min, value)
+            pval_max = max(pval_max, value)
+            last_ts = order.timestamp
+            order = next(stream, None)
+        report = tracker.report()
+        vector = _window_vector(pool, d, cfg, label, report, counts,
+                                len(all_users), day_users, day_volume,
+                                day_close, pval_min, pval_max, last_ts)
+        by_d[d] = (vector, report)
+    return [by_d[d] for d in d_list]
 
+
+def _window_vector(pool: PoolRecord, d: int, cfg: HeuristicConfig,
+                   label: Optional[bool], report: ProfitReport,
+                   counts: Dict[tuple, int], user_count: int,
+                   day_users: Dict[int, set], day_volume: Dict[int, float],
+                   day_close: Dict[int, float], pval_min: float,
+                   pval_max: float, last_ts: Optional[int]) -> FeatureVector:
+    """One window's vector from the replay's running state, which it only
+    reads: the replay goes on to later windows after it."""
+    values = np.zeros(FEATURE_COUNT, dtype=np.float64)
+    missing = np.zeros(FEATURE_COUNT, dtype=bool)
     if last_ts is None:
         missing[:] = True
-        return FeatureVector(pool.pool_address, d, values, missing, label), tracker.report()
+        return FeatureVector(pool.pool_address, d, values, missing, label)
 
     _set(values, "owner_dep", counts[("owner", Category.DEPOSIT)])
     _set(values, "owner_with", counts[("owner", Category.WITHDRAW)])
@@ -172,7 +196,7 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
     _set(values, "user_with", counts[("user", Category.WITHDRAW)])
     _set(values, "user_buy", counts[("user", Category.BUY)])
     _set(values, "user_sell", counts[("user", Category.SELL)])
-    _set(values, "user_count", len(all_users))
+    _set(values, "user_count", user_count)
 
     daily_counts = {day: len(users) for day, users in day_users.items()}
     last_day = max(daily_counts)
@@ -191,7 +215,6 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
     _set_ratio(values, missing, "r_user_last_on_high", u_last, u_high)
     _set_ratio(values, missing, "r_user_low_on_high", u_low, u_high)
 
-    report = tracker.report()
     invested = report.invested_usd
     realized = report.returned_usd
     unrealized = report.unrealized_current_usd
@@ -225,6 +248,7 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
 
     lifetime_days = (last_ts - pool.created_time_pool) // SECONDS_PER_DAY + 1
     _set(values, "age_days", min(d, lifetime_days))
+    window_end = pool.created_time_pool + d * SECONDS_PER_DAY
     alive = (window_end - last_ts) <= cfg.alive_horizon_seconds
     _set(values, "is_alive", 1.0 if alive else 0.0)
 
@@ -257,7 +281,7 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
     _set_ratio(values, missing, "r_pval_last_on_max", p_last, pval_max)
     _set_ratio(values, missing, "r_pval_min_on_max", pval_min, pval_max)
 
-    return FeatureVector(pool.pool_address, d, values, missing, label), report
+    return FeatureVector(pool.pool_address, d, values, missing, label)
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,9 @@ class ProfitReport:
 class ProfitTracker:
     """Incremental profit accounting for one pool.
 
-    Feed orders in (timestamp, block, hash) order via add(); call report()
-    once the stream is exhausted. Keeps O(1) state plus the profit-taking
-    event list.
+    Feed orders in (timestamp, block, hash) order via add(); report() covers
+    the orders added so far and may be called between adds. Keeps O(1) state
+    plus the profit-taking event list.
     """
 
     __slots__ = (
@@ -143,20 +143,24 @@ class ProfitTracker:
                 f"pool {self.pool.pool_address} order {order.hash}: {exc}") from exc
 
     def report(self) -> ProfitReport:
+        """Report on the orders added so far; it leaves the tracker unchanged,
+        so a mid-stream report does not alter a later one."""
         state = self.state
-        if not self.month1_seen:
-            # History ended inside the first month: the latest state stands in.
-            self.month1_value = state.pool_value_usd
-            self.month1_share = state.owner_share
-            self.month1_seen = True
+        current = state.pool_value_usd * state.owner_share
+        if self.month1_seen:
+            month1 = self.month1_value * self.month1_share
+        else:
+            # History so far ends inside the first month: the latest state
+            # stands in.
+            month1 = current
         finite = [e.impact for e in self.events if math.isfinite(e.impact)]
         return ProfitReport(
             realized_profit_usd=self.returned - self.invested - self.gas,
             invested_usd=self.invested,
             returned_usd=self.returned,
             gas_usd=self.gas,
-            unrealized_first_month_usd=self.month1_value * self.month1_share,
-            unrealized_current_usd=state.pool_value_usd * state.owner_share,
+            unrealized_first_month_usd=month1,
+            unrealized_current_usd=current,
             profit_taking=list(self.events),
             profit_taking_count=len(self.events),
             max_impact=max(finite) if finite else 0.0,

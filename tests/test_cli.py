@@ -289,6 +289,32 @@ class TestSweep:
         assert {row["d"] for row in rows} == {"60", "30"}
 
 
+class TestWindowArguments:
+    @pytest.mark.parametrize("command,option,value", [
+        ("sweep", "--d-list", "0,57"),
+        ("sweep", "--d-list", "abc"),
+        ("sweep", "--d-list", "60,-3"),
+        ("sweep", "--d-list", ","),
+        ("features", "--window", "0"),
+        ("features", "--window", "1.5"),
+    ])
+    def test_bad_window_is_usage_error(self, corpus, tmp_path, capsys,
+                                       command, option, value):
+        """Rejected with the arguments, before any file is read or written."""
+        out = tmp_path / "out.csv"
+        if command == "sweep":
+            inputs = ["--corpus", str(corpus)]
+        else:
+            inputs = ["--pools", str(corpus / "pools.jsonl"),
+                      "--orders", str(corpus / "orders.jsonl")]
+        code = main([command] + inputs + [option, value, "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error code=4 kind=UsageError ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestReport:
     def test_age_report(self, corpus, tmp_path):
         out = tmp_path / "age.csv"

@@ -1,6 +1,9 @@
 """Windowed feature extraction: canonical names, counts, ratios, monotonicity."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from slidscan.features import (
     FEATURE_COUNT,
@@ -11,14 +14,22 @@ from slidscan.features import (
     RATIO_CAP,
     UAF_NAMES,
     extract_features,
+    extract_with_report,
     feature_matrix,
     read_features_csv,
     write_features_csv,
 )
 from slidscan.ledger import SECONDS_PER_DAY
-from slidscan.synth import ScenarioConfig, ScenarioKind, generate
+from slidscan.metrics import profit_report
+from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
+from slidscan.validators import DEFAULT_CONFIG
 
 from conftest import T0, USER, make_order
+
+# The count features docs/feature_schema.md guarantees never decrease as d grows.
+COUNT_FEATURES = list(OAF_NAMES) + [
+    "user_dep", "user_with", "user_buy", "user_sell", "user_count",
+    "owner_taking_count"]
 
 
 class TestSchema:
@@ -130,15 +141,12 @@ class TestWindowSemantics:
 
     def test_count_features_monotone_in_window(self):
         pool, orders = self._scenario_orders()
-        count_features = list(OAF_NAMES) + [
-            "user_dep", "user_with", "user_buy", "user_sell", "user_count",
-            "owner_taking_count"]
         previous = None
         for d in (7, 30, 60, 90, 120):
             vec = extract_features(pool, orders, d)
-            current = {name: vec[name] for name in count_features}
+            current = {name: vec[name] for name in COUNT_FEATURES}
             if previous is not None:
-                for name in count_features:
+                for name in COUNT_FEATURES:
                     assert current[name] >= previous[name], name
             previous = current
 
@@ -166,6 +174,68 @@ class TestWindowSemantics:
         a = extract_features(pool, orders, 57)
         b = extract_features(pool, resorted, 57)
         assert np.array_equal(a.values, b.values)
+
+
+class TestOneReplayManyWindows:
+    """One extract_with_report call over many windows equals one independent
+    single-window replay per window."""
+
+    # Unsorted, 7 twice, windows inside the first month (<= 30 days), 900
+    # past the end of every history.
+    D_LIST = (57, 7, 900, 30, 1, 7, 31, 29, 120, 3)
+
+    @staticmethod
+    def _pools():
+        counts = {kind: 2 for kind in ScenarioKind}
+        overrides = {
+            ScenarioKind.SLID: {"slid_drain_count": 60, "lifetime_days": 90},
+            ScenarioKind.SLID_SLOW: {"slid_drain_count": 12,
+                                     "lifetime_days": 280},
+        }
+        for scenario in build_corpus(counts, seed=23, overrides=overrides):
+            yield scenario.pool, scenario.orders
+            # The same history deployed five days earlier: windows of up to
+            # five days hold no orders.
+            early = dataclasses.replace(
+                scenario.pool,
+                created_time_pool=scenario.pool.created_time_pool - 5 * SECONDS_PER_DAY,
+                created_time_token=scenario.pool.created_time_token - 5 * SECONDS_PER_DAY)
+            yield early, scenario.orders
+
+    def test_matches_one_replay_per_window(self):
+        empty_windows = 0
+        for pool, orders in self._pools():
+            windows = extract_with_report(pool, orders, self.D_LIST, label=True)
+            assert len(windows) == len(self.D_LIST)
+            for d, (vector, report) in zip(self.D_LIST, windows):
+                [(alone, alone_report)] = extract_with_report(
+                    pool, orders, (d,), label=True)
+                assert vector.window_days == d
+                assert vector.label is True
+                assert np.array_equal(vector.values, alone.values), d
+                assert np.array_equal(vector.missing, alone.missing), d
+                assert report == alone_report, d
+                end = pool.created_time_pool + d * SECONDS_PER_DAY
+                prefix = [o for o in orders if o.timestamp < end]
+                assert report == profit_report(
+                    pool, prefix, DEFAULT_CONFIG.first_month_seconds), d
+                if not prefix:
+                    empty_windows += 1
+                    assert np.all(vector.missing)
+        assert empty_windows > 0
+
+    def test_count_features_monotone_across_windows(self):
+        for pool, orders in self._pools():
+            windows = extract_with_report(pool, orders, self.D_LIST)
+            by_d = sorted((vector for vector, _ in windows),
+                          key=lambda vector: vector.window_days)
+            for shorter, longer in zip(by_d, by_d[1:]):
+                for name in COUNT_FEATURES:
+                    assert longer[name] >= shorter[name], name
+
+    def test_rejects_window_below_one_day(self, pool):
+        with pytest.raises(ValueError):
+            extract_with_report(pool, [], (7, 0))
 
 
 class TestCsvRoundTrip:

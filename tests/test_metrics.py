@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from slidscan.ledger import LedgerState
 from slidscan.metrics import (
+    ProfitTracker,
     profit_report,
     realized_profit,
     replay_until,
@@ -85,6 +86,26 @@ class TestUnrealizedProfit:
         reference = oracle_report(scenario.orders, pool).unrealized_first_month_usd
         assert mine == pytest.approx(reference, rel=1e-6)
         assert mine > 0
+
+    def test_mid_stream_report_leaves_tracker_unchanged(self):
+        """A report taken before day 30 stands in the latest state for the
+        first-month figure without freezing it: the final report still
+        equals a fresh profit_report."""
+        scenario = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=13))
+        pool = scenario.pool
+        day7 = pool.created_time_pool + 7 * 86_400
+        tracker = ProfitTracker(pool)
+        early = None
+        for order in scenario.orders:
+            if early is None and order.timestamp >= day7:
+                early = tracker.report()
+                assert early.unrealized_first_month_usd == \
+                    early.unrealized_current_usd
+            tracker.add_order(order)
+        final = tracker.report()
+        assert early is not None
+        assert final == profit_report(pool, scenario.orders)
+        assert final.unrealized_first_month_usd != early.unrealized_first_month_usd
 
 
 class TestImpactSeries:
