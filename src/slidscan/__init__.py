@@ -7,10 +7,7 @@ from .ledger import (
     DexOrder,
     LedgerState,
     PoolRecord,
-    SwapDirection,
-    apply_order,
-    replay,
-    swap_quote,
+    audit_reserves,
     verify_owner_guarantee,
 )
 from .metrics import (

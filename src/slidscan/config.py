@@ -1,8 +1,8 @@
 """Plain-text key=value configuration files.
 
 One option per line, `key = value`, with `#` comments and blank lines ignored.
-Booleans accept true/false/yes/no/1/0; `none`/`off` clears an optional
-threshold. Used for heuristic thresholds and scenario/corpus definitions.
+Booleans accept true/false/yes/no/1/0. Used for heuristic thresholds and
+scenario/corpus definitions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .validators import HeuristicConfig
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
-_NONE = {"none", "null", "disabled", ""}
 
 
 class ConfigError(Exception):
@@ -57,13 +56,9 @@ def load_heuristic_config(path: Union[str, Path]) -> HeuristicConfig:
     options = parse_kv_file(path)
     typed = {}
     known = {f.name: f for f in fields(HeuristicConfig)}
-    optional_floats = {"theta_p", "theta_v"}
     for key, value in options.items():
         if key not in known:
             raise ConfigError(f"{path}: unknown heuristic option {key!r}")
-        if key in optional_floats:
-            typed[key] = None if value.lower() in _NONE else float(value)
-            continue
         target = known[key].type
         base = {"int": int, "float": float, "bool": bool, "str": str}.get(
             str(target).replace("builtins.", ""), None)

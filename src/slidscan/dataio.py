@@ -102,27 +102,37 @@ def order_to_row(order: DexOrder) -> dict:
     }
 
 
-def decode_order(row: dict) -> Tuple[int, str, str, float, float, float, float]:
-    """The one check of outside order values, for batch and streaming alike:
-    the validated leading `ProfitTracker.add` arguments (timestamp, category,
-    sender, y_paired, y_base, price_base, gas_fee_usd), or one of ROW_ERRORS."""
+def decode_order(row: dict) -> Tuple[int, str, str, float, float, float]:
+    """The one check of outside order values, for batch and streaming alike.
+
+    Every column but the pool address, the recorded balances and price_paired
+    is checked here (an `int` block, a `str` hash, both legs). Returns the
+    `ProfitTracker.add` arguments (timestamp, category, sender, y_base,
+    price_base, gas_fee_usd), or raises one of ROW_ERRORS."""
     timestamp = row["timestamp"]
+    block = row["block"]
+    tx_hash = row["hash"]
     category = row["category"]
     y_paired = float(row["y_paired"])
     y_base = float(row["y_base"])
     price_base = float(row["price_base"])
     gas_fee_usd = float(row.get("gas_fee_usd", 0.0))
-    if (type(timestamp) is not int or category not in _CATEGORIES
+    if (type(timestamp) is not int or type(block) is not int
+            or type(tx_hash) is not str or category not in _CATEGORIES
             or not (0.0 <= y_paired < _INF and 0.0 <= y_base < _INF
                     and 0.0 < price_base < _INF and -_INF < gas_fee_usd < _INF)):
-        raise ValueError(_order_fault(timestamp, category, y_paired, y_base,
-                                      price_base, gas_fee_usd))
-    return timestamp, category, row["sender"], y_paired, y_base, price_base, gas_fee_usd
+        raise ValueError(_order_fault(timestamp, block, tx_hash, category, y_paired,
+                                      y_base, price_base, gas_fee_usd))
+    return timestamp, category, row["sender"], y_base, price_base, gas_fee_usd
 
 
-def _order_fault(timestamp, category, *amounts: float) -> str:
+def _order_fault(timestamp, block, tx_hash, category, *amounts: float) -> str:
     if type(timestamp) is not int:
         return f"timestamp {timestamp!r} is not an integer"
+    if type(block) is not int:
+        return f"block {block!r} is not an integer"
+    if type(tx_hash) is not str:
+        return f"hash {tx_hash!r} is not a string"
     if category not in _CATEGORIES:
         return f"unknown category {category!r}"
     if not all(map(math.isfinite, amounts)):
@@ -131,13 +141,12 @@ def _order_fault(timestamp, category, *amounts: float) -> str:
 
 
 def order_from_row(row: dict) -> DexOrder:
-    timestamp, category, sender, y_paired, y_base, price_base, gas_fee_usd = (
-        decode_order(row))
+    timestamp, category, sender, y_base, price_base, gas_fee_usd = decode_order(row)
     price_paired = float(row.get("price_paired", 0.0))
     if not 0.0 <= price_paired < _INF:
         raise ValueError("price_paired must be finite and non-negative")
     return DexOrder(
-        block=int(row["block"]),
+        block=row["block"],
         timestamp=timestamp,
         hash=row["hash"],
         category=_CATEGORIES[category],
@@ -145,7 +154,7 @@ def order_from_row(row: dict) -> DexOrder:
         sender=sender,
         x_paired=None if row.get("x_paired") is None else float(row["x_paired"]),
         x_base=None if row.get("x_base") is None else float(row["x_base"]),
-        y_paired=y_paired,
+        y_paired=float(row["y_paired"]),
         y_base=y_base,
         price_paired=price_paired,
         price_base=price_base,

@@ -1,10 +1,10 @@
-"""Constant-product AMM ledger: replay a pool's order stream and track its state.
+"""Constant-product AMM ledger: replay a pool's order stream and track its accounting.
 
 A liquidity pool holds a base token (the one with independent USD value) and a
 paired token. Swaps preserve the product of the two reserves (x * y = k);
-deposits and withdrawals move both legs and re-anchor the product. On top of
-the reserve math the ledger maintains the USD accounting used by the fraud
-analytics downstream:
+`swap_amount_out` is that fill, on floats or on fractions.Fraction for exact
+verification. The replay itself keeps only the USD accounting the fraud
+analytics downstream read:
 
   * pool_value_usd   -- running base-token value of the pool, updated by the
                         signed base leg of every order (inflow for buys and
@@ -12,11 +12,10 @@ analytics downstream:
   * owner_share      -- the deployer's fraction of the pool, updated only on
                         deposit/withdraw orders: every provider's stake is
                         rescaled by old_value/new_value, and the acting
-                        provider additionally gains/loses moved_value/new_value;
-  * cumulative flow counters (user paired buys/sells, owner USD withdrawn).
+                        provider additionally gains/loses moved_value/new_value.
 
-Reserve math runs on whatever numeric type the state carries: floats for bulk
-replay, fractions.Fraction for exact verification.
+Reserves are not mirrored per order. `audit_reserves` is the separate check of
+an order list's recorded post-order balances against its token legs.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ Number = Union[float, Fraction]
 
 SECONDS_PER_DAY = 86_400
 
-# Relative tolerance for the constant-product invariant under float reserves.
-K_REL_TOL = 1e-9
 # Recorded post-order balances disagreeing with reconstructed ones beyond this
-# relative gap raise a data-quality warning (real logs may embed fee effects).
+# relative gap count as an audit mismatch (real logs may embed fee effects).
 BALANCE_REL_TOL = 1e-6
 
 
@@ -79,11 +76,6 @@ class Category(str, Enum):
     WITHDRAW = "Withdraw"
 
 
-class SwapDirection(str, Enum):
-    BUY_PAIRED = "BuyPaired"    # trader pays base, receives paired
-    SELL_PAIRED = "SellPaired"  # trader pays paired, receives base
-
-
 @dataclass(frozen=True)
 class PoolRecord:
     """Static identity of one liquidity pool."""
@@ -114,8 +106,9 @@ class DexOrder:
     """One timestamped DEX activity against a pool.
 
     y_* legs are unsigned token amounts; the direction comes from `category`.
-    x_* are the recorded post-order pool balances (None when the source did
-    not record them, e.g. reconstructed-only synthetic streams). The type does
+    x_* are the recorded post-order pool balances, read only by
+    `audit_reserves` (None when the source did not record them, e.g.
+    reconstructed-only synthetic streams). The type does
     not check its values: rows read from outside are validated by the one
     order decoder, `dataio.decode_order`.
     """
@@ -139,44 +132,23 @@ class DexOrder:
 
 
 class LedgerState:
-    """Evolving pool state over a replay.
+    """Evolving pool accounting over a replay: the figures profit reports read.
 
-    Value-semantic: `copy()` yields an independent snapshot. Reserves use the
-    numeric type they were initialised with (float or Fraction).
+    `drained` is set once a deposit or withdrawal leaves the pool empty (the
+    owner share then stays frozen). Reserves are not mirrored here;
+    `audit_reserves` reconstructs them from an order list when recorded
+    balances need checking.
     """
 
-    __slots__ = (
-        "pool_value_usd", "owner_share", "reserve_base", "reserve_paired", "k",
-        "cum_user_buys", "cum_user_sells", "cum_owner_withdrawn_usd",
-        "order_index", "price_series", "volume_series",
-        "last_timestamp", "drained", "balance_warnings",
-    )
+    __slots__ = ("pool_value_usd", "owner_share", "order_index", "last_timestamp",
+                 "drained")
 
-    def __init__(self, reserve_paired: Number = 0.0, reserve_base: Number = 0.0,
-                 track_series: bool = True):
+    def __init__(self):
         self.pool_value_usd: float = 0.0
         self.owner_share: float = 0.0
-        self.reserve_base: Number = reserve_base
-        self.reserve_paired: Number = reserve_paired
-        self.k: Number = reserve_paired * reserve_base
-        self.cum_user_buys: float = 0.0
-        self.cum_user_sells: float = 0.0
-        self.cum_owner_withdrawn_usd: float = 0.0
         self.order_index: int = 0
-        self.price_series: Optional[List[Tuple[int, float]]] = [] if track_series else None
-        self.volume_series: Optional[List[Tuple[int, float]]] = [] if track_series else None
         self.last_timestamp: int = -(2 ** 62)
         self.drained: bool = False
-        self.balance_warnings: int = 0
-
-    def copy(self) -> "LedgerState":
-        dup = LedgerState.__new__(LedgerState)
-        for name in self.__slots__:
-            setattr(dup, name, getattr(self, name))
-        if self.price_series is not None:
-            dup.price_series = list(self.price_series)
-            dup.volume_series = list(self.volume_series)
-        return dup
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LedgerState):
@@ -185,15 +157,7 @@ class LedgerState:
 
     def __repr__(self) -> str:
         return (f"LedgerState(value={self.pool_value_usd!r}, share={self.owner_share!r}, "
-                f"reserves=({self.reserve_paired!r}, {self.reserve_base!r}), "
                 f"t={self.order_index})")
-
-    @property
-    def implied_paired_price(self) -> float:
-        """Paired-token price implied by reserves, in base-token units."""
-        if not self.reserve_paired:
-            return 0.0
-        return float(self.reserve_base) / float(self.reserve_paired)
 
 
 # ---------------------------------------------------------------------------
@@ -218,35 +182,13 @@ def swap_amount_out(reserve_in: Number, reserve_out: Number, k: Number,
     return reserve_out - new_out, new_in, new_out
 
 
-def swap_quote(state: LedgerState, direction: SwapDirection,
-               amount_in: Number) -> Tuple[Number, LedgerState]:
-    """Quote a swap and return the post-swap state (input state untouched)."""
-    if isinstance(state.reserve_paired, float):
-        if not math.isfinite(state.reserve_paired * state.reserve_base):
-            raise SwapOverflow("reserve product not representable")
-    new_state = state.copy()
-    if direction == SwapDirection.BUY_PAIRED:
-        out, new_base, new_paired = swap_amount_out(
-            state.reserve_base, state.reserve_paired, state.k, amount_in)
-    elif direction == SwapDirection.SELL_PAIRED:
-        out, new_paired, new_base = swap_amount_out(
-            state.reserve_paired, state.reserve_base, state.k, amount_in)
-    else:
-        raise ValueError(f"unknown swap direction {direction!r}")
-    new_state.reserve_paired = new_paired
-    new_state.reserve_base = new_base
-    return out, new_state
-
-
 # ---------------------------------------------------------------------------
 # Order replay
 # ---------------------------------------------------------------------------
 
 def advance_state(state: LedgerState, timestamp: int, category: str,
-                  is_owner: bool, y_paired: float, y_base: float,
-                  price_base: float, x_paired: Optional[float] = None,
-                  x_base: Optional[float] = None, price_paired: float = 0.0) -> None:
-    """Apply one order in place. Hot path shared by replay and streaming.
+                  is_owner: bool, y_base: float, price_base: float) -> None:
+    """Apply one order in place. Hot path shared by batch and streaming.
 
     `category` is a Category or its value string ("Buy"/"Sell"/"Deposit"/"Withdraw").
     Positional calling keeps the per-order overhead low on big streams.
@@ -256,9 +198,8 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
             f"order at {timestamp} before last applied {state.last_timestamp}")
     state.last_timestamp = timestamp
 
-    inflow = category == "Buy" or category == "Deposit"
     y_usd = y_base * price_base
-    signed = y_usd if inflow else -y_usd
+    signed = y_usd if category == "Buy" or category == "Deposit" else -y_usd
 
     x_prev = state.pool_value_usd
     x_new = x_prev + signed
@@ -283,73 +224,51 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
             elif share > 1.0:
                 share = 1.0
             state.owner_share = share
-        if is_owner and category == "Withdraw":
-            state.cum_owner_withdrawn_usd += y_usd
-    elif not is_owner:
-        if category == "Buy":
-            state.cum_user_buys += y_paired
-        else:
-            state.cum_user_sells += y_paired
-
-    # Reserve bookkeeping: trust recorded post-order balances, reconstruct
-    # when absent, and flag disagreements beyond tolerance.
-    if category == "Buy":
-        rec_paired = state.reserve_paired - y_paired
-        rec_base = state.reserve_base + y_base
-    elif category == "Sell":
-        rec_paired = state.reserve_paired + y_paired
-        rec_base = state.reserve_base - y_base
-    elif category == "Deposit":
-        rec_paired = state.reserve_paired + y_paired
-        rec_base = state.reserve_base + y_base
-    else:
-        rec_paired = state.reserve_paired - y_paired
-        rec_base = state.reserve_base - y_base
-
-    if x_paired is not None and x_base is not None:
-        if rec_paired or rec_base:
-            dp = abs(x_paired - rec_paired)
-            db = abs(x_base - rec_base)
-            if (dp > BALANCE_REL_TOL * max(abs(rec_paired), abs(x_paired), 1e-12)
-                    or db > BALANCE_REL_TOL * max(abs(rec_base), abs(x_base), 1e-12)):
-                state.balance_warnings += 1
-                state.k = x_paired * x_base
-        state.reserve_paired = x_paired
-        state.reserve_base = x_base
-    else:
-        state.reserve_paired = rec_paired if rec_paired > 0 else 0.0
-        state.reserve_base = rec_base if rec_base > 0 else 0.0
-    if category == "Deposit" or category == "Withdraw":
-        state.k = state.reserve_paired * state.reserve_base
 
     state.order_index += 1
-    if state.price_series is not None:
-        p = price_paired if price_paired > 0 else state.implied_paired_price * price_base
-        state.price_series.append((timestamp, p))
-        state.volume_series.append((timestamp, y_usd))
 
 
-def apply_order(state: LedgerState, order: DexOrder, is_owner: bool) -> LedgerState:
-    """Apply one order and return the successor state (input untouched)."""
-    new_state = state.copy()
-    advance_state(new_state, order.timestamp, order.category, is_owner,
-                  order.y_paired, order.y_base, order.price_base,
-                  order.x_paired, order.x_base, order.price_paired)
-    return new_state
+def audit_reserves(orders: Iterable[DexOrder]) -> Tuple[float, float, int]:
+    """Check a pool's recorded post-order balances against its legs.
 
-
-def replay(pool: PoolRecord, orders: Iterable[DexOrder]) -> LedgerState:
-    """Replay a pool's full (sorted) order stream from an empty state."""
-    state = LedgerState()
-    owner = pool.owner_address
+    Replays the (sorted) orders' token legs from empty reserves and returns
+    (reserve_paired, reserve_base, mismatches). Recorded balances (x_paired,
+    x_base) are trusted when present; an order whose recorded balances differ
+    from the reconstruction by more than BALANCE_REL_TOL counts one mismatch.
+    Without them the reconstruction carries on, floored at zero.
+    """
+    reserve_paired = 0.0
+    reserve_base = 0.0
+    mismatches = 0
     for order in orders:
-        if order.pool_address != pool.pool_address:
-            raise ValueError(
-                f"order {order.hash} targets {order.pool_address}, not {pool.pool_address}")
-        advance_state(state, order.timestamp, order.category, order.sender == owner,
-                      order.y_paired, order.y_base, order.price_base,
-                      order.x_paired, order.x_base, order.price_paired)
-    return state
+        category = order.category
+        if category == "Buy":
+            rec_paired = reserve_paired - order.y_paired
+            rec_base = reserve_base + order.y_base
+        elif category == "Sell":
+            rec_paired = reserve_paired + order.y_paired
+            rec_base = reserve_base - order.y_base
+        elif category == "Deposit":
+            rec_paired = reserve_paired + order.y_paired
+            rec_base = reserve_base + order.y_base
+        else:
+            rec_paired = reserve_paired - order.y_paired
+            rec_base = reserve_base - order.y_base
+
+        x_paired, x_base = order.x_paired, order.x_base
+        if x_paired is not None and x_base is not None:
+            if rec_paired or rec_base:
+                dp = abs(x_paired - rec_paired)
+                db = abs(x_base - rec_base)
+                if (dp > BALANCE_REL_TOL * max(abs(rec_paired), abs(x_paired), 1e-12)
+                        or db > BALANCE_REL_TOL * max(abs(rec_base), abs(x_base), 1e-12)):
+                    mismatches += 1
+            reserve_paired = x_paired
+            reserve_base = x_base
+        else:
+            reserve_paired = rec_paired if rec_paired > 0 else 0.0
+            reserve_base = rec_base if rec_base > 0 else 0.0
+    return reserve_paired, reserve_base, mismatches
 
 
 # ---------------------------------------------------------------------------

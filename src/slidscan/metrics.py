@@ -13,15 +13,17 @@ Three quantities drive the drain heuristics downstream:
 
 ProfitTracker is the single incremental implementation: profit_report,
 replay_until and the streaming detect pipeline all drive it, so batch and
-streaming paths cannot diverge. realized_profit is a separate summation over
-owner orders alone, kept as a cross-check.
+streaming paths cannot diverge. Every figure comes from an order's
+timestamp, category, sender, base leg, base price and gas fee; paired legs
+and recorded pool balances never enter it. realized_profit is a separate summation over owner orders alone,
+kept as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .ledger import (
     Category,
@@ -72,9 +74,10 @@ class ProfitReport:
 class ProfitTracker:
     """Incremental profit accounting for one pool.
 
-    Feed orders in (timestamp, block, hash) order via add(); report() covers
-    the orders added so far and may be called between adds. Keeps O(1) state
-    plus the profit-taking event list.
+    Feed orders in (timestamp, block, hash) order via add() (the decoded
+    values of one order row) or add_order(); report() covers the orders added
+    so far and may be called between adds. Keeps O(1) state (a LedgerState
+    plus running sums) and the profit-taking event list.
     """
 
     __slots__ = (
@@ -86,7 +89,7 @@ class ProfitTracker:
     def __init__(self, pool: PoolRecord,
                  first_month_seconds: int = FIRST_MONTH_SECONDS):
         self.pool = pool
-        self.state = LedgerState(track_series=False)
+        self.state = LedgerState()
         self.invested = 0.0
         self.returned = 0.0
         self.gas = float(pool.deployment_gas_usd)
@@ -98,9 +101,7 @@ class ProfitTracker:
         self.month1_seen = False
 
     def add(self, timestamp: int, category: str, sender: str,
-            y_paired: float, y_base: float, price_base: float,
-            gas_fee_usd: float = 0.0, x_paired: Optional[float] = None,
-            x_base: Optional[float] = None, price_paired: float = 0.0) -> None:
+            y_base: float, price_base: float, gas_fee_usd: float = 0.0) -> None:
         state = self.state
         if not self.month1_seen and timestamp > self.month1_deadline:
             self.month1_value = state.pool_value_usd
@@ -109,8 +110,7 @@ class ProfitTracker:
 
         is_owner = sender == self.pool.owner_address
         value_before = state.pool_value_usd
-        advance_state(state, timestamp, category, is_owner, y_paired, y_base,
-                      price_base, x_paired, x_base, price_paired)
+        advance_state(state, timestamp, category, is_owner, y_base, price_base)
         if not is_owner:
             return
 
@@ -135,9 +135,7 @@ class ProfitTracker:
         """add() one order; a ledger violation names the pool and the order."""
         try:
             self.add(order.timestamp, order.category, order.sender,
-                     order.y_paired, order.y_base, order.price_base,
-                     order.gas_fee_usd, order.x_paired, order.x_base,
-                     order.price_paired)
+                     order.y_base, order.price_base, order.gas_fee_usd)
         except LedgerError as exc:
             raise type(exc)(
                 f"pool {self.pool.pool_address} order {order.hash}: {exc}") from exc

@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .ledger import DexOrder, LedgerState, PoolRecord
+from .ledger import DexOrder, PoolRecord
 from .metrics import ProfitReport, ProfitTakingEvent, profit_report
 
 
 class EmptySeries(Exception):
-    """Stability check invoked on a pool with no recorded series."""
+    """Stability check invoked with an empty price or volume sequence."""
 
 
 class Label(str, Enum):
@@ -74,16 +74,14 @@ class HeuristicConfig:
     """Tunable thresholds for the rule-based detector.
 
     t_count / t_impact drive the owner-activity validator; tax_threshold the
-    honeypot validator. theta_p / theta_v (volatility) are disabled unless
-    set; the stability check is diagnostic-only either way.
+    honeypot validator. The diagnostic stability check takes its volatility
+    thresholds (theta_p, theta_v) as arguments instead.
     """
 
     t_count: int = 5
     t_impact: float = 0.95
     tax_threshold: float = 0.5
     min_owner_actions_layer4: int = 3
-    theta_p: Optional[float] = None
-    theta_v: Optional[float] = None
     first_month_seconds: int = 2_592_000
     alive_horizon_seconds: int = 30 * 86_400
 
@@ -183,30 +181,32 @@ def rugpull_detect(pool: PoolRecord, events: Sequence[ProfitTakingEvent],
     return _max_finite_impact(events) >= cfg.t_impact
 
 
-def stability_check(state: LedgerState,
-                    cfg: HeuristicConfig = DEFAULT_CONFIG) -> StabilityResult:
-    """Diagnostic low-volatility check on price and volume series.
+def stability_check(prices: Sequence[float], volumes: Sequence[float],
+                    theta_p: Optional[float] = None,
+                    theta_v: Optional[float] = None) -> StabilityResult:
+    """Diagnostic low-volatility check on a pool's price and volume sequences.
 
-    Never gates classification; with thresholds unset it reports pass without
+    Passes when the relative standard deviation of each sequence stays below
+    its threshold (theta_p for prices, theta_v for volumes). Never gates
+    classification; with both thresholds unset it reports pass without
     evaluating.
     """
-    if cfg.theta_p is None and cfg.theta_v is None:
+    if theta_p is None and theta_v is None:
         return StabilityResult(passed=True, evaluated=False, reason="not evaluated")
-    if not state.price_series or not state.volume_series:
+    if not prices or not volumes:
         raise EmptySeries("stability check needs non-empty price/volume series")
 
-    def rel_std(series):
-        values = [v for _, v in series]
+    def rel_std(values):
         mean = statistics.fmean(values)
         if mean == 0:
             return math.inf
         return statistics.pstdev(values) / abs(mean)
 
     ok = True
-    if cfg.theta_p is not None:
-        ok = ok and rel_std(state.price_series) < cfg.theta_p
-    if cfg.theta_v is not None:
-        ok = ok and rel_std(state.volume_series) < cfg.theta_v
+    if theta_p is not None:
+        ok = ok and rel_std(prices) < theta_p
+    if theta_v is not None:
+        ok = ok and rel_std(volumes) < theta_v
     return StabilityResult(passed=ok, evaluated=True)
 
 

@@ -145,10 +145,10 @@ def test_acceptance_3_owner_share_oracle_equivalence():
     total_updates = 0
     for _ in range(1000):
         length = int(np.exp(rng.uniform(np.log(10), np.log(10_000))))
-        state = LedgerState(track_series=False)
+        state = LedgerState()
         oracle = UnitShareOracle()
         advance_state(state, timestamp=0, category="Deposit", is_owner=True,
-                      y_paired=1.0, y_base=100.0, price_base=1.0)
+                      y_base=100.0, price_base=1.0)
         oracle.apply("Deposit", 100.0, True)
         stakes = {True: 100.0, False: 0.0}
         ts = 1
@@ -169,8 +169,7 @@ def test_acceptance_3_owner_share_oracle_equivalence():
                 stakes[is_owner] -= usd
                 category = "Withdraw"
             advance_state(state, timestamp=ts, category=category,
-                          is_owner=is_owner, y_paired=1.0, y_base=usd,
-                          price_base=1.0)
+                          is_owner=is_owner, y_base=usd, price_base=1.0)
             oracle.apply(category, usd, is_owner)
             ts += 1
             gap = abs(state.owner_share - oracle.share)

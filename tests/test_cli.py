@@ -215,6 +215,15 @@ class TestBadOrderRows:
         pytest.param(lambda row: 5, "row is not a JSON object", id="bare-number"),
         pytest.param(lambda row: {k: v for k, v in row.items() if k != "pool_address"},
                      "bad order row: 'pool_address'", id="no-pool-address"),
+        pytest.param(lambda row: {k: v for k, v in row.items() if k != "hash"},
+                     "bad order row: 'hash'", id="no-hash"),
+        pytest.param(lambda row: {**row, "hash": 5},
+                     "bad order row: hash 5 is not a string", id="integer-hash"),
+        pytest.param(lambda row: {k: v for k, v in row.items() if k != "block"},
+                     "bad order row: 'block'", id="no-block"),
+        pytest.param(lambda row: {**row, "block": row["block"] + 0.5},
+                     "bad order row: block {row[block]!r} is not an integer",
+                     id="fractional-block"),
     ])
     @pytest.mark.parametrize("command", ["detect", "features", "trend"])
     def test_non_finite_amount_is_schema_error(self, corpus, tmp_path, capsys,

@@ -8,6 +8,8 @@ from slidscan.dataio import (
     EmptyDataset,
     SchemaError,
     anonymize_address,
+    decode_order,
+    dump_row,
     ingest,
     order_from_row,
     order_to_row,
@@ -16,6 +18,7 @@ from slidscan.dataio import (
     write_pools_jsonl,
     write_profiles_jsonl,
 )
+from slidscan.metrics import ProfitTracker
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
 
 from conftest import make_order, make_pool
@@ -130,3 +133,23 @@ class TestAnonymize:
         row = json.loads((tmp_path / "pools.jsonl").read_text())
         assert "..." in row["pool_address"]
         assert len(row["pool_address"]) == 13
+
+
+class TestStreamBatchState:
+    def test_stream_and_batch_trackers_agree(self):
+        """A tracker fed decoded rows (detect) ends in the same state and
+        report as one fed materialised orders (batch commands)."""
+        counts = {kind: 2 for kind in ScenarioKind}
+        overrides = {
+            ScenarioKind.SLID: {"slid_drain_count": 60, "lifetime_days": 90},
+            ScenarioKind.SLID_SLOW: {"slid_drain_count": 12, "lifetime_days": 280},
+        }
+        for scenario in build_corpus(counts, seed=7, overrides=overrides):
+            batch = ProfitTracker(scenario.pool)
+            stream = ProfitTracker(scenario.pool)
+            for order in scenario.orders:
+                row = json.loads(dump_row(order_to_row(order)))
+                batch.add_order(order_from_row(row))
+                stream.add(*decode_order(row))
+            assert batch.state == stream.state, scenario.pool.pool_address
+            assert batch.report() == stream.report(), scenario.pool.pool_address

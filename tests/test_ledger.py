@@ -1,4 +1,4 @@
-"""Constant-product ledger: swap math, order replay, and the owner guarantee."""
+"""Constant-product ledger: swap math, order replay, the reserve audit and the owner guarantee."""
 
 from fractions import Fraction
 
@@ -11,61 +11,52 @@ from slidscan.ledger import (
     NegativePoolValue,
     NonMonotonicTime,
     PreconditionViolated,
-    SwapDirection,
+    SwapOverflow,
     ZeroReserve,
-    apply_order,
-    replay,
+    advance_state,
+    audit_reserves,
     swap_amount_out,
-    swap_quote,
     verify_owner_guarantee,
 )
 
-from conftest import OWNER, USER, UnitShareOracle, make_order
-
-
-def fresh_state(paired=100.0, base=100.0):
-    return LedgerState(reserve_paired=paired, reserve_base=base)
+from conftest import OWNER, T0, USER, UnitShareOracle, make_order
 
 
 class TestSwapQuote:
+    """Constant-product fills from `swap_amount_out`."""
+
     def test_buy_paired_hundred_for_hundred(self):
-        state = fresh_state(100.0, 100.0)
-        out, new = swap_quote(state, SwapDirection.BUY_PAIRED, 100.0)
+        out, new_base, new_paired = swap_amount_out(100.0, 100.0, 10_000.0, 100.0)
         assert out == pytest.approx(50.0, rel=1e-12)
-        assert new.reserve_paired == pytest.approx(50.0, rel=1e-12)
-        assert new.reserve_base == pytest.approx(200.0, rel=1e-12)
-        # input state untouched
-        assert state.reserve_paired == 100.0
+        assert new_paired == pytest.approx(50.0, rel=1e-12)
+        assert new_base == pytest.approx(200.0, rel=1e-12)
 
     def test_sell_paired_inverts_previous_swap(self):
-        state = fresh_state(50.0, 200.0)
-        state.k = 10_000.0
-        out, new = swap_quote(state, SwapDirection.SELL_PAIRED, 50.0)
+        out, new_paired, new_base = swap_amount_out(50.0, 200.0, 10_000.0, 50.0)
         assert out == pytest.approx(100.0, rel=1e-12)
-        assert new.reserve_paired == pytest.approx(100.0, rel=1e-12)
-        assert new.reserve_base == pytest.approx(100.0, rel=1e-12)
+        assert new_paired == pytest.approx(100.0, rel=1e-12)
+        assert new_base == pytest.approx(100.0, rel=1e-12)
 
     def test_round_trip_exact_under_rational_arithmetic(self):
-        state = LedgerState(reserve_paired=Fraction(977, 3),
-                            reserve_base=Fraction(1511, 7))
-        start = (state.reserve_paired, state.reserve_base)
-        bought, state = swap_quote(state, SwapDirection.BUY_PAIRED, Fraction(355, 113))
-        _, state = swap_quote(state, SwapDirection.SELL_PAIRED, bought)
-        assert (state.reserve_paired, state.reserve_base) == start
-        assert state.reserve_paired * state.reserve_base == Fraction(977, 3) * Fraction(1511, 7)
+        start = (Fraction(977, 3), Fraction(1511, 7))
+        paired, base = start
+        k = paired * base
+        bought, base, paired = swap_amount_out(base, paired, k, Fraction(355, 113))
+        _, paired, base = swap_amount_out(paired, base, k, bought)
+        assert (paired, base) == start
+        assert paired * base == Fraction(977, 3) * Fraction(1511, 7)
 
     def test_zero_reserve_rejected(self):
         with pytest.raises(ZeroReserve):
-            swap_quote(fresh_state(0.0, 100.0), SwapDirection.BUY_PAIRED, 1.0)
+            swap_amount_out(100.0, 0.0, 0.0, 1.0)
 
     def test_nonpositive_amount_rejected(self):
         with pytest.raises(ValueError):
-            swap_quote(fresh_state(), SwapDirection.BUY_PAIRED, 0.0)
+            swap_amount_out(100.0, 100.0, 10_000.0, 0.0)
 
     def test_overflowing_product_rejected(self):
-        from slidscan.ledger import SwapOverflow
         with pytest.raises(SwapOverflow):
-            swap_quote(fresh_state(1e308, 1e308), SwapDirection.BUY_PAIRED, 1e30)
+            swap_amount_out(1e308, 1e308, 1e308 * 1e308, 1e30)
 
     @given(st.integers(1, 10_000), st.integers(1, 10_000), st.integers(1, 10_000))
     def test_rational_product_is_exact(self, rp, rb, amt):
@@ -76,18 +67,18 @@ class TestSwapQuote:
 
 
 class TestApplyOrder:
+    """One order at a time through `advance_state`, and the reserve audit."""
+
     def test_deployment_deposit_gives_owner_full_share(self, pool):
         state = LedgerState()
-        order = make_order("Deposit", y_base=19_000.0, y_paired=1000.0)
-        state = apply_order(state, order, is_owner=True)
+        advance_state(state, T0, "Deposit", True, 19_000.0, 1.0)
         assert state.pool_value_usd == 19_000.0
         assert state.owner_share == 1.0
 
     def test_equal_user_deposit_halves_owner_share(self, pool):
         state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0), is_owner=True)
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0, sender=USER),
-                            is_owner=False)
+        advance_state(state, T0, "Deposit", True, 100.0, 1.0)
+        advance_state(state, T0 + 1, "Deposit", False, 100.0, 1.0)
         assert state.owner_share == pytest.approx(0.5, abs=1e-15)
         assert state.pool_value_usd == 200.0
 
@@ -102,60 +93,51 @@ class TestApplyOrder:
         assert oracle.share == 0.0
 
         state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0), True)
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0, sender=USER), False)
-        state = apply_order(state, make_order("Withdraw", 100.0, 10.0), True)
+        advance_state(state, T0, "Deposit", True, 100.0, 1.0)
+        advance_state(state, T0 + 1, "Deposit", False, 100.0, 1.0)
+        advance_state(state, T0 + 2, "Withdraw", True, 100.0, 1.0)
         assert state.owner_share == pytest.approx(oracle.share, abs=1e-12)
         assert state.owner_share == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_only_changes_value_not_share(self, pool):
         state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 100.0), True)
-        state = apply_order(state, make_order("Buy", 50.0, 10.0), True)
+        advance_state(state, T0, "Deposit", True, 100.0, 1.0)
+        advance_state(state, T0 + 1, "Buy", True, 50.0, 1.0)
         assert state.pool_value_usd == 150.0
         assert state.owner_share == 1.0
-        state = apply_order(state, make_order("Sell", 30.0, 5.0, sender=USER), False)
+        advance_state(state, T0 + 2, "Sell", False, 30.0, 1.0)
         assert state.pool_value_usd == 120.0
         assert state.owner_share == 1.0
 
     def test_non_monotonic_time_rejected(self):
         state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0, ts=2_000_000_000), True)
+        advance_state(state, 2_000_000_000, "Deposit", True, 100.0, 1.0)
         with pytest.raises(NonMonotonicTime):
-            apply_order(state, make_order("Buy", 1.0, 1.0, ts=1_999_999_999), True)
+            advance_state(state, 1_999_999_999, "Buy", True, 1.0, 1.0)
 
     def test_overdraining_flows_rejected(self):
         state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0), True)
+        advance_state(state, T0, "Deposit", True, 100.0, 1.0)
         with pytest.raises(NegativePoolValue):
-            apply_order(state, make_order("Withdraw", 150.0, 10.0), True)
+            advance_state(state, T0 + 1, "Withdraw", True, 150.0, 1.0)
 
     def test_full_drain_freezes_share_and_marks_drained(self):
         state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0), True)
-        state = apply_order(state, make_order("Withdraw", 100.0, 10.0), True)
+        advance_state(state, T0, "Deposit", True, 100.0, 1.0)
+        advance_state(state, T0 + 1, "Withdraw", True, 100.0, 1.0)
         assert state.pool_value_usd == 0.0
         assert state.drained
         assert state.owner_share == 1.0  # frozen at its prior value
 
-    def test_user_flow_counters(self):
-        state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 100.0), True)
-        state = apply_order(state, make_order("Buy", 10.0, 7.0, sender=USER), False)
-        state = apply_order(state, make_order("Sell", 3.0, 2.0, sender=USER), False)
-        state = apply_order(state, make_order("Buy", 5.0, 4.0), True)  # owner buy
-        assert state.cum_user_buys == 7.0
-        assert state.cum_user_sells == 2.0
-
     def test_recorded_balance_mismatch_raises_warning_counter(self):
-        state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 100.0,
-                                              x_paired=100.0, x_base=100.0), True)
-        # Recorded balances disagree with reconstruction by >1e-6 relative.
-        bad = make_order("Buy", 10.0, 5.0, x_paired=90.0, x_base=111.0)
-        state = apply_order(state, bad, True)
-        assert state.balance_warnings == 1
-        assert state.reserve_base == 111.0  # records are trusted
+        orders = [
+            make_order("Deposit", 100.0, 100.0, x_paired=100.0, x_base=100.0),
+            # Recorded balances disagree with reconstruction by >1e-6 relative.
+            make_order("Buy", 10.0, 5.0, x_paired=90.0, x_base=111.0),
+        ]
+        reserve_paired, reserve_base, mismatches = audit_reserves(orders)
+        assert mismatches == 1
+        assert reserve_base == 111.0  # records are trusted
 
 
 class TestReplayProperties:
@@ -183,8 +165,7 @@ class TestReplayProperties:
         state = LedgerState()
         oracle = UnitShareOracle()
         stakes = {True: 0.0, False: 0.0}
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0,
-                                              ts=1_900_000_000), True)
+        advance_state(state, 1_900_000_000, "Deposit", True, 100.0, 1.0)
         oracle.apply("Deposit", 100.0, True)
         stakes[True] = 100.0
         ts = 1_900_000_001
@@ -197,9 +178,7 @@ class TestReplayProperties:
             else:
                 usd = 100.0 * frac
                 stakes[is_owner] += usd
-            state = apply_order(
-                state, make_order(category, usd, 1.0, ts=ts,
-                                  sender=OWNER if is_owner else USER), is_owner)
+            advance_state(state, ts, category, is_owner, usd, 1.0)
             oracle.apply(category, usd, is_owner)
             ts += 1
             assert 0.0 <= state.owner_share <= 1.0
@@ -209,8 +188,7 @@ class TestReplayProperties:
         """Tracking 'everyone else' through the same update closes to 1."""
         rng = np.random.default_rng(11)
         state = LedgerState()
-        state = apply_order(state, make_order("Deposit", 100.0, 10.0,
-                                              ts=1_900_000_000), True)
+        advance_state(state, 1_900_000_000, "Deposit", True, 100.0, 1.0)
         residual = 0.0
         stakes = {True: 100.0, False: 0.0}
         ts = 1_900_000_001
@@ -226,9 +204,7 @@ class TestReplayProperties:
                 usd = float(rng.uniform(1.0, 150.0))
                 stakes[is_owner] += usd
             prev = state.pool_value_usd
-            state = apply_order(
-                state, make_order(category, usd, 1.0, ts=ts,
-                                  sender=OWNER if is_owner else USER), is_owner)
+            advance_state(state, ts, category, is_owner, usd, 1.0)
             ts += 1
             new = state.pool_value_usd
             if new > 0:
@@ -248,8 +224,17 @@ class TestReplayProperties:
                                      sender=USER if rng.random() < 0.5 else OWNER,
                                      ts=ts))
             ts += 1
-        first = replay(pool, orders)
-        second = replay(pool, orders)
+
+        def replay():
+            state = LedgerState()
+            for order in orders:
+                advance_state(state, order.timestamp, order.category,
+                              order.sender == pool.owner_address, order.y_base,
+                              order.price_base)
+            return state
+
+        first = replay()
+        second = replay()
         assert first == second
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from slidscan.ledger import SECONDS_PER_DAY, replay
+from slidscan.ledger import SECONDS_PER_DAY, audit_reserves
 from slidscan.metrics import profit_report
 from slidscan.synth import (
     InfeasibleConfig,
@@ -131,11 +131,11 @@ class TestReproducibility:
 class TestRecordedBalances:
     def test_orders_carry_model_consistent_balances(self):
         scenario = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=8))
-        state = replay(scenario.pool, scenario.orders)
-        assert state.balance_warnings == 0
+        reserve_paired, reserve_base, mismatches = audit_reserves(scenario.orders)
+        assert mismatches == 0
         last = scenario.orders[-1]
-        assert state.reserve_paired == last.x_paired
-        assert state.reserve_base == last.x_base
+        assert reserve_paired == last.x_paired
+        assert reserve_base == last.x_base
 
     def test_timestamps_strictly_increasing(self):
         scenario = generate(ScenarioConfig(kind=ScenarioKind.HONEYPOT, seed=3))

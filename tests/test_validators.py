@@ -5,7 +5,6 @@ import math
 import pytest
 
 from slidscan.config import ConfigError, load_heuristic_config
-from slidscan.ledger import LedgerState
 from slidscan.metrics import ProfitReport, ProfitTakingEvent
 from slidscan.validators import (
     DEFAULT_CONFIG,
@@ -240,31 +239,22 @@ class TestClassifyPool:
 
 
 class TestStabilityCheck:
-    def _state(self, prices, volumes):
-        state = LedgerState()
-        state.price_series = [(i, p) for i, p in enumerate(prices)]
-        state.volume_series = [(i, v) for i, v in enumerate(volumes)]
-        return state
-
     def test_constant_series_stable(self):
-        cfg = HeuristicConfig(theta_p=0.1, theta_v=0.1)
-        result = stability_check(self._state([2.0] * 10, [5.0] * 10), cfg)
+        result = stability_check([2.0] * 10, [5.0] * 10, theta_p=0.1, theta_v=0.1)
         assert result.passed and result.evaluated
 
     def test_price_halving_unstable(self):
-        cfg = HeuristicConfig(theta_p=0.1, theta_v=None)
-        result = stability_check(self._state([2.0, 1.0], [1.0, 1.0]), cfg)
+        result = stability_check([2.0, 1.0], [1.0, 1.0], theta_p=0.1, theta_v=None)
         assert not result.passed
 
     def test_disabled_thresholds_not_evaluated(self):
-        result = stability_check(self._state([1.0], [1.0]), DEFAULT_CONFIG)
+        result = stability_check([1.0], [1.0])
         assert result.passed and not result.evaluated
         assert result.reason == "not evaluated"
 
     def test_empty_series_raises(self):
-        cfg = HeuristicConfig(theta_p=0.1)
         with pytest.raises(EmptySeries):
-            stability_check(self._state([], []), cfg)
+            stability_check([], [], theta_p=0.1)
 
 
 class TestConfigFile:
@@ -274,21 +264,18 @@ class TestConfigFile:
             "# thresholds\n"
             "t_count = 7\n"
             "t_impact = 0.9\n"
-            "tax_threshold=0.4\n"
-            "theta_p = none\n"
-            "theta_v = 0.25\n")
+            "tax_threshold=0.4\n")
         cfg = load_heuristic_config(path)
         assert cfg.t_count == 7
         assert cfg.t_impact == 0.9
         assert cfg.tax_threshold == 0.4
-        assert cfg.theta_p is None
-        assert cfg.theta_v == 0.25
         # unspecified keys keep their defaults
         assert cfg.min_owner_actions_layer4 == 3
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        for text in ("nonsense = 1\n", "delta = 0.5\n"):
+        for text in ("nonsense = 1\n", "delta = 0.5\n", "theta_p = 0.1\n",
+                     "theta_v = none\n"):
             path.write_text(text)
             with pytest.raises(ConfigError):
                 load_heuristic_config(path)
