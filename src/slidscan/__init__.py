@@ -14,8 +14,6 @@ from .metrics import (
     ProfitReport,
     ProfitTakingEvent,
     profit_report,
-    realized_profit,
-    unrealized_profit,
 )
 from .validators import (
     HeuristicConfig,
@@ -45,8 +43,6 @@ from .earlywarn import (
     ClassifierModel,
     CorpusBundle,
     EvalMetrics,
-    load_model,
-    predict,
     save_model,
     sweep,
     train,

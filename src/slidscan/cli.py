@@ -3,8 +3,14 @@
 Subcommands cover the full pipeline: generate a synthetic corpus, run the
 streaming detector, export feature matrices, train a classifier, run the
 shrinking-window sweep, and produce population reports. Failures exit with
-one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`
-(2 schema error or ledger violation, 3 empty dataset, 4 configuration error).
+one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
+
+  2  SchemaError (a malformed row or header, with file and line) or a
+     ledger violation
+  3  EmptyDataset (no pools) or SingleClassInput (training labels, or a
+     sweep's verdicts, hold one class only)
+  4  ConfigError, InfeasibleConfig, UsageError (bad arguments, checked
+     while they are parsed) or a missing input file
 """
 
 from __future__ import annotations
@@ -13,12 +19,12 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from . import analysis, dataio, earlywarn, features, pipeline, synth
 from .config import ConfigError, load_heuristic_config, parse_kv_file
 from .dataio import EmptyDataset, SchemaError
-from .earlywarn import ClassifierKind, CorpusBundle, DEFAULT_D_LIST
+from .earlywarn import ClassifierKind, CorpusBundle, DEFAULT_D_LIST, SingleClassInput
 from .ledger import LedgerError
 from .synth import InfeasibleConfig
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label
@@ -52,6 +58,16 @@ def _d_list(text: str) -> List[int]:
     return d_list
 
 
+def _labels_filter(text: str) -> Set[str]:
+    labels = {part.strip() for part in text.split(",")}
+    unknown = sorted(labels - {label.value for label in Label})
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown label {unknown[0]!r}; expected some of "
+            + ",".join(label.value for label in Label))
+    return labels
+
+
 def _heuristic_config(args) -> HeuristicConfig:
     if getattr(args, "config", None):
         return load_heuristic_config(args.config)
@@ -75,18 +91,15 @@ def cmd_generate(args) -> int:
     profiles: Dict[str, object] = {}
     labels: List[tuple] = []
     total_orders = 0
-    with open(orders_path, "w") as handle:
-        for scenario in synth.build_corpus(counts, seed, overrides, chooser,
-                                           sort_by_address=True):
-            pools.append(scenario.pool)
-            profiles[scenario.pool.paired_address] = scenario.profile
-            labels.append((scenario.pool.pool_address, scenario.true_label))
-            for order in scenario.orders:
-                row = dataio.order_to_row(order)
-                if args.anonymize:
-                    row = dataio.anonymize_row(row, ("hash", "pool_address", "sender"))
-                handle.write(dataio.dump_row(row) + "\n")
-            total_orders += len(scenario.orders)
+    orders_path.write_text("")    # orders are appended pool by pool
+    for scenario in synth.build_corpus(counts, seed, overrides, chooser,
+                                       sort_by_address=True):
+        pools.append(scenario.pool)
+        profiles[scenario.pool.paired_address] = scenario.profile
+        labels.append((scenario.pool.pool_address, scenario.true_label))
+        dataio.write_orders_jsonl(scenario.orders, orders_path,
+                                  anonymize=args.anonymize, append=True)
+        total_orders += len(scenario.orders)
 
     dataio.write_pools_jsonl(pools, out / "pools.jsonl", anonymize=args.anonymize)
     profiles = dict(sorted(profiles.items()))
@@ -122,7 +135,10 @@ def _load_labels_csv(path) -> Dict[str, bool]:
     slid_kinds = {"SLID", "SlidSlow", "SlidMultiAddress"}
     labels: Dict[str, bool] = {}
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.DictReader(handle)
+        if "pool_address" not in (reader.fieldnames or ()):
+            raise SchemaError(path, 1, "labels CSV has no pool_address column")
+        for row in reader:
             value = row.get("true_label") or row.get("label") or ""
             labels[row["pool_address"]] = value in slid_kinds or value == "1"
     return labels
@@ -212,11 +228,10 @@ def cmd_report(args) -> int:
             raise UsageError("report needs --corpus or both --pools and --orders")
         pools_file, orders_file, profiles_file = args.pools, args.orders, args.profiles
     dataset = dataio.ingest(pools_file, orders_file, profiles_file=profiles_file)
-    labels = None
     if args.labels_filter:
         analysis.enrich(dataset, cfg)
-        labels = {part.strip() for part in args.labels_filter.split(",")}
-    report = analysis.analyze(dataset, args.kind, labels=labels, cfg=cfg)
+    report = analysis.analyze(dataset, args.kind, labels=args.labels_filter,
+                              cfg=cfg)
     analysis.write_report_csv(report, args.out)
     extra = ""
     if args.kind == "age":
@@ -288,7 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pools")
     p.add_argument("--orders")
     p.add_argument("--profiles")
-    p.add_argument("--labels-filter",
+    p.add_argument("--labels-filter", type=_labels_filter,
                    help="restrict to verdict labels, e.g. SLID")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
@@ -303,7 +318,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SchemaError, LedgerError) as exc:
         return _fail(2, exc)
-    except EmptyDataset as exc:
+    except (EmptyDataset, SingleClassInput) as exc:
         return _fail(3, exc)
     except (ConfigError, InfeasibleConfig, UsageError) as exc:
         return _fail(4, exc)

@@ -319,24 +319,3 @@ def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
 
     return Dataset(pools=pools, orders=orders, profiles=profiles, stats=stats)
 
-
-def write_dataset(dataset: Dataset, out_dir: PathLike,
-                  anonymize: bool = False) -> Dict[str, Path]:
-    """Re-emit a dataset into pools/orders/profiles JSONL files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "pools": out / "pools.jsonl",
-        "orders": out / "orders.jsonl",
-        "profiles": out / "profiles.jsonl",
-    }
-    write_pools_jsonl(dataset.pools.values(), paths["pools"], anonymize)
-    with open(paths["orders"], "w") as handle:
-        for address in dataset.pools:
-            for order in dataset.orders.get(address, []):
-                row = order_to_row(order)
-                if anonymize:
-                    row = anonymize_row(row, ("hash", "pool_address", "sender"))
-                handle.write(dump_row(row) + "\n")
-    write_profiles_jsonl(dataset.profiles, paths["profiles"], anonymize)
-    return paths

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,13 +28,7 @@ from .features import (
     feature_matrix,
 )
 from .ledger import DexOrder, PoolRecord
-from .models import (
-    ForestModel,
-    LogisticModel,
-    balanced_class_weights,
-    fit_forest,
-    fit_logistic,
-)
+from .models import balanced_class_weights, fit_forest, fit_logistic
 from .validators import (
     DEFAULT_CONFIG,
     HeuristicConfig,
@@ -45,6 +39,7 @@ from .validators import (
 )
 
 MODEL_FORMAT_VERSION = 1
+DECISION_THRESHOLD = 0.5    # a score at or above it calls SLID
 
 
 class SingleClassInput(Exception):
@@ -88,7 +83,7 @@ class ClassifierModel:
     model: Optional[object] = None          # LogisticModel | ForestModel
     majority_label: Optional[bool] = None   # set for degenerate training data
     seed: int = 0
-    threshold: float = 0.5
+    threshold: ClassVar[float] = DECISION_THRESHOLD
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -194,15 +189,13 @@ def _grid_candidates(grid: Dict[str, list]) -> List[Dict[str, object]]:
 
 
 def train(matrix, kind: Union[str, ClassifierKind], seed: int = 0,
-          hyper_grid: Optional[Dict[str, list]] = None,
-          threshold: float = 0.5, class_weighting: bool = True) -> ClassifierModel:
+          hyper_grid: Optional[Dict[str, list]] = None) -> ClassifierModel:
     """Fit a classifier; optional grid search by stratified 5-fold F1.
 
     `matrix` is either a sequence of labeled FeatureVectors or an (X, y)
-    tuple. Class weights default to inversely proportional to class
-    frequencies (class_weighting=False gives uniform weights). Degenerate
-    inputs (identical rows, mixed labels) fall back to a majority-class
-    model with a SingleSignal warning.
+    tuple. Class weights are inversely proportional to class frequencies.
+    Degenerate inputs (identical rows, mixed labels) fall back to a
+    majority-class model with a SingleSignal warning.
     """
     kind = ClassifierKind(kind)
     X, y, names = _as_matrix(matrix)
@@ -212,14 +205,13 @@ def train(matrix, kind: Union[str, ClassifierKind], seed: int = 0,
     if len(classes) < 2:
         raise SingleClassInput(f"training labels all equal {classes.tolist()}")
 
-    weights = balanced_class_weights(y) if class_weighting else (1.0, 1.0)
+    weights = balanced_class_weights(y)
     if np.all(X == X[0]):
         warnings.warn("SingleSignal: identical feature rows with mixed labels; "
                       "falling back to majority class", stacklevel=2)
         majority = bool(np.round(y.mean()))
         return ClassifierModel(kind, weights, {}, names,
-                               majority_label=majority, seed=seed,
-                               threshold=threshold)
+                               majority_label=majority, seed=seed)
 
     if hyper_grid:
         candidates = _grid_candidates(hyper_grid)
@@ -233,10 +225,9 @@ def train(matrix, kind: Union[str, ClassifierKind], seed: int = 0,
                 mask[fold] = False
                 if len(np.unique(y[mask])) < 2 or len(fold) == 0:
                     continue
-                fold_weights = (balanced_class_weights(y[mask])
-                                if class_weighting else (1.0, 1.0))
-                sub = _fit(kind, X[mask], y[mask], fold_weights, params, seed + i)
-                pred = sub.scores(X[fold]) >= threshold
+                sub = _fit(kind, X[mask], y[mask], balanced_class_weights(y[mask]),
+                           params, seed + i)
+                pred = sub.scores(X[fold]) >= DECISION_THRESHOLD
                 tp, fp, tn, fn = confusion_counts(y[fold] == 1, pred)
                 f1s.append(metrics_from_confusion(tp, fp, tn, fn, 0, "cv").f1)
             mean_f1 = float(np.mean(f1s)) if f1s else -1.0
@@ -249,17 +240,11 @@ def train(matrix, kind: Union[str, ClassifierKind], seed: int = 0,
 
     model = _fit(kind, X, y, weights, params, seed)
     return ClassifierModel(kind, weights, dict(params), names, model=model,
-                           seed=seed, threshold=threshold)
-
-
-def predict(model: ClassifierModel, vector: FeatureVector) -> Tuple[bool, float]:
-    """Classify one feature vector; returns (label, score in [0, 1])."""
-    score = float(model.scores(vector.values.reshape(1, -1))[0])
-    return score >= model.threshold, score
+                           seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Serialization (single-file JSON container)
+# Export (single-file JSON; nothing in slidscan reads it back)
 # ---------------------------------------------------------------------------
 
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
@@ -275,29 +260,6 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
         "model": model.model.to_dict() if model.model is not None else None,
     }
     Path(path).write_text(json.dumps(payload))
-
-
-def load_model(path: Union[str, Path]) -> ClassifierModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {payload.get('format_version')}")
-    kind = ClassifierKind(payload["kind"])
-    inner = None
-    if payload["model"] is not None:
-        if kind == ClassifierKind.LOGISTIC_REGRESSION:
-            inner = LogisticModel.from_dict(payload["model"])
-        else:
-            inner = ForestModel.from_dict(payload["model"])
-    return ClassifierModel(
-        kind=kind,
-        class_weights=tuple(payload["class_weights"]),
-        hyperparameters=payload["hyperparameters"],
-        feature_names=payload["feature_names"],
-        model=inner,
-        majority_label=payload["majority_label"],
-        seed=payload["seed"],
-        threshold=payload["threshold"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +326,18 @@ def prepare_windows(bundle: CorpusBundle, d_list: Sequence[int]) -> WindowedCorp
 
 
 HEURISTIC_DETECTOR = "Heuristic"
-DEFAULT_DETECTORS = (HEURISTIC_DETECTOR, ClassifierKind.RANDOM_FOREST.value,
-                     ClassifierKind.LOGISTIC_REGRESSION.value)
+DETECTORS = (HEURISTIC_DETECTOR, ClassifierKind.RANDOM_FOREST.value,
+             ClassifierKind.LOGISTIC_REGRESSION.value)
 DEFAULT_D_LIST = (267, 150, 100, 60, 59, 58, 57, 56)
+TEST_FRACTION = 0.2
+PLATEAU_FRACTION = 0.95
 
 
 def sweep(bundle: CorpusBundle, d_list: Sequence[int] = DEFAULT_D_LIST,
-          detectors: Sequence[str] = DEFAULT_DETECTORS, seed: int = 0,
-          hyper_grid: Optional[Dict[str, Dict[str, list]]] = None,
-          windows: Optional[WindowedCorpus] = None,
-          test_fraction: float = 0.2) -> List[EvalMetrics]:
-    """Evaluate every detector at every window on a held-out stratified split.
+          seed: int = 0, hyper_grid: Optional[Dict[str, Dict[str, list]]] = None,
+          windows: Optional[WindowedCorpus] = None) -> List[EvalMetrics]:
+    """Evaluate every detector at every window on a held-out stratified split
+    (TEST_FRACTION of each class).
 
     Classifiers retrain per window on the training pools; the rule-based
     detector classifies the same truncated windows directly. Pass a
@@ -384,12 +347,12 @@ def sweep(bundle: CorpusBundle, d_list: Sequence[int] = DEFAULT_D_LIST,
         windows = prepare_windows(bundle, d_list)
     labels = windows.labels
     train_idx, test_idx = stratified_split(labels.astype(np.int64),
-                                           test_fraction, seed)
+                                           TEST_FRACTION, seed)
     results: List[EvalMetrics] = []
     for d in d_list:
         vectors = windows.vectors_by_d[d]
         X = np.stack([v.values for v in vectors])
-        for detector in detectors:
+        for detector in DETECTORS:
             if detector == HEURISTIC_DETECTOR:
                 pred = windows.heuristic_by_d[d][test_idx]
             else:
@@ -403,18 +366,18 @@ def sweep(bundle: CorpusBundle, d_list: Sequence[int] = DEFAULT_D_LIST,
     return results
 
 
-def window_speedup(results: Sequence[EvalMetrics], slow_detector: str = HEURISTIC_DETECTOR,
-                   fast_detector: str = ClassifierKind.RANDOM_FOREST.value,
-                   plateau_fraction: float = 0.95) -> float:
-    """Ratio of the smallest windows at which each detector reaches
-    plateau_fraction of its own plateau F1 (plateau = F1 at the largest d)."""
+def window_speedup(results: Sequence[EvalMetrics]) -> float:
+    """Ratio of the smallest windows at which the heuristic and the random
+    forest each reach PLATEAU_FRACTION of their own plateau F1 (plateau =
+    F1 at the largest d)."""
 
     def earliest(detector: str) -> int:
         rows = {r.window_days: r.f1 for r in results if r.detector == detector}
         if not rows:
             raise ValueError(f"no sweep rows for detector {detector!r}")
         plateau = rows[max(rows)]
-        qualifying = [d for d, f1 in rows.items() if f1 >= plateau_fraction * plateau]
+        qualifying = [d for d, f1 in rows.items() if f1 >= PLATEAU_FRACTION * plateau]
         return min(qualifying) if qualifying else max(rows)
 
-    return earliest(slow_detector) / earliest(fast_detector)
+    return (earliest(HEURISTIC_DETECTOR)
+            / earliest(ClassifierKind.RANDOM_FOREST.value))

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .dataio import ROW_ERRORS, SchemaError, anonymize_address
 from .ledger import SECONDS_PER_DAY, Category, DexOrder, PoolRecord
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig
@@ -81,9 +82,6 @@ class FeatureVector:
 
     def __getitem__(self, name: str) -> float:
         return float(self.values[_INDEX[name]])
-
-    def is_missing(self, name: str) -> bool:
-        return bool(self.missing[_INDEX[name]])
 
 
 def _set(values: np.ndarray, name: str, value: float) -> None:
@@ -298,7 +296,6 @@ def feature_matrix(vectors: Sequence[FeatureVector]):
 def write_features_csv(vectors: Sequence[FeatureVector],
                        path: Union[str, Path],
                        anonymize: bool = False) -> None:
-    from .dataio import anonymize_address
     rows = sorted(vectors, key=lambda v: v.pool_address)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -311,19 +308,26 @@ def write_features_csv(vectors: Sequence[FeatureVector],
 
 
 def read_features_csv(path: Union[str, Path]) -> List[FeatureVector]:
+    """Read a write_features_csv export; a wrong header or a malformed row
+    raises SchemaError with its line number."""
     vectors: List[FeatureVector] = []
+    expected = ["pool_address", "window_days", "label"] + list(FEATURE_NAMES)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        expected = ["pool_address", "window_days", "label"] + list(FEATURE_NAMES)
-        if header != expected:
-            raise ValueError(f"{path}: unexpected feature CSV header")
+        if next(reader, None) != expected:
+            raise SchemaError(path, 1, "unexpected feature CSV header")
         for row in reader:
-            vectors.append(FeatureVector(
-                pool_address=row[0],
-                window_days=int(row[1]),
-                values=np.array([float(v) for v in row[3:]], dtype=np.float64),
-                missing=np.zeros(FEATURE_COUNT, dtype=bool),
-                label=bool(int(row[2])),
-            ))
+            try:
+                if len(row) != len(expected):
+                    raise ValueError(f"{len(row)} columns, expected {len(expected)}")
+                vectors.append(FeatureVector(
+                    pool_address=row[0],
+                    window_days=int(row[1]),
+                    values=np.array([float(v) for v in row[3:]], dtype=np.float64),
+                    missing=np.zeros(FEATURE_COUNT, dtype=bool),
+                    label=bool(int(row[2])),
+                ))
+            except ROW_ERRORS as exc:
+                raise SchemaError(path, reader.line_num,
+                                  f"bad feature row: {exc}") from exc
     return vectors

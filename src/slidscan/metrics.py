@@ -11,22 +11,21 @@ Three quantities drive the drain heuristics downstream:
   * profit-taking events -- one per owner sell/withdraw, sized by
                         value / pool_value_immediately_before.
 
-ProfitTracker is the single incremental implementation: profit_report,
-replay_until and the streaming detect pipeline all drive it, so batch and
-streaming paths cannot diverge. Every figure comes from an order's
-timestamp, category, sender, base leg, base price and gas fee; paired legs
-and recorded pool balances never enter it. realized_profit is a separate summation over owner orders alone,
-kept as a cross-check.
+ProfitTracker is the single incremental implementation: profit_report and
+the streaming detect pipeline both drive it, so batch and streaming paths
+cannot diverge. Every figure comes from an order's timestamp, category,
+sender, base leg, base price and gas fee; paired legs and recorded pool
+balances never enter it. The independent cross-check is
+`synth.oracle_report`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from .ledger import (
-    Category,
     DexOrder,
     LedgerError,
     LedgerState,
@@ -169,7 +168,7 @@ class ProfitTracker:
 
 
 # ---------------------------------------------------------------------------
-# List-based entry points
+# List-based entry point
 # ---------------------------------------------------------------------------
 
 def profit_report(pool: PoolRecord, orders: Iterable[DexOrder],
@@ -179,45 +178,3 @@ def profit_report(pool: PoolRecord, orders: Iterable[DexOrder],
     for order in orders:
         tracker.add_order(order)
     return tracker.report()
-
-
-def realized_profit(orders: Sequence[DexOrder],
-                    deployment_gas_usd: float = 0.0) -> ProfitReport:
-    """Realized-profit fields from an owner-filtered order list.
-
-    Every order must belong to the owner of one pool; gas is the sum of the
-    orders' fees plus the deployment fee. Empty input yields a zero report.
-    """
-    invested = 0.0
-    returned = 0.0
-    gas = deployment_gas_usd
-    for order in orders:
-        y_usd = order.y_base * order.price_base
-        if order.category in (Category.BUY, Category.DEPOSIT):
-            invested += y_usd
-        else:
-            returned += y_usd
-        gas += order.gas_fee_usd
-    return ProfitReport(
-        realized_profit_usd=returned - invested - gas,
-        invested_usd=invested,
-        returned_usd=returned,
-        gas_usd=gas,
-        owner_order_count=len(orders),
-    )
-
-
-def unrealized_profit(state: LedgerState) -> float:
-    """Owner's unextracted stake: pool value times owner share."""
-    return state.pool_value_usd * state.owner_share
-
-
-def replay_until(pool: PoolRecord, orders: Iterable[DexOrder],
-                 at: int) -> LedgerState:
-    """Ledger state after the last order with timestamp <= at."""
-    tracker = ProfitTracker(pool)
-    for order in orders:
-        if order.timestamp > at:
-            break
-        tracker.add_order(order)
-    return tracker.state

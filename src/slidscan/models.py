@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,18 +58,6 @@ class LogisticModel:
             "l2": self.l2,
             "epochs": self.epochs,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogisticModel":
-        return cls(
-            weights=np.asarray(data["weights"], dtype=np.float64),
-            bias=float(data["bias"]),
-            mean=np.asarray(data["mean"], dtype=np.float64),
-            scale=np.asarray(data["scale"], dtype=np.float64),
-            learning_rate=float(data["learning_rate"]),
-            l2=float(data["l2"]),
-            epochs=int(data["epochs"]),
-        )
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
@@ -227,13 +215,6 @@ class _Tree:
     def to_list(self) -> list:
         return [[n.feature, n.threshold, n.left, n.right, n.prob] for n in self.nodes]
 
-    @classmethod
-    def from_list(cls, data: list) -> "_Tree":
-        tree = cls()
-        tree.nodes = [_Node(feature=int(f), threshold=float(t), left=int(l),
-                            right=int(r), prob=float(p)) for f, t, l, r, p in data]
-        return tree
-
 
 @dataclass
 class ForestModel:
@@ -261,17 +242,6 @@ class ForestModel:
             "trees": [tree.to_list() for tree in self.trees],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ForestModel":
-        return cls(
-            trees=[_Tree.from_list(t) for t in data["trees"]],
-            n_trees=int(data["n_trees"]),
-            max_depth=int(data["max_depth"]),
-            min_leaf=int(data["min_leaf"]),
-            mtry=int(data["mtry"]),
-            seed=int(data["seed"]),
-        )
-
 
 def _quantile_edges(X: np.ndarray) -> List[np.ndarray]:
     edges = []
@@ -286,13 +256,12 @@ def _quantile_edges(X: np.ndarray) -> List[np.ndarray]:
 
 def fit_forest(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
                n_trees: int = 50, max_depth: int = 8, min_leaf: int = 1,
-               seed: int = 0, mtry: Optional[int] = None) -> ForestModel:
+               seed: int = 0) -> ForestModel:
     """Bootstrap-aggregated CART trees with sqrt(n_features) splits per node."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, f = X.shape
-    if mtry is None:
-        mtry = max(1, int(round(math.sqrt(f))))
+    mtry = max(1, int(round(math.sqrt(f))))
     edges = _quantile_edges(X)
     codes = np.empty((n, f), dtype=np.int16)
     for j in range(f):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,7 +398,11 @@ def test_acceptance_8_throughput_and_reproducibility(tmp_path_factory):
     cfg = root / "big.cfg"
     cfg.write_text(BIG_CORPUS_CFG)
     corpus = root / "corpus"
+    # Every child imports slidscan from this checkout, installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part)
 
     gen = subprocess.run(
         [sys.executable, "-m", "slidscan.cli", "generate", "--config", str(cfg),
@@ -444,14 +449,14 @@ def test_acceptance_8_throughput_and_reproducibility(tmp_path_factory):
     assert subprocess.run(
         [sys.executable, "-m", "slidscan.cli", "generate", "--config",
          str(small_cfg), "--out", str(small)],
-        capture_output=True, text=True).returncode == 0
+        capture_output=True, text=True, env=env).returncode == 0
     outputs = []
     for name in ("a.csv", "b.csv"):
         run = subprocess.run(
             [sys.executable, "-m", "slidscan.cli", "sweep", "--corpus",
              str(small), "--d-list", "70,57,30", "--seed", "9",
              "--out", str(root / name)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
         outputs.append((root / name).read_bytes())
     assert outputs[0] == outputs[1], "sweep output not byte-reproducible"

@@ -8,6 +8,7 @@ import pytest
 
 from slidscan import analysis, dataio, pipeline
 from slidscan.cli import main
+from slidscan.features import FEATURE_NAMES
 
 CORPUS_CFG = """
 seed = 11
@@ -357,3 +358,72 @@ class TestAnonymize:
               "--out", str(out), "--anonymize"])
         rows = read_csv(out)
         assert all("..." in row["pool_address"] for row in rows)
+
+
+def _features_csv_with_bad_header(corpus, tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("pool_address,window_days,label,bogus\n0xa,57,1,0.5\n")
+    return (["train", "--features", str(path), "--model", "RandomForest"],
+            f"{path} line 1:")
+
+
+def _features_csv_with_bad_row(corpus, tmp_path):
+    path = tmp_path / "features.csv"
+    header = ["pool_address", "window_days", "label", *FEATURE_NAMES]
+    path.write_text(",".join(header) + "\n0xa,57,1,abc\n")
+    return (["train", "--features", str(path), "--model", "RandomForest"],
+            f"{path} line 2:")
+
+
+def _labels_csv_without_pool_column(corpus, tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("address,true_label\n0xa,SLID\n")
+    return ["features", "--pools", str(corpus / "pools.jsonl"),
+            "--orders", str(corpus / "orders.jsonl"), "--labels", str(path),
+            "--window", "57"], f"{path} line 1:"
+
+
+def _single_class_features_csv(corpus, tmp_path):
+    path = tmp_path / "features.csv"
+    header = ["pool_address", "window_days", "label", *FEATURE_NAMES]
+    zeros = ["0.0"] * len(FEATURE_NAMES)
+    path.write_text("".join(",".join(row) + "\n" for row in (
+        header, ["0xa", "57", "0", *zeros], ["0xb", "57", "0", *zeros])))
+    return ["train", "--features", str(path), "--model", "LogisticRegression"], None
+
+
+def _corpus_without_slid_verdict(corpus, tmp_path):
+    cfg = tmp_path / "legit.cfg"
+    cfg.write_text("seed = 5\nlegitimate.count = 4\nlegitimate.lifetime_days = 20\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    return ["sweep", "--corpus", str(tmp_path / "c"), "--d-list", "10"], None
+
+
+def _unknown_label_filter(corpus, tmp_path):
+    return ["report", "--kind", "profit", "--corpus", str(corpus),
+            "--labels-filter", "Bogus"], None
+
+
+class TestUnusableInputs:
+    @pytest.mark.parametrize("build,code,kind", [
+        (_features_csv_with_bad_header, 2, "SchemaError"),
+        (_features_csv_with_bad_row, 2, "SchemaError"),
+        (_labels_csv_without_pool_column, 2, "SchemaError"),
+        (_single_class_features_csv, 3, "SingleClassInput"),
+        (_corpus_without_slid_verdict, 3, "SingleClassInput"),
+        (_unknown_label_filter, 4, "UsageError"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_documented_error_line(self, corpus, tmp_path, capsys, build, code, kind):
+        """A command that cannot use its input ends with the documented
+        one-line error, never a traceback; a bad file is named."""
+        capsys.readouterr()
+        argv, location = build(corpus, tmp_path)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error code={code} kind={kind} msg=")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        if location is not None:
+            assert location in err
+        assert not out.exists()

@@ -13,7 +13,6 @@ from slidscan.dataio import (
     ingest,
     order_from_row,
     order_to_row,
-    write_dataset,
     write_orders_jsonl,
     write_pools_jsonl,
     write_profiles_jsonl,
@@ -38,11 +37,7 @@ def corpus_dir(tmp_path_factory):
     pools = [s.pool for s in scenarios]
     profiles = dict(sorted((s.pool.paired_address, s.profile) for s in scenarios))
     write_pools_jsonl(pools, out / "pools.jsonl")
-    with open(out / "orders.jsonl", "w") as handle:
-        import slidscan.dataio as dataio
-        for scenario in scenarios:
-            for order in scenario.orders:
-                handle.write(dataio.dump_row(dataio.order_to_row(order)) + "\n")
+    write_orders_jsonl((o for s in scenarios for o in s.orders), out / "orders.jsonl")
     write_profiles_jsonl(profiles, out / "profiles.jsonl")
     return out
 
@@ -57,10 +52,14 @@ class TestRoundTrip:
     def test_generate_ingest_reemit_byte_identical(self, corpus_dir, tmp_path):
         dataset = ingest(corpus_dir / "pools.jsonl", corpus_dir / "orders.jsonl",
                          corpus_dir / "profiles.jsonl")
-        paths = write_dataset(dataset, tmp_path / "copy")
+        write_pools_jsonl(dataset.pools.values(), tmp_path / "pools.jsonl")
+        write_orders_jsonl((order for address in dataset.pools
+                            for order in dataset.orders[address]),
+                           tmp_path / "orders.jsonl")
+        write_profiles_jsonl(dataset.profiles, tmp_path / "profiles.jsonl")
         for name in ("pools", "orders", "profiles"):
             original = (corpus_dir / f"{name}.jsonl").read_bytes()
-            emitted = paths[name].read_bytes()
+            emitted = (tmp_path / f"{name}.jsonl").read_bytes()
             assert original == emitted, f"{name} round trip not byte-identical"
 
     def test_ingest_is_idempotent(self, corpus_dir):

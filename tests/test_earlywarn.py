@@ -1,4 +1,6 @@
-"""Classifier training, evaluation metrics, serialization, and the sweep."""
+"""Classifier training, evaluation metrics, the model export, and the sweep."""
+
+import json
 
 import numpy as np
 import pytest
@@ -11,9 +13,7 @@ from slidscan.earlywarn import (
     DimensionMismatch,
     SingleClassInput,
     confusion_counts,
-    load_model,
     metrics_from_confusion,
-    predict,
     prepare_windows,
     save_model,
     stratified_split,
@@ -22,6 +22,7 @@ from slidscan.earlywarn import (
     window_speedup,
 )
 from slidscan.features import FEATURE_COUNT, FeatureVector
+from slidscan.models import fit_logistic
 from slidscan.synth import ScenarioKind, build_corpus
 
 
@@ -94,13 +95,13 @@ class TestPredict:
     def test_separable_regions_and_determinism(self):
         X, y = toy_separable()
         model = train(as_vectors(X, y), ClassifierKind.RANDOM_FOREST, seed=2)
-        positive = as_vectors(np.array([[1.0, 0, 0, 0]]), [1])[0]
-        negative = as_vectors(np.array([[0.0, 0, 0, 0]]), [0])[0]
-        label_pos, score_pos = predict(model, positive)
-        label_neg, score_neg = predict(model, negative)
-        assert label_pos is True and score_pos > 0.5
-        assert label_neg is False
-        assert predict(model, positive) == (label_pos, score_pos)
+        probe = np.stack([v.values for v in as_vectors(
+            np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]]), [1, 0])])
+        score_pos, score_neg = model.scores(probe)
+        assert model.threshold == 0.5
+        assert score_pos > 0.5
+        assert score_neg < model.threshold
+        assert np.array_equal(model.scores(probe), [score_pos, score_neg])
 
 
 class TestMetricsIdentities:
@@ -120,18 +121,45 @@ class TestMetricsIdentities:
         assert m.confusion == (tp, fp, tn, fn)
 
 
+def exported_scores(payload, X):
+    """Scores recomputed from a model.json payload alone, the way a reader
+    outside slidscan would: logistic on z-scored rows, or the mean over
+    trees of the leaf reached by `value < threshold` going left."""
+    inner = payload["model"]
+    if payload["kind"] == "LogisticRegression":
+        Z = (X - np.array(inner["mean"])) / np.array(inner["scale"])
+        logits = np.clip(Z @ np.array(inner["weights"]) + inner["bias"], -60, 60)
+        return 1.0 / (1.0 + np.exp(-logits))
+    scores = np.zeros(len(X))
+    for tree in inner["trees"]:
+        for i, row in enumerate(X):
+            feature, threshold, left, right, prob = tree[0]
+            while feature >= 0:
+                node = left if row[feature] < threshold else right
+                feature, threshold, left, right, prob = tree[node]
+            scores[i] += prob
+    return scores / len(inner["trees"])
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", list(ClassifierKind))
     def test_round_trip_preserves_predictions(self, tmp_path, kind):
+        """model.json is an export: it names its keys and carries enough to
+        reproduce the model's scores without slidscan."""
         X, y = toy_separable(n=80, noise=0.3, seed=7)
         model = train((X, y), kind, seed=5)
         path = tmp_path / "model.json"
         save_model(model, path)
-        loaded = load_model(path)
+        payload = json.loads(path.read_text())
+        assert list(payload) == [
+            "format_version", "kind", "class_weights", "hyperparameters",
+            "feature_names", "seed", "threshold", "majority_label", "model"]
+        assert payload["kind"] == kind.value
+        assert payload["threshold"] == 0.5
+        assert payload["hyperparameters"] == model.hyperparameters
         probe = np.random.default_rng(0).normal(0.5, 0.5, size=(40, 4))
-        assert np.array_equal(model.scores(probe), loaded.scores(probe))
-        assert loaded.kind == kind
-        assert loaded.hyperparameters == model.hyperparameters
+        assert np.allclose(exported_scores(payload, probe), model.scores(probe),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestClassWeightEffect:
@@ -150,10 +178,12 @@ class TestClassWeightEffect:
                                 rng.normal(1.2, 1.0, size=(40, 3))])
             test_y = np.concatenate([np.zeros(200, dtype=bool),
                                      np.ones(40, dtype=bool)])
+            # train() weights classes; the same fit with uniform weights
+            # is the baseline.
+            weighted = train((X, y), ClassifierKind.LOGISTIC_REGRESSION, seed=seed)
+            uniform = fit_logistic(X, y, (1.0, 1.0))
             recalls = {}
-            for weighting in (True, False):
-                model = train((X, y), ClassifierKind.LOGISTIC_REGRESSION,
-                              seed=seed, class_weighting=weighting)
+            for weighting, model in ((True, weighted), (False, uniform)):
                 pred = model.scores(test_X) >= 0.5
                 tp, fp, tn, fn = confusion_counts(test_y, pred)
                 recalls[weighting] = metrics_from_confusion(

@@ -32,6 +32,10 @@ COUNT_FEATURES = list(OAF_NAMES) + [
     "owner_taking_count"]
 
 
+def is_missing(vec, name):
+    return bool(vec.missing[FEATURE_NAMES.index(name)])
+
+
 class TestSchema:
     def test_exactly_57_features_in_fixed_order(self):
         assert FEATURE_COUNT == 57
@@ -65,7 +69,7 @@ class TestExtraction:
         for name in ("user_dep", "user_with", "user_buy", "user_sell",
                      "user_count", "user_count_first", "user_count_high"):
             assert vec[name] == 0.0
-        assert vec.is_missing("r_user_first_on_high")
+        assert is_missing(vec, "r_user_first_on_high")
         assert vec["r_user_first_on_high"] == 0.0
 
     def test_owner_activity_counts_over_seventy_days(self, pool):
@@ -107,7 +111,7 @@ class TestExtraction:
         # owner_realized > 0 but owner never bought beyond the deposit:
         # r_owner_unrealized_on_realized is finite, r_user ratios are 0/0.
         assert vec["r_user_first_on_high"] == 0.0
-        assert vec.is_missing("r_user_first_on_high")
+        assert is_missing(vec, "r_user_first_on_high")
 
     def test_capped_ratio_on_zero_denominator(self, pool):
         # vol_first > 0, vol on the last (different) day is 0 only if no
@@ -121,7 +125,7 @@ class TestExtraction:
         # user_count_low = 0 -> first/low is 1/0 -> capped and flagged.
         assert vec["user_count_low"] == 0.0
         assert vec["r_user_first_on_low"] == RATIO_CAP
-        assert vec.is_missing("r_user_first_on_low")
+        assert is_missing(vec, "r_user_first_on_low")
 
     def test_age_and_alive(self, pool):
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0),

@@ -5,25 +5,32 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidscan.ledger import LedgerState
-from slidscan.metrics import (
-    ProfitTracker,
-    profit_report,
-    realized_profit,
-    replay_until,
-    unrealized_profit,
-)
+from slidscan.metrics import ProfitTracker, profit_report
 from slidscan.synth import ScenarioConfig, ScenarioKind, generate, oracle_report
 
 from conftest import OWNER, USER, make_order, make_pool
 
 
+def replayed_to(pool, orders, at):
+    """A tracker fed every order with timestamp <= at."""
+    tracker = ProfitTracker(pool)
+    for order in orders:
+        if order.timestamp > at:
+            break
+        tracker.add_order(order)
+    return tracker
+
+
 class TestRealizedProfit:
     def test_deposit_only_is_pure_loss(self):
-        report = realized_profit([make_order("Deposit", 100.0, 10.0, gas=1.0)])
+        report = profit_report(make_pool(),
+                               [make_order("Deposit", 100.0, 10.0, gas=1.0)])
         assert report.realized_profit_usd == -101.0
 
     def test_mixed_flows_match_naive_summation(self):
+        # A provider's deposit gives the owner's exits pool value to draw on;
+        # orders by anyone but the owner never enter realized profit.
+        funding = make_order("Deposit", 1000.0, 1.0, sender=USER, gas=9.0)
         orders = [
             make_order("Sell", 60.0, 1.0),
             make_order("Sell", 70.0, 1.0),
@@ -39,7 +46,7 @@ class TestRealizedProfit:
         gas = sum(o.gas_fee_usd for o in orders)
         assert returned - invested - gas == 35.0
 
-        report = realized_profit(orders)
+        report = profit_report(make_pool(), [funding] + orders)
         assert report.realized_profit_usd == 35.0
         assert report.returned_usd == 160.0
         assert report.invested_usd == 120.0
@@ -51,38 +58,39 @@ class TestRealizedProfit:
     def test_sell_buy_volume_gap_contribution(self):
         # Owner sells worth $1.4M against buys worth $783K: the swap legs
         # alone contribute +$617K to the realized sum.
+        funding = make_order("Deposit", 2_000_000.0, 1.0, sender=USER)
         sells = [make_order("Sell", 700_000.0, 1.0) for _ in range(2)]
         buys = [make_order("Buy", 261_000.0, 1.0) for _ in range(3)]
-        report = realized_profit(sells + buys)
+        report = profit_report(make_pool(), [funding] + sells + buys)
         assert report.returned_usd == pytest.approx(1_400_000.0)
         assert report.invested_usd == pytest.approx(783_000.0)
         assert report.realized_profit_usd == pytest.approx(617_000.0)
 
     def test_empty_input_yields_zero_report(self):
-        report = realized_profit([])
+        report = profit_report(make_pool(), [])
         assert report.realized_profit_usd == 0.0
         assert report.profit_taking_count == 0
 
 
 class TestUnrealizedProfit:
     def test_product_definition(self):
-        state = LedgerState()
-        state.pool_value_usd = 200.0
-        state.owner_share = 0.5
-        assert unrealized_profit(state) == 100.0
+        orders = [make_order("Deposit", 100.0, 1.0),
+                  make_order("Deposit", 100.0, 1.0, sender=USER)]
+        report = profit_report(make_pool(), orders)
+        # pool value 200 times owner share 0.5
+        assert report.unrealized_current_usd == 100.0
 
     def test_drained_pool_is_zero(self):
-        state = LedgerState()
-        state.pool_value_usd = 0.0
-        state.owner_share = 1.0
-        assert unrealized_profit(state) == 0.0
+        orders = [make_order("Deposit", 100.0, 1.0),
+                  make_order("Withdraw", 100.0, 1.0)]
+        report = profit_report(make_pool(), orders)
+        assert report.unrealized_current_usd == 0.0
 
     def test_slid_day30_matches_independent_oracle(self):
         scenario = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=13))
         pool = scenario.pool
         at = pool.created_time_pool + 30 * 86_400
-        state = replay_until(pool, scenario.orders, at)
-        mine = unrealized_profit(state)
+        mine = replayed_to(pool, scenario.orders, at).report().unrealized_current_usd
         reference = oracle_report(scenario.orders, pool).unrealized_first_month_usd
         assert mine == pytest.approx(reference, rel=1e-6)
         assert mine > 0
@@ -165,7 +173,7 @@ class TestProperties:
         """No owner sell/withdraw means realized profit is exactly
         -(invested + gas), hence never positive."""
         orders = [make_order(cat, usd, 1.0, gas=gas) for cat, usd, gas in moves]
-        report = realized_profit(orders)
+        report = profit_report(make_pool(), orders)
         assert report.realized_profit_usd <= 0.0
         assert report.realized_profit_usd == pytest.approx(
             -(report.invested_usd + report.gas_usd))
@@ -185,7 +193,7 @@ class TestProperties:
         scenario = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=21))
         pool = scenario.pool
         report = profit_report(pool, scenario.orders)
-        state = replay_until(pool, scenario.orders,
-                             pool.created_time_pool + 30 * 86_400)
+        state = replayed_to(pool, scenario.orders,
+                            pool.created_time_pool + 30 * 86_400).state
         assert report.unrealized_first_month_usd == pytest.approx(
             state.pool_value_usd * state.owner_share, rel=1e-12)
