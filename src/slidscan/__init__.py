@@ -41,7 +41,6 @@ from .synth import (
 from .earlywarn import (
     ClassifierKind,
     ClassifierModel,
-    CorpusBundle,
     EvalMetrics,
     save_model,
     sweep,

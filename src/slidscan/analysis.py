@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from .dataio import Dataset
+from .features import ALIVE_HORIZON_SECONDS
 from .ledger import SECONDS_PER_DAY, Category, PoolRecord
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label, judge_pool
 
@@ -65,8 +66,7 @@ def _selected_pools(dataset: Dataset,
 
 
 def analyze(dataset: Dataset, which: str,
-            labels: Optional[Set[str]] = None,
-            cfg: HeuristicConfig = DEFAULT_CONFIG) -> AnalysisReport:
+            labels: Optional[Set[str]] = None) -> AnalysisReport:
     """Run one of the three reports over the (optionally filtered) pools."""
     which = which.lower()
     if which not in ("age", "profit", "trend"):
@@ -87,7 +87,7 @@ def analyze(dataset: Dataset, which: str,
         observation_end = max((last for _, last in spans), default=0)
         for age_days, last_ts in spans:
             count, alive = report.age_histogram.get(age_days, (0, 0))
-            is_alive = observation_end - last_ts <= cfg.alive_horizon_seconds
+            is_alive = observation_end - last_ts <= ALIVE_HORIZON_SECONDS
             report.age_histogram[age_days] = (count + 1, alive + (1 if is_alive else 0))
         return report
 

@@ -6,9 +6,10 @@ shrinking-window sweep, and produce population reports. Failures exit with
 one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
 
   2  SchemaError (a malformed row or header, with file and line) or a
-     ledger violation
-  3  EmptyDataset (no pools) or SingleClassInput (training labels, or a
-     sweep's verdicts, hold one class only)
+     ledger violation; an order before its pool's previous one is the same
+     `NonMonotonicTime` line, with file and line, in every command
+  3  EmptyDataset (no pools) or SingleClassInput (training labels hold one
+     class only, or a sweep's verdicts have fewer than 2 pools in a class)
   4  ConfigError, InfeasibleConfig, UsageError (bad arguments, checked
      while they are parsed) or a missing input file
 """
@@ -19,12 +20,12 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import analysis, dataio, earlywarn, features, pipeline, synth
 from .config import ConfigError, load_heuristic_config, parse_kv_file
 from .dataio import EmptyDataset, SchemaError
-from .earlywarn import ClassifierKind, CorpusBundle, DEFAULT_D_LIST, SingleClassInput
+from .earlywarn import ClassifierKind, DEFAULT_D_LIST, SingleClassInput
 from .ledger import LedgerError
 from .synth import InfeasibleConfig
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label
@@ -144,24 +145,18 @@ def _load_labels_csv(path) -> Dict[str, bool]:
     return labels
 
 
-def _verdict_labels(dataset: dataio.Dataset, cfg: HeuristicConfig) -> Dict[str, bool]:
-    """Pool address -> whether the rule-based verdict is SLID."""
-    analysis.enrich(dataset, cfg)
-    return {address: verdict.label == Label.SLID
-            for address, (_, verdict) in dataset.enriched.items()}
-
-
 def cmd_features(args) -> int:
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(args.pools, args.orders, profiles_file=args.profiles)
     if args.labels:
         label_map = _load_labels_csv(args.labels)
     else:
-        label_map = _verdict_labels(dataset, cfg)
+        analysis.enrich(dataset, cfg)
+        label_map = dataset.slid_labels()
     vectors = []
     for address, pool in dataset.pools.items():
         vectors.append(features.extract_features(
-            pool, dataset.orders.get(address, []), args.window, cfg,
+            pool, dataset.orders[address], args.window,
             label=label_map.get(address, False)))
     features.write_features_csv(vectors, args.out, anonymize=args.anonymize)
     print(f"features: {len(vectors)} pools at window d={args.window} -> {args.out}")
@@ -179,29 +174,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _bundle_from_corpus(corpus_dir, cfg: HeuristicConfig) -> CorpusBundle:
+def _corpus_files(corpus_dir) -> Tuple[Path, Path, Optional[Path]]:
+    """The pools, orders and (if present) profiles files of a corpus directory."""
     corpus = Path(corpus_dir)
-    dataset = dataio.ingest(corpus / "pools.jsonl", corpus / "orders.jsonl",
-                            profiles_file=_existing(corpus / "profiles.jsonl"))
-    return CorpusBundle(
-        pools=list(dataset.pools.values()),
-        orders_by_pool=dataset.orders,
-        profiles=dataset.profiles,
-        labels=_verdict_labels(dataset, cfg),
-        cfg=cfg,
-    )
-
-
-def _existing(path: Path) -> Optional[Path]:
-    return path if path.exists() else None
+    profiles = corpus / "profiles.jsonl"
+    return (corpus / "pools.jsonl", corpus / "orders.jsonl",
+            profiles if profiles.exists() else None)
 
 
 def cmd_sweep(args) -> int:
     cfg = _heuristic_config(args)
-    bundle = _bundle_from_corpus(args.corpus, cfg)
+    dataset = dataio.ingest(*_corpus_files(args.corpus))
+    analysis.enrich(dataset, cfg)
     grid = ({kind: earlywarn.DEFAULT_HYPER_GRID[kind] for kind in ClassifierKind}
             if args.grid else None)
-    results = earlywarn.sweep(bundle, args.d_list, seed=args.seed, hyper_grid=grid)
+    results = earlywarn.sweep(dataset, args.d_list, cfg, seed=args.seed,
+                              hyper_grid=grid)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["detector", "d", "accuracy", "precision", "recall",
@@ -219,10 +207,7 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     cfg = _heuristic_config(args)
     if args.corpus:
-        corpus = Path(args.corpus)
-        pools_file = corpus / "pools.jsonl"
-        orders_file = corpus / "orders.jsonl"
-        profiles_file = _existing(corpus / "profiles.jsonl")
+        pools_file, orders_file, profiles_file = _corpus_files(args.corpus)
     else:
         if not (args.pools and args.orders):
             raise UsageError("report needs --corpus or both --pools and --orders")
@@ -230,8 +215,7 @@ def cmd_report(args) -> int:
     dataset = dataio.ingest(pools_file, orders_file, profiles_file=profiles_file)
     if args.labels_filter:
         analysis.enrich(dataset, cfg)
-    report = analysis.analyze(dataset, args.kind, labels=args.labels_filter,
-                              cfg=cfg)
+    report = analysis.analyze(dataset, args.kind, labels=args.labels_filter)
     analysis.write_report_csv(report, args.out)
     extra = ""
     if args.kind == "age":

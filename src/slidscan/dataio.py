@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .ledger import Category, DexOrder, PoolRecord
+from .ledger import Category, DexOrder, LedgerError, NonMonotonicTime, PoolRecord
 from .metrics import ProfitReport
-from .validators import SecurityProfile, Verdict
+from .validators import Label, SecurityProfile, Verdict
 
 PathLike = Union[str, Path]
 
@@ -240,6 +240,10 @@ class IngestStats:
 
 @dataclass
 class Dataset:
+    """The one corpus object: pools, each pool's orders in execution order,
+    profiles keyed by paired token, and (after `analysis.enrich`) every
+    pool's full-history profit report and verdict."""
+
     pools: Dict[str, PoolRecord]
     orders: Dict[str, List[DexOrder]]
     profiles: Dict[str, SecurityProfile]
@@ -248,6 +252,13 @@ class Dataset:
 
     def profile_for(self, pool: PoolRecord) -> Optional[SecurityProfile]:
         return self.profiles.get(pool.paired_address)
+
+    def slid_labels(self) -> Dict[str, bool]:
+        """Pool address -> whether its full-history verdict is SLID."""
+        if not self.enriched:
+            raise ValueError("verdict labels require analysis.enrich to have run")
+        return {address: verdict.label == Label.SLID
+                for address, (_, verdict) in self.enriched.items()}
 
 
 _SCAN_JSON = json.JSONDecoder().scan_once
@@ -276,10 +287,20 @@ def iter_jsonl(path: PathLike):
             yield lineno, row
 
 
+def ledger_fault(path: PathLike, lineno: int, exc: LedgerError) -> SchemaError:
+    """The error line of an order row that breaks the ledger's rules."""
+    return SchemaError(path, lineno, f"{type(exc).__name__}: {exc}")
+
+
 def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
            profiles_file: Optional[PathLike] = None) -> Dataset:
     """Load a dataset; orders referencing unknown pools are counted and
-    skipped, malformed rows raise SchemaError with their line number."""
+    skipped, malformed rows raise SchemaError with their line number.
+
+    Each pool keeps its orders in file order, which is their execution
+    order; nothing re-sorts them. A pool's timestamps must never decrease:
+    an order before its pool's previous one raises the SchemaError
+    `NonMonotonicTime` line that `pipeline.stream_detect` raises for it."""
     stats = IngestStats()
     pools: Dict[str, PoolRecord] = {}
     for lineno, row in iter_jsonl(pool_file):
@@ -301,11 +322,13 @@ def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
                 if pool_orders is None:
                     stats.rows_skipped["order_unknown_pool"] += 1
                     continue
-                pool_orders.append(order_from_row(row))
+                order = order_from_row(row)
             except ROW_ERRORS as exc:
                 raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
-        for address in orders:
-            orders[address].sort(key=DexOrder.sort_key)
+            if pool_orders and order.timestamp < pool_orders[-1].timestamp:
+                raise ledger_fault(orders_file, lineno, NonMonotonicTime.at(
+                    order.timestamp, pool_orders[-1].timestamp))
+            pool_orders.append(order)
 
     profiles: Dict[str, SecurityProfile] = {}
     if profiles_file is not None:

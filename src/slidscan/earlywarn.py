@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
@@ -27,16 +27,9 @@ from .features import (
     extract_with_report,
     feature_matrix,
 )
-from .ledger import DexOrder, PoolRecord
+from .dataio import Dataset
 from .models import balanced_class_weights, fit_forest, fit_logistic
-from .validators import (
-    DEFAULT_CONFIG,
-    HeuristicConfig,
-    Label,
-    SecurityProfile,
-    classify_pool,
-    judge_pool,
-)
+from .validators import DEFAULT_CONFIG, HeuristicConfig, Label, classify_pool
 
 MODEL_FORMAT_VERSION = 1
 DECISION_THRESHOLD = 0.5    # a score at or above it calls SLID
@@ -263,33 +256,8 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Corpus bundling and the d-window sweep
+# The d-window sweep
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CorpusBundle:
-    """Labeled corpus: pools, per-pool sorted orders, profiles, ground truth."""
-
-    pools: List[PoolRecord]
-    orders_by_pool: Dict[str, List[DexOrder]]
-    profiles: Dict[str, SecurityProfile]     # keyed by paired token address
-    labels: Dict[str, bool]                  # full-history SLID ground truth
-    cfg: HeuristicConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-
-    @classmethod
-    def from_scenarios(cls, scenarios,
-                       cfg: HeuristicConfig = DEFAULT_CONFIG) -> "CorpusBundle":
-        """Bundle generated scenarios; labels come from full-history verdicts."""
-        pools, orders_by_pool, profiles, labels = [], {}, {}, {}
-        for scenario in scenarios:
-            pool = scenario.pool
-            pools.append(pool)
-            orders_by_pool[pool.pool_address] = scenario.orders
-            profiles[pool.paired_address] = scenario.profile
-            _, verdict = judge_pool(pool, scenario.profile, scenario.orders, cfg)
-            labels[pool.pool_address] = verdict.label == Label.SLID
-        return cls(pools, orders_by_pool, profiles, labels, cfg)
-
 
 @dataclass
 class WindowedCorpus:
@@ -302,22 +270,33 @@ class WindowedCorpus:
     pool_addresses: List[str]
 
 
-def prepare_windows(bundle: CorpusBundle, d_list: Sequence[int]) -> WindowedCorpus:
+def prepare_windows(dataset: Dataset, d_list: Sequence[int],
+                    cfg: HeuristicConfig = DEFAULT_CONFIG) -> WindowedCorpus:
     """Extract features and heuristic calls for every pool at every window.
 
-    Each pool is replayed once, up to its largest window; the heuristic
-    classifies each window's truncated profit report from that replay.
+    Labels are the full-history SLID verdicts `analysis.enrich` put in
+    `dataset.enriched`; pools keep `dataset.pools` order. Before any
+    extraction, a corpus that cannot give a held-out split (fewer than two
+    pools in either verdict class) raises SingleClassInput. Each pool is
+    replayed once, up to its largest window; the heuristic classifies each
+    window's truncated profit report from that replay.
     """
-    cfg = bundle.cfg
     d_list = list(dict.fromkeys(d_list))    # a repeated window counts once
-    addresses = [p.pool_address for p in bundle.pools]
-    labels = np.array([bundle.labels[a] for a in addresses], dtype=bool)
+    slid = dataset.slid_labels()
+    addresses = list(dataset.pools)
+    labels = np.array([slid[a] for a in addresses], dtype=bool)
+    positives = int(labels.sum())
+    others = len(labels) - positives
+    if min(positives, others) < 2:
+        raise SingleClassInput(
+            "a held-out split needs at least 2 pools in each verdict class, got "
+            f"{positives} SLID and {others} other")
     vectors_by_d: Dict[int, List[FeatureVector]] = {d: [] for d in d_list}
     heuristic_by_d = {d: np.zeros(len(addresses), dtype=bool) for d in d_list}
-    for i, pool in enumerate(bundle.pools):
-        profile = bundle.profiles.get(pool.paired_address)
-        windows = extract_with_report(pool, bundle.orders_by_pool[pool.pool_address],
-                                      d_list, cfg, label=bool(labels[i]))
+    for i, (address, pool) in enumerate(dataset.pools.items()):
+        profile = dataset.profile_for(pool)
+        windows = extract_with_report(pool, dataset.orders[address], d_list,
+                                      label=bool(labels[i]))
         for d, (vector, report) in zip(d_list, windows):
             vectors_by_d[d].append(vector)
             verdict = classify_pool(pool, profile, report, cfg)
@@ -333,18 +312,19 @@ TEST_FRACTION = 0.2
 PLATEAU_FRACTION = 0.95
 
 
-def sweep(bundle: CorpusBundle, d_list: Sequence[int] = DEFAULT_D_LIST,
-          seed: int = 0, hyper_grid: Optional[Dict[str, Dict[str, list]]] = None,
+def sweep(dataset: Dataset, d_list: Sequence[int] = DEFAULT_D_LIST,
+          cfg: HeuristicConfig = DEFAULT_CONFIG, seed: int = 0,
+          hyper_grid: Optional[Dict[str, Dict[str, list]]] = None,
           windows: Optional[WindowedCorpus] = None) -> List[EvalMetrics]:
     """Evaluate every detector at every window on a held-out stratified split
-    (TEST_FRACTION of each class).
+    (TEST_FRACTION of each class) of an enriched dataset.
 
     Classifiers retrain per window on the training pools; the rule-based
     detector classifies the same truncated windows directly. Pass a
     precomputed `windows` to reuse feature extraction across seeds.
     """
     if windows is None:
-        windows = prepare_windows(bundle, d_list)
+        windows = prepare_windows(dataset, d_list, cfg)
     labels = windows.labels
     train_idx, test_idx = stratified_split(labels.astype(np.int64),
                                            TEST_FRACTION, seed)

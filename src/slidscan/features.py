@@ -30,9 +30,11 @@ import numpy as np
 from .dataio import ROW_ERRORS, SchemaError, anonymize_address
 from .ledger import SECONDS_PER_DAY, Category, DexOrder, PoolRecord
 from .metrics import ProfitReport, ProfitTracker
-from .validators import DEFAULT_CONFIG, HeuristicConfig
 
 RATIO_CAP = 1e9
+# A pool is alive when its last order lies within this horizon of the window
+# end (`is_alive`) or, in the age report, of the last order in the corpus.
+ALIVE_HORIZON_SECONDS = 30 * SECONDS_PER_DAY
 
 OAF_NAMES = ("owner_dep", "owner_with", "owner_buy", "owner_sell")
 
@@ -99,28 +101,26 @@ def _set_ratio(values: np.ndarray, missing: np.ndarray, name: str,
 
 
 def extract_features(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
-                     cfg: HeuristicConfig = DEFAULT_CONFIG,
                      label: Optional[bool] = None) -> FeatureVector:
     """Feature vector from the pool's orders within d days of deployment.
 
-    `orders` must be the pool's stream sorted by (timestamp, block, hash);
-    orders at or beyond the window end are ignored, so passing the full
-    history or a pre-truncated prefix is equivalent.
+    `orders` is the pool's stream in execution order, timestamps never
+    decreasing; orders at or beyond the window end are ignored, so passing
+    the full history or a pre-truncated prefix is equivalent.
     """
-    [(vector, _)] = extract_with_report(pool, orders, (d,), cfg, label)
+    [(vector, _)] = extract_with_report(pool, orders, (d,), label)
     return vector
 
 
 def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
-                        d_list: Sequence[int],
-                        cfg: HeuristicConfig = DEFAULT_CONFIG,
-                        label: Optional[bool] = None
+                        d_list: Sequence[int], label: Optional[bool] = None
                         ) -> List[Tuple[FeatureVector, ProfitReport]]:
     """extract_features and the windowed profit report, for every d in d_list.
 
-    One replay of the sorted orders, up to the end of the largest window,
-    serves every window: when the replay reaches a window's end, that
-    window's vector and report are read from the running state. Returns one
+    One replay of the orders in the order given (execution order, as
+    `dataio.ingest` keeps it), up to the end of the largest window, serves
+    every window: when the replay reaches a window's end, that window's
+    vector and report are read from the running state. Returns one
     (FeatureVector, ProfitReport) pair per entry of `d_list`, in `d_list`
     order; a repeated d gets the same pair. A window with no orders is not an
     error: it yields the all-zero vector with every missing flag set.
@@ -128,7 +128,7 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
     if any(d < 1 for d in d_list):
         raise ValueError("window must be at least one day")
     start = pool.created_time_pool
-    tracker = ProfitTracker(pool, first_month_seconds=cfg.first_month_seconds)
+    tracker = ProfitTracker(pool)
     owner = pool.owner_address
 
     counts = {("owner", c): 0 for c in Category}
@@ -164,14 +164,14 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
             last_ts = order.timestamp
             order = next(stream, None)
         report = tracker.report()
-        vector = _window_vector(pool, d, cfg, label, report, counts,
+        vector = _window_vector(pool, d, label, report, counts,
                                 len(all_users), day_users, day_volume,
                                 day_close, pval_min, pval_max, last_ts)
         by_d[d] = (vector, report)
     return [by_d[d] for d in d_list]
 
 
-def _window_vector(pool: PoolRecord, d: int, cfg: HeuristicConfig,
+def _window_vector(pool: PoolRecord, d: int,
                    label: Optional[bool], report: ProfitReport,
                    counts: Dict[tuple, int], user_count: int,
                    day_users: Dict[int, set], day_volume: Dict[int, float],
@@ -247,7 +247,7 @@ def _window_vector(pool: PoolRecord, d: int, cfg: HeuristicConfig,
     lifetime_days = (last_ts - pool.created_time_pool) // SECONDS_PER_DAY + 1
     _set(values, "age_days", min(d, lifetime_days))
     window_end = pool.created_time_pool + d * SECONDS_PER_DAY
-    alive = (window_end - last_ts) <= cfg.alive_horizon_seconds
+    alive = (window_end - last_ts) <= ALIVE_HORIZON_SECONDS
     _set(values, "is_alive", 1.0 if alive else 0.0)
 
     v_first = day_volume.get(0, 0.0)

@@ -50,6 +50,11 @@ class SwapOverflow(LedgerError):
 class NonMonotonicTime(LedgerError):
     """Order timestamp precedes the last applied order."""
 
+    @classmethod
+    def at(cls, timestamp: int, last: int) -> "NonMonotonicTime":
+        """The one wording of this violation, for replay and ingestion alike."""
+        return cls(f"order at {timestamp} before last applied {last}")
+
 
 class NegativePoolValue(LedgerError):
     """Recorded flows would drive the pool's base value below zero."""
@@ -110,7 +115,9 @@ class DexOrder:
     `audit_reserves` (None when the source did not record them, e.g.
     reconstructed-only synthetic streams). The type does
     not check its values: rows read from outside are validated by the one
-    order decoder, `dataio.decode_order`.
+    order decoder, `dataio.decode_order`. It has no ordering of its own: a
+    pool's orders execute in the order they are listed (in a file, the line
+    order), and their timestamps never decrease.
     """
 
     block: int
@@ -126,9 +133,6 @@ class DexOrder:
     price_paired: float
     price_base: float
     gas_fee_usd: float = 0.0
-
-    def sort_key(self) -> Tuple[int, int, str]:
-        return (self.timestamp, self.block, self.hash)
 
 
 class LedgerState:
@@ -194,8 +198,7 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
     Positional calling keeps the per-order overhead low on big streams.
     """
     if timestamp < state.last_timestamp:
-        raise NonMonotonicTime(
-            f"order at {timestamp} before last applied {state.last_timestamp}")
+        raise NonMonotonicTime.at(timestamp, state.last_timestamp)
     state.last_timestamp = timestamp
 
     y_usd = y_base * price_base
@@ -231,9 +234,9 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
 def audit_reserves(orders: Iterable[DexOrder]) -> Tuple[float, float, int]:
     """Check a pool's recorded post-order balances against its legs.
 
-    Replays the (sorted) orders' token legs from empty reserves and returns
-    (reserve_paired, reserve_base, mismatches). Recorded balances (x_paired,
-    x_base) are trusted when present; an order whose recorded balances differ
+    Replays the orders' token legs, in execution order, from empty reserves
+    and returns (reserve_paired, reserve_base, mismatches). Recorded balances
+    (x_paired, x_base) are trusted when present; an order whose recorded balances differ
     from the reconstruction by more than BALANCE_REL_TOL counts one mismatch.
     Without them the reconstruction carries on, floored at zero.
     """

@@ -73,9 +73,9 @@ class ProfitReport:
 class ProfitTracker:
     """Incremental profit accounting for one pool.
 
-    Feed orders in (timestamp, block, hash) order via add() (the decoded
-    values of one order row) or add_order(); report() covers the orders added
-    so far and may be called between adds. Keeps O(1) state (a LedgerState
+    Feed orders in execution order (timestamps never decrease) via add()
+    (the decoded values of one order row) or add_order(); report() covers
+    the orders added so far and may be called between adds. Keeps O(1) state (a LedgerState
     plus running sums) and the profit-taking event list.
     """
 
@@ -85,8 +85,7 @@ class ProfitTracker:
         "month1_seen",
     )
 
-    def __init__(self, pool: PoolRecord,
-                 first_month_seconds: int = FIRST_MONTH_SECONDS):
+    def __init__(self, pool: PoolRecord):
         self.pool = pool
         self.state = LedgerState()
         self.invested = 0.0
@@ -94,7 +93,7 @@ class ProfitTracker:
         self.gas = float(pool.deployment_gas_usd)
         self.events: List[ProfitTakingEvent] = []
         self.owner_orders = 0
-        self.month1_deadline = pool.created_time_pool + first_month_seconds
+        self.month1_deadline = pool.created_time_pool + FIRST_MONTH_SECONDS
         self.month1_value = 0.0
         self.month1_share = 0.0
         self.month1_seen = False
@@ -171,10 +170,10 @@ class ProfitTracker:
 # List-based entry point
 # ---------------------------------------------------------------------------
 
-def profit_report(pool: PoolRecord, orders: Iterable[DexOrder],
-                  first_month_seconds: int = FIRST_MONTH_SECONDS) -> ProfitReport:
-    """Full profit report for one pool from its complete sorted order list."""
-    tracker = ProfitTracker(pool, first_month_seconds=first_month_seconds)
+def profit_report(pool: PoolRecord, orders: Iterable[DexOrder]) -> ProfitReport:
+    """Full profit report for one pool from its complete order list, in
+    execution order."""
+    tracker = ProfitTracker(pool)
     for order in orders:
         tracker.add_order(order)
     return tracker.report()

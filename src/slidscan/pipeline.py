@@ -2,8 +2,9 @@
 
 Orders are consumed line by line from JSONL without materializing any pool's
 full history; each pool keeps a constant-size profit tracker plus its
-profit-taking event list. Input must be time-sorted per pool (on-chain logs
-are block-ordered, and the generator emits sorted streams).
+profit-taking event list. File order is execution order: each order is
+applied where it stands, and a pool's timestamps must never decrease (the
+`NonMonotonicTime` error line, shared with `dataio.ingest`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from .dataio import (ROW_ERRORS, SchemaError, anonymize_address, decode_order,
-                     ingest, iter_jsonl)
+                     ingest, iter_jsonl, ledger_fault)
 from .ledger import LedgerError
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Verdict, classify_pool
@@ -40,8 +41,7 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
     """Classify every pool in one streaming pass over the order file."""
     dataset = ingest(pools_file, orders_file=None, profiles_file=profiles_file)
     trackers: Dict[str, ProfitTracker] = {
-        address: ProfitTracker(pool, first_month_seconds=cfg.first_month_seconds)
-        for address, pool in dataset.pools.items()
+        address: ProfitTracker(pool) for address, pool in dataset.pools.items()
     }
 
     summary = DetectSummary(pools=len(trackers))
@@ -59,8 +59,7 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
         except ROW_ERRORS as exc:
             raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
         except LedgerError as exc:
-            raise SchemaError(orders_file, lineno,
-                              f"{type(exc).__name__}: {exc}") from exc
+            raise ledger_fault(orders_file, lineno, exc) from exc
     summary.orders_read = orders_read
     summary.orders_skipped_unknown_pool = skipped
 

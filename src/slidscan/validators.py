@@ -69,21 +69,25 @@ class SecurityProfile:
 BENIGN_PROFILE = SecurityProfile()
 
 
+# Layer 4: fewer owner DEX activities than this leave a pool Undetermined.
+MIN_OWNER_ACTIONS = 3
+
+
 @dataclass
 class HeuristicConfig:
-    """Tunable thresholds for the rule-based detector.
+    """The three tunable thresholds of the rule-based detector, the keys a
+    `--config` file may set.
 
-    t_count / t_impact drive the owner-activity validator; tax_threshold the
-    honeypot validator. The diagnostic stability check takes its volatility
-    thresholds (theta_p, theta_v) as arguments instead.
+    t_count / t_impact drive the owner-activity validator (t_impact also the
+    rug-pull layer); tax_threshold the honeypot validator. Fixed windows and
+    counts are module constants instead (metrics.FIRST_MONTH_SECONDS,
+    MIN_OWNER_ACTIONS). The diagnostic stability check takes its volatility
+    thresholds (theta_p, theta_v) as arguments.
     """
 
     t_count: int = 5
     t_impact: float = 0.95
     tax_threshold: float = 0.5
-    min_owner_actions_layer4: int = 3
-    first_month_seconds: int = 2_592_000
-    alive_horizon_seconds: int = 30 * 86_400
 
     def __post_init__(self):
         if not 0.0 < self.t_impact <= 1.0:
@@ -260,7 +264,7 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
         return verdict(Label.RUGPULL)
     trace.append(("rug_pull", True, "no near-total drain"))
 
-    if report.owner_order_count < cfg.min_owner_actions_layer4:
+    if report.owner_order_count < MIN_OWNER_ACTIONS:
         trace.append(("owner_actions", False,
                       f"only {report.owner_order_count} owner DEX activities"))
         return verdict(Label.UNDETERMINED)
@@ -280,6 +284,7 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
 def judge_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
                orders: Iterable[DexOrder],
                cfg: HeuristicConfig = DEFAULT_CONFIG) -> Tuple[ProfitReport, Verdict]:
-    """Profit report and verdict of one pool from its complete sorted orders."""
-    report = profit_report(pool, orders, first_month_seconds=cfg.first_month_seconds)
+    """Profit report and verdict of one pool from its complete orders, in
+    execution order."""
+    report = profit_report(pool, orders)
     return report, classify_pool(pool, profile, report, cfg)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from slidscan.dataio import Dataset, IngestStats
 from slidscan.ledger import Category, DexOrder, PoolRecord
 
 _hash_counter = itertools.count(1)
@@ -49,6 +50,20 @@ def make_order(category, y_base, y_paired=0.0, sender=OWNER, ts=None,
         price_base=price_base,
         gas_fee_usd=gas,
     )
+
+
+def make_dataset(entries) -> Dataset:
+    """The Dataset `dataio.ingest` builds, from `(pool, orders)` or
+    `(pool, orders, profile)` entries; each pool keeps its orders in the
+    order given. Run `analysis.enrich` on it where verdict labels are
+    needed."""
+    pools, orders, profiles = {}, {}, {}
+    for pool, pool_orders, *profile in entries:
+        pools[pool.pool_address] = pool
+        orders[pool.pool_address] = list(pool_orders)
+        if profile:
+            profiles[pool.paired_address] = profile[0]
+    return Dataset(pools=pools, orders=orders, profiles=profiles, stats=IngestStats())
 
 
 class UnitShareOracle:

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slidscan.analysis import analyze, enrich
 from slidscan.earlywarn import (
     ClassifierKind,
-    CorpusBundle,
     prepare_windows,
     sweep,
     window_speedup,
@@ -33,7 +33,7 @@ from slidscan.synth import (
 )
 from slidscan.validators import DEFAULT_CONFIG, Label, judge_pool
 
-from conftest import OWNER, USER, UnitShareOracle, make_order
+from conftest import OWNER, USER, UnitShareOracle, make_dataset, make_order
 
 pytestmark = pytest.mark.acceptance
 
@@ -272,17 +272,18 @@ def ml_corpus_windows():
                                  "investor_arrival": 0.6, "investor_count": 30},
     }
     scenarios = list(build_corpus(counts, seed=6006, overrides=overrides))
-    bundle = CorpusBundle.from_scenarios(scenarios)
+    dataset = make_dataset((s.pool, s.orders, s.profile) for s in scenarios)
+    enrich(dataset)
     truth = {s.pool.pool_address: s.true_label for s in scenarios}
-    windows = prepare_windows(bundle, D_LIST)
-    return bundle, windows, truth
+    windows = prepare_windows(dataset, D_LIST)
+    return dataset, windows, truth
 
 
 def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
     started = time.time()
-    bundle, windows, truth = ml_corpus_windows
-    n_pools = len(bundle.pools)
-    positives = sum(bundle.labels.values())
+    dataset, windows, truth = ml_corpus_windows
+    n_pools = len(dataset.pools)
+    positives = sum(dataset.slid_labels().values())
     assert n_pools == 2000 and positives == 200, "corpus shape drifted"
 
     rf = ClassifierKind.RANDOM_FOREST.value
@@ -293,7 +294,7 @@ def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
     slow_recalls = []
     rf_f1_by_d = {d: [] for d in D_LIST}
     for seed in range(5):
-        results = sweep(bundle, D_LIST, seed=seed, windows=windows)
+        results = sweep(dataset, D_LIST, seed=seed, windows=windows)
         by_key = {(m.detector, m.window_days): m for m in results}
         f1_at_57.append(by_key[(rf, 57)].f1)
         for d in D_LIST:
@@ -344,16 +345,7 @@ def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
 # ---------------------------------------------------------------------------
 
 def test_acceptance_7_population_reports():
-    from slidscan.analysis import analyze
-    from slidscan.dataio import Dataset, IngestStats
-
     started = time.time()
-
-    def dataset_from(scenarios):
-        pools = {s.pool.pool_address: s.pool for s in scenarios}
-        orders = {s.pool.pool_address: s.orders for s in scenarios}
-        return Dataset(pools=pools, orders=orders, profiles={},
-                       stats=IngestStats())
 
     def chooser(kind, index, seed):
         return 60 if index < 70 else 12
@@ -364,7 +356,7 @@ def test_acceptance_7_population_reports():
                                        "investor_arrival": 1.5,
                                        "investor_count": 25}},
         lifetime_chooser=chooser))
-    age = analyze(dataset_from(slid_corpus), "age")
+    age = analyze(make_dataset((s.pool, s.orders) for s in slid_corpus), "age")
     alive_fraction = age.alive_after_fraction(30)
     assert abs(alive_fraction - 0.70) <= 0.02, f"alive fraction {alive_fraction}"
 
@@ -372,7 +364,7 @@ def test_acceptance_7_population_reports():
         {ScenarioKind.RUGPULL: 100}, seed=7008,
         overrides={ScenarioKind.RUGPULL: {"investor_arrival": 2.0,
                                           "investor_count": 15}}))
-    profit = analyze(dataset_from(rug_corpus), "profit")
+    profit = analyze(make_dataset((s.pool, s.orders) for s in rug_corpus), "profit")
     day0 = profit.realized_share_on_day(0)
     assert day0 >= 0.99, f"only {day0:.4f} of rug USD on day zero"
     _passline(7, f"alive-after-month {alive_fraction:.3f} (target 0.70±0.02), "

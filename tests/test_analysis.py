@@ -3,19 +3,11 @@
 import pytest
 
 from slidscan.analysis import analyze, enrich, write_report_csv
-from slidscan.dataio import Dataset, IngestStats
 from slidscan.ledger import SECONDS_PER_DAY
 from slidscan.synth import ScenarioConfig, ScenarioKind, generate
 from slidscan.validators import Label
 
-from conftest import T0, USER, make_order, make_pool
-
-
-def dataset_of(pools_orders):
-    pools = {p.pool_address: p for p, _ in pools_orders}
-    orders = {p.pool_address: sorted(o, key=lambda x: x.sort_key())
-              for p, o in pools_orders}
-    return Dataset(pools=pools, orders=orders, profiles={}, stats=IngestStats())
+from conftest import T0, USER, make_dataset, make_order, make_pool
 
 
 class TestAgeReport:
@@ -23,7 +15,7 @@ class TestAgeReport:
         pool = make_pool()
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0),
                   make_order("Buy", 1.0, 0.1, ts=T0 + 90 * SECONDS_PER_DAY)]
-        report = analyze(dataset_of([(pool, orders)]), "age")
+        report = analyze(make_dataset([(pool, orders)]), "age")
         assert report.age_histogram == {90: (1, 1)}
         assert report.pool_count == 1
 
@@ -38,7 +30,7 @@ class TestAgeReport:
                                  ts=T0 + span * SECONDS_PER_DAY,
                                  pool_address=pool.pool_address)]
             pools_orders.append((pool, orders))
-        report = analyze(dataset_of(pools_orders), "age")
+        report = analyze(make_dataset(pools_orders), "age")
         assert report.alive_after_fraction(30) == pytest.approx(0.7)
 
     def test_counts_sum_to_pool_count(self):
@@ -48,7 +40,7 @@ class TestAgeReport:
             orders = [make_order("Deposit", 10.0, 1.0, ts=T0,
                                  pool_address=pool.pool_address)]
             pools_orders.append((pool, orders))
-        report = analyze(dataset_of(pools_orders), "age")
+        report = analyze(make_dataset(pools_orders), "age")
         assert sum(c for c, _ in report.age_histogram.values()) == report.pool_count
 
 
@@ -58,18 +50,18 @@ class TestProfitReportDays:
         orders = [
             make_order("Deposit", 1000.0, 100.0, ts=T0),
             make_order("Sell", 50.0, 5.0, ts=T0 + 3600),                     # day 0
-            make_order("Withdraw", 30.0, 5.0, ts=T0 + SECONDS_PER_DAY + 60), # day 1
             make_order("Sell", 10.0, 1.0, sender=USER, ts=T0 + 7200),        # user
             make_order("Buy", 25.0, 1.0, ts=T0 + 7300),                      # owner buy
+            make_order("Withdraw", 30.0, 5.0, ts=T0 + SECONDS_PER_DAY + 60), # day 1
         ]
-        report = analyze(dataset_of([(pool, orders)]), "profit")
+        report = analyze(make_dataset([(pool, orders)]), "profit")
         assert report.daily_profit_taking[0] == (1, pytest.approx(50.0))
         assert report.daily_profit_taking[1] == (1, pytest.approx(30.0))
         assert report.realized_share_on_day(0) == pytest.approx(50.0 / 80.0)
 
     def test_rug_pull_concentrates_on_day_zero(self):
         scenario = generate(ScenarioConfig(kind=ScenarioKind.RUGPULL, seed=6))
-        report = analyze(dataset_of([(scenario.pool, scenario.orders)]), "profit")
+        report = analyze(make_dataset([(scenario.pool, scenario.orders)]), "profit")
         assert report.realized_share_on_day(0) >= 0.99
 
 
@@ -82,14 +74,14 @@ class TestTrendReport:
             make_order("Buy", 60.0, 6.0, sender="0xother", ts=T0 + 200),
             make_order("Sell", 500.0, 5.0, ts=T0 + 300),   # owner, excluded
         ]
-        report = analyze(dataset_of([(pool, orders)]), "trend")
+        report = analyze(make_dataset([(pool, orders)]), "trend")
         assert report.daily_trend[0] == (2, pytest.approx(100.0))
 
 
 class TestLabelFilter:
     def test_filter_requires_enrichment(self):
         pool = make_pool()
-        data = dataset_of([(pool, [make_order("Deposit", 10.0, 1.0, ts=T0,
+        data = make_dataset([(pool, [make_order("Deposit", 10.0, 1.0, ts=T0,
                                               pool_address=pool.pool_address)])])
         with pytest.raises(ValueError):
             analyze(data, "age", labels={"SLID"})
@@ -100,9 +92,7 @@ class TestLabelFilter:
                                        slid_drain_count=40))
         legit = generate(ScenarioConfig(kind=ScenarioKind.LEGITIMATE, seed=5,
                                         lifetime_days=20))
-        data = dataset_of([(slid.pool, slid.orders), (legit.pool, legit.orders)])
-        data.profiles = {slid.pool.paired_address: slid.profile,
-                         legit.pool.paired_address: legit.profile}
+        data = make_dataset((s.pool, s.orders, s.profile) for s in (slid, legit))
         enrich(data)
         assert data.enriched[slid.pool.pool_address][1].label == Label.SLID
         report = analyze(data, "age", labels={"SLID"})
@@ -113,7 +103,7 @@ class TestCsv:
     def test_report_csv_written(self, tmp_path):
         pool = make_pool()
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0)]
-        report = analyze(dataset_of([(pool, orders)]), "age")
+        report = analyze(make_dataset([(pool, orders)]), "age")
         out = tmp_path / "age.csv"
         write_report_csv(report, out)
         lines = out.read_text().splitlines()

@@ -9,6 +9,9 @@ import pytest
 from slidscan import analysis, dataio, pipeline
 from slidscan.cli import main
 from slidscan.features import FEATURE_NAMES
+from slidscan.validators import SecurityProfile
+
+from conftest import T0, USER, make_order, make_pool
 
 CORPUS_CFG = """
 seed = 11
@@ -65,7 +68,29 @@ def run_on(command, corpus, tmp_path):
         return main(["detect"] + inputs + out)
     if command == "features":
         return main(["features"] + inputs + ["--window", "60"] + out)
+    if command == "sweep":
+        return main(["sweep", "--corpus", str(corpus)] + out)
     return main(["report", "--kind", "trend"] + inputs + out)
+
+
+def write_same_block_corpus(root):
+    """One SLID pool in eight orders. The last two share a timestamp and a
+    block: a user buy, then an owner sell whose hash sorts before the buy's.
+    In file order the sell takes 672/1400 = 0.48 of the pool; sorted by hash
+    it would take 672/700 = 0.96, a rug pull."""
+    root.mkdir()
+    t = T0 + 5 * 3600
+    sell = make_order("Sell", 672.0, ts=t)
+    buy = make_order("Buy", 700.0, sender=USER, ts=t)
+    orders = [make_order("Deposit", 100.0, 100.0, ts=T0),
+              make_order("Buy", 1000.0, sender=USER, ts=T0 + 60)]
+    orders += [make_order("Sell", 100.0, ts=T0 + h * 3600) for h in range(1, 5)]
+    pool = make_pool()
+    dataio.write_pools_jsonl([pool], root / "pools.jsonl")
+    dataio.write_orders_jsonl(orders + [buy, sell], root / "orders.jsonl")
+    dataio.write_profiles_jsonl({pool.paired_address: SecurityProfile()},
+                                root / "profiles.jsonl")
+    return root
 
 
 class TestGenerate:
@@ -174,9 +199,13 @@ def oversize_first_sell(rows):
 class TestBadOrderRows:
     @pytest.mark.parametrize("command,mutate,violation", [
         ("detect", swap_first_increasing_pair, "NonMonotonicTime"),
+        ("features", swap_first_increasing_pair, "NonMonotonicTime"),
+        ("trend", swap_first_increasing_pair, "NonMonotonicTime"),
+        ("sweep", swap_first_increasing_pair, "NonMonotonicTime"),
         ("detect", oversize_first_sell, "NegativePoolValue"),
         ("features", oversize_first_sell, "NegativePoolValue"),
-    ], ids=["detect-out-of-order", "detect-negative-value", "features-negative-value"])
+    ], ids=["detect-out-of-order", "features-out-of-order", "trend-out-of-order",
+            "sweep-out-of-order", "detect-negative-value", "features-negative-value"])
     def test_ledger_violation_exit_code(self, corpus, tmp_path, capsys,
                                         command, mutate, violation):
         bad = tmp_path / "bad"
@@ -186,11 +215,19 @@ class TestBadOrderRows:
         assert code == 2
         assert "error code=2" in err
         assert violation in err
-        if command == "detect":
+        orders = bad / "orders.jsonl"
+        rows = [json.loads(line) for line in orders.read_text().splitlines()]
+        if mutate is swap_first_increasing_pair:
+            # Every command prints the line detect prints for this row.
+            late, early = rows[lineno - 2]["timestamp"], rows[lineno - 1]["timestamp"]
+            assert err == (f'error code=2 kind=SchemaError msg="{orders} line {lineno}: '
+                           f'NonMonotonicTime: order at {early} before last applied '
+                           f'{late}"\n')
+        elif command == "detect":
             assert "kind=SchemaError" in err
             assert f"orders.jsonl line {lineno}:" in err
         else:
-            row = json.loads((bad / "orders.jsonl").read_text().splitlines()[lineno - 1])
+            row = rows[lineno - 1]
             assert f"pool {row['pool_address']} order {row['hash']}:" in err
 
     @pytest.mark.parametrize("mutate,message", [
@@ -250,7 +287,9 @@ class TestBadOrderRows:
 
 
 class TestStreamBatchAgreement:
-    def test_batch_verdicts_equal_stream_verdicts(self, corpus, tmp_path):
+    @staticmethod
+    def assert_agree(corpus, tmp_path):
+        """Batch ingest -> enrich and streaming detect write the same bytes."""
         files = (corpus / "pools.jsonl", corpus / "orders.jsonl",
                  corpus / "profiles.jsonl")
         dataset = dataio.ingest(*files)
@@ -259,6 +298,14 @@ class TestStreamBatchAgreement:
         pipeline.stream_detect(*files, out_csv=tmp_path / "stream.csv")
         assert ((tmp_path / "batch.csv").read_bytes()
                 == (tmp_path / "stream.csv").read_bytes())
+
+    def test_batch_verdicts_equal_stream_verdicts(self, corpus, tmp_path):
+        self.assert_agree(corpus, tmp_path)
+
+    def test_same_block_orders_keep_file_order(self, tmp_path):
+        self.assert_agree(write_same_block_corpus(tmp_path / "c"), tmp_path)
+        [row] = read_csv(tmp_path / "stream.csv")
+        assert (row["label"], row["max_impact"]) == ("SLID", repr(672.0 / 1400.0))
 
 
 class TestFeaturesTrain:
@@ -399,6 +446,17 @@ def _corpus_without_slid_verdict(corpus, tmp_path):
     return ["sweep", "--corpus", str(tmp_path / "c"), "--d-list", "10"], None
 
 
+def _corpus_with_one_slid_verdict(corpus, tmp_path):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("seed = 5\nlegitimate.count = 6\nlegitimate.lifetime_days = 20\n"
+                   "slid.count = 1\nslid.slid_drain_count = 40\n"
+                   "slid.lifetime_days = 60\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    return (["sweep", "--corpus", str(tmp_path / "c"), "--d-list", "60,30"],
+            "a held-out split needs at least 2 pools in each verdict class, "
+            "got 1 SLID and 6 other")
+
+
 def _unknown_label_filter(corpus, tmp_path):
     return ["report", "--kind", "profit", "--corpus", str(corpus),
             "--labels-filter", "Bogus"], None
@@ -411,6 +469,7 @@ class TestUnusableInputs:
         (_labels_csv_without_pool_column, 2, "SchemaError"),
         (_single_class_features_csv, 3, "SingleClassInput"),
         (_corpus_without_slid_verdict, 3, "SingleClassInput"),
+        (_corpus_with_one_slid_verdict, 3, "SingleClassInput"),
         (_unknown_label_filter, 4, "UsageError"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_documented_error_line(self, corpus, tmp_path, capsys, build, code, kind):

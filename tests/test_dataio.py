@@ -89,15 +89,29 @@ class TestIngestContracts:
         assert dataset.stats.rows_skipped["order_unknown_pool"] == 2
         assert len(dataset.orders[pool.pool_address]) == 1
 
-    def test_orders_sorted_after_ingest(self, tmp_path):
+    def test_orders_kept_in_file_order(self, tmp_path):
+        pool = make_pool()
+        write_pools_jsonl([pool], tmp_path / "pools.jsonl")
+        first = make_order("Deposit", 10.0, 1.0, ts=1_900_000_000)
+        early_hash = make_order("Sell", 2.0, 0.5, ts=1_900_000_500)
+        late_hash = make_order("Buy", 5.0, 1.0, ts=1_900_000_500)
+        assert early_hash.hash < late_hash.hash
+        orders = [first, late_hash, early_hash]    # same block, hashes descending
+        write_orders_jsonl(orders, tmp_path / "orders.jsonl")
+        dataset = ingest(tmp_path / "pools.jsonl", tmp_path / "orders.jsonl")
+        assert dataset.orders[pool.pool_address] == orders
+
+    def test_decreasing_timestamp_rejected(self, tmp_path):
         pool = make_pool()
         write_pools_jsonl([pool], tmp_path / "pools.jsonl")
         early = make_order("Deposit", 10.0, 1.0, ts=1_900_000_000)
         late = make_order("Buy", 5.0, 1.0, ts=1_900_000_500)
         write_orders_jsonl([late, early], tmp_path / "orders.jsonl")
-        dataset = ingest(tmp_path / "pools.jsonl", tmp_path / "orders.jsonl")
-        stamps = [o.timestamp for o in dataset.orders[pool.pool_address]]
-        assert stamps == sorted(stamps)
+        with pytest.raises(SchemaError) as err:
+            ingest(tmp_path / "pools.jsonl", tmp_path / "orders.jsonl")
+        assert err.value.lineno == 2
+        assert str(err.value).endswith("line 2: NonMonotonicTime: order at "
+                                       "1900000000 before last applied 1900000500")
 
     def test_schema_error_carries_line_number(self, tmp_path):
         write_pools_jsonl([make_pool()], tmp_path / "pools.jsonl")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slidscan.analysis import enrich
 from slidscan.earlywarn import (
     ClassifierKind,
-    CorpusBundle,
     DEFAULT_HYPER_GRID,
     DimensionMismatch,
     SingleClassInput,
@@ -24,6 +24,8 @@ from slidscan.earlywarn import (
 from slidscan.features import FEATURE_COUNT, FeatureVector
 from slidscan.models import fit_logistic
 from slidscan.synth import ScenarioKind, build_corpus
+
+from conftest import make_dataset
 
 
 def toy_separable(n=60, noise=0.0, seed=0):
@@ -193,7 +195,7 @@ class TestClassWeightEffect:
 
 
 @pytest.fixture(scope="module")
-def small_bundle():
+def small_dataset():
     counts = {
         ScenarioKind.LEGITIMATE: 24,
         ScenarioKind.SLID: 8,
@@ -206,26 +208,28 @@ def small_bundle():
         ScenarioKind.SLID_SLOW: {"slid_drain_count": 12, "lifetime_days": 280,
                                  "investor_arrival": 1.0},
     }
-    scenarios = list(build_corpus(counts, seed=42, overrides=overrides))
-    return CorpusBundle.from_scenarios(scenarios)
+    dataset = make_dataset((s.pool, s.orders, s.profile)
+                           for s in build_corpus(counts, seed=42, overrides=overrides))
+    enrich(dataset)
+    return dataset
 
 
 class TestSweep:
-    def test_labels_from_full_history_heuristic(self, small_bundle):
-        assert sum(small_bundle.labels.values()) == 12  # SLID + SlidSlow
+    def test_labels_from_full_history_heuristic(self, small_dataset):
+        assert sum(small_dataset.slid_labels().values()) == 12  # SLID + SlidSlow
 
-    def test_sweep_shapes_and_reproducibility(self, small_bundle):
+    def test_sweep_shapes_and_reproducibility(self, small_dataset):
         d_list = (120, 57)
-        windows = prepare_windows(small_bundle, d_list)
-        first = sweep(small_bundle, d_list, seed=3, windows=windows)
-        second = sweep(small_bundle, d_list, seed=3, windows=windows)
+        windows = prepare_windows(small_dataset, d_list)
+        first = sweep(small_dataset, d_list, seed=3, windows=windows)
+        second = sweep(small_dataset, d_list, seed=3, windows=windows)
         assert first == second
         assert len(first) == len(d_list) * 3
         detectors = {m.detector for m in first}
         assert detectors == {"Heuristic", "RandomForest", "LogisticRegression"}
 
-    def test_heuristic_recall_degrades_at_small_windows(self, small_bundle):
-        windows = prepare_windows(small_bundle, (300, 57))
+    def test_heuristic_recall_degrades_at_small_windows(self, small_dataset):
+        windows = prepare_windows(small_dataset, (300, 57))
         # at the full window every SLID pool triggers; at 57 days the slow
         # drains have not happened yet
         full = windows.heuristic_by_d[300]

@@ -22,7 +22,6 @@ from slidscan.features import (
 from slidscan.ledger import SECONDS_PER_DAY
 from slidscan.metrics import profit_report
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
-from slidscan.validators import DEFAULT_CONFIG
 
 from conftest import T0, USER, make_order
 
@@ -221,8 +220,7 @@ class TestOneReplayManyWindows:
                 assert report == alone_report, d
                 end = pool.created_time_pool + d * SECONDS_PER_DAY
                 prefix = [o for o in orders if o.timestamp < end]
-                assert report == profit_report(
-                    pool, prefix, DEFAULT_CONFIG.first_month_seconds), d
+                assert report == profit_report(pool, prefix), d
                 if not prefix:
                     empty_windows += 1
                     assert np.all(vector.missing)

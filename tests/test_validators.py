@@ -270,12 +270,15 @@ class TestConfigFile:
         assert cfg.t_impact == 0.9
         assert cfg.tax_threshold == 0.4
         # unspecified keys keep their defaults
-        assert cfg.min_owner_actions_layer4 == 3
+        path.write_text("t_count = 7\n")
+        assert load_heuristic_config(path) == HeuristicConfig(t_count=7)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         for text in ("nonsense = 1\n", "delta = 0.5\n", "theta_p = 0.1\n",
-                     "theta_v = none\n"):
+                     "theta_v = none\n", "first_month_seconds = 2592000\n",
+                     "alive_horizon_seconds = 2592000\n",
+                     "min_owner_actions_layer4 = 3\n"):
             path.write_text(text)
             with pytest.raises(ConfigError):
                 load_heuristic_config(path)
