@@ -12,7 +12,6 @@ from .ledger import (
 )
 from .metrics import (
     ProfitReport,
-    ProfitTakingEvent,
     profit_report,
 )
 from .validators import (

@@ -6,8 +6,8 @@ shrinking-window sweep, and produce population reports. Failures exit with
 one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
 
   2  SchemaError (a malformed row or header, with file and line) or a
-     ledger violation; an order before its pool's previous one is the same
-     `NonMonotonicTime` line, with file and line, in every command
+     ledger violation; an order row that breaks the ledger's rules gives the
+     same line, with file and line, in every command
   3  EmptyDataset (no pools) or SingleClassInput (training labels hold one
      class only, or a sweep's verdicts have fewer than 2 pools in a class)
   4  ConfigError, InfeasibleConfig, UsageError (bad arguments, checked

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .ledger import Category, DexOrder, LedgerError, NonMonotonicTime, PoolRecord
+from .ledger import (Category, DexOrder, LedgerError, LedgerState, PoolRecord,
+                     advance_state)
 from .metrics import ProfitReport
 from .validators import Label, SecurityProfile, Verdict
 
@@ -298,9 +299,11 @@ def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
     skipped, malformed rows raise SchemaError with their line number.
 
     Each pool keeps its orders in file order, which is their execution
-    order; nothing re-sorts them. A pool's timestamps must never decrease:
-    an order before its pool's previous one raises the SchemaError
-    `NonMonotonicTime` line that `pipeline.stream_detect` raises for it."""
+    order; nothing re-sorts them. Every order is applied to its pool's
+    `LedgerState` as it is read, so an order that breaks the ledger's rules
+    (a timestamp before its pool's previous one, a pool value driven below
+    zero or out of float range) raises, at the first such line in the file,
+    the SchemaError line `pipeline.stream_detect` raises for it."""
     stats = IngestStats()
     pools: Dict[str, PoolRecord] = {}
     for lineno, row in iter_jsonl(pool_file):
@@ -314,20 +317,25 @@ def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
         raise EmptyDataset(f"no usable pools in {pool_file}")
 
     orders: Dict[str, List[DexOrder]] = {address: [] for address in pools}
+    books = {address: (orders[address], LedgerState(), pool.owner_address)
+             for address, pool in pools.items()}
     if orders_file is not None:
         for lineno, row in iter_jsonl(orders_file):
             stats.rows_read["orders"] += 1
             try:
-                pool_orders = orders.get(row["pool_address"])
-                if pool_orders is None:
+                book = books.get(row["pool_address"])
+                if book is None:
                     stats.rows_skipped["order_unknown_pool"] += 1
                     continue
                 order = order_from_row(row)
             except ROW_ERRORS as exc:
                 raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
-            if pool_orders and order.timestamp < pool_orders[-1].timestamp:
-                raise ledger_fault(orders_file, lineno, NonMonotonicTime.at(
-                    order.timestamp, pool_orders[-1].timestamp))
+            pool_orders, state, owner = book
+            try:
+                advance_state(state, order.timestamp, order.category,
+                              order.sender == owner, order.y_base, order.price_base)
+            except LedgerError as exc:
+                raise ledger_fault(orders_file, lineno, exc) from exc
             pool_orders.append(order)
 
     profiles: Dict[str, SecurityProfile] = {}

@@ -228,12 +228,8 @@ def _window_vector(pool: PoolRecord, d: int,
     _set_ratio(values, missing, "r_owner_unrealized_on_invested", unrealized, invested)
     _set(values, "owner_taking_count", report.profit_taking_count)
 
-    finite = [e.impact for e in report.profit_taking if math.isfinite(e.impact)]
-    if finite:
-        i_min, i_max = min(finite), max(finite)
-        i_avg = sum(finite) / len(finite)
-    else:
-        i_min = i_max = i_avg = 0.0
+    i_min, i_max, i_avg = report.min_impact, report.max_impact, report.mean_impact
+    if report.profit_taking_count == report.undefined_impacts:
         missing[_INDEX["impact_min"]] = True
         missing[_INDEX["impact_max"]] = True
         missing[_INDEX["impact_avg"]] = True

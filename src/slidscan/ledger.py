@@ -30,6 +30,8 @@ Number = Union[float, Fraction]
 
 SECONDS_PER_DAY = 86_400
 
+_INF = math.inf
+
 # Recorded post-order balances disagreeing with reconstructed ones beyond this
 # relative gap count as an audit mismatch (real logs may embed fee effects).
 BALANCE_REL_TOL = 1e-6
@@ -44,16 +46,12 @@ class ZeroReserve(LedgerError):
 
 
 class SwapOverflow(LedgerError):
-    """Reserve product left the representable floating-point range."""
+    """A reserve product, the pool value or an owner sum left the
+    representable floating-point range."""
 
 
 class NonMonotonicTime(LedgerError):
     """Order timestamp precedes the last applied order."""
-
-    @classmethod
-    def at(cls, timestamp: int, last: int) -> "NonMonotonicTime":
-        """The one wording of this violation, for replay and ingestion alike."""
-        return cls(f"order at {timestamp} before last applied {last}")
 
 
 class NegativePoolValue(LedgerError):
@@ -144,13 +142,11 @@ class LedgerState:
     balances need checking.
     """
 
-    __slots__ = ("pool_value_usd", "owner_share", "order_index", "last_timestamp",
-                 "drained")
+    __slots__ = ("pool_value_usd", "owner_share", "last_timestamp", "drained")
 
     def __init__(self):
         self.pool_value_usd: float = 0.0
         self.owner_share: float = 0.0
-        self.order_index: int = 0
         self.last_timestamp: int = -(2 ** 62)
         self.drained: bool = False
 
@@ -161,7 +157,7 @@ class LedgerState:
 
     def __repr__(self) -> str:
         return (f"LedgerState(value={self.pool_value_usd!r}, share={self.owner_share!r}, "
-                f"t={self.order_index})")
+                f"last_timestamp={self.last_timestamp})")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +194,8 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
     Positional calling keeps the per-order overhead low on big streams.
     """
     if timestamp < state.last_timestamp:
-        raise NonMonotonicTime.at(timestamp, state.last_timestamp)
+        raise NonMonotonicTime(
+            f"order at {timestamp} before last applied {state.last_timestamp}")
     state.last_timestamp = timestamp
 
     y_usd = y_base * price_base
@@ -206,10 +203,11 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
 
     x_prev = state.pool_value_usd
     x_new = x_prev + signed
-    if x_new < 0.0:
+    if not 0.0 <= x_new < _INF:
+        if x_new == _INF:
+            raise SwapOverflow(f"pool value {x_prev} + {signed} out of float range")
         if x_new < -max(1e-6, 1e-9 * x_prev):
-            raise NegativePoolValue(
-                f"pool value {x_prev} + {signed} < 0 at t={state.order_index + 1}")
+            raise NegativePoolValue(f"pool value {x_prev} + {signed} < 0")
         x_new = 0.0
     state.pool_value_usd = x_new
 
@@ -227,8 +225,6 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
             elif share > 1.0:
                 share = 1.0
             state.owner_share = share
-
-    state.order_index += 1
 
 
 def audit_reserves(orders: Iterable[DexOrder]) -> Tuple[float, float, int]:

@@ -8,8 +8,11 @@ Three quantities drive the drain heuristics downstream:
   * unrealized profit -- pool_value * owner_share at an evaluation time; the
                         first-month variant is snapshotted 30 days after pool
                         deployment;
-  * profit-taking events -- one per owner sell/withdraw, sized by
-                        value / pool_value_immediately_before.
+  * profit taking     -- every owner sell/withdraw, sized by its impact,
+                        value / pool_value_immediately_before; the report
+                        keeps their count and the min, max and mean of the
+                        finite impacts (an order against an empty pool has
+                        no impact and is counted as undefined).
 
 ProfitTracker is the single incremental implementation: profit_report and
 the streaming detect pipeline both drive it, so batch and streaming paths
@@ -22,34 +25,21 @@ balances never enter it. The independent cross-check is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List
+from dataclasses import dataclass
+from typing import Iterable
 
 from .ledger import (
     DexOrder,
     LedgerError,
     LedgerState,
     PoolRecord,
+    SwapOverflow,
     advance_state,
 )
 
 FIRST_MONTH_SECONDS = 30 * 86_400
 
-# Sentinel impact for a profit-taking order hitting an empty pool; excluded
-# from min/max aggregates and from threshold comparisons.
-IMPACT_UNDEFINED = math.inf
-
-
-@dataclass(frozen=True)
-class ProfitTakingEvent:
-    """One owner sell or withdraw, with its size relative to the pool."""
-
-    order_index: int
-    timestamp: int
-    kind: str                     # "Sell" | "Withdraw"
-    value_usd: float
-    pool_value_before_usd: float
-    impact: float                 # value / pool_value_before; inf if before == 0
+_INF = math.inf
 
 
 @dataclass
@@ -62,12 +52,12 @@ class ProfitReport:
     gas_usd: float = 0.0
     unrealized_first_month_usd: float = 0.0
     unrealized_current_usd: float = 0.0
-    profit_taking: List[ProfitTakingEvent] = field(default_factory=list)
-    profit_taking_count: int = 0
-    max_impact: float = 0.0
-    min_impact: float = 0.0
+    profit_taking_count: int = 0  # owner sells and withdrawals
+    max_impact: float = 0.0       # min, max and mean over the finite impacts;
+    min_impact: float = 0.0       # 0.0 when there are none
+    mean_impact: float = 0.0
     owner_order_count: int = 0    # any owner DEX activity, for eligibility gates
-    undefined_impacts: int = 0
+    undefined_impacts: int = 0    # profit taking against an empty pool
 
 
 class ProfitTracker:
@@ -75,14 +65,14 @@ class ProfitTracker:
 
     Feed orders in execution order (timestamps never decrease) via add()
     (the decoded values of one order row) or add_order(); report() covers
-    the orders added so far and may be called between adds. Keeps O(1) state (a LedgerState
-    plus running sums) and the profit-taking event list.
+    the orders added so far and may be called between adds. Keeps O(1) state:
+    a LedgerState plus running sums, counts and impact extrema.
     """
 
     __slots__ = (
-        "pool", "state", "invested", "returned", "gas", "events",
-        "owner_orders", "month1_deadline", "month1_value", "month1_share",
-        "month1_seen",
+        "pool", "state", "invested", "returned", "gas", "owner_orders",
+        "takings", "undefined", "impact_min", "impact_max", "impact_sum",
+        "month1_deadline", "month1_value", "month1_share", "month1_seen",
     )
 
     def __init__(self, pool: PoolRecord):
@@ -91,8 +81,12 @@ class ProfitTracker:
         self.invested = 0.0
         self.returned = 0.0
         self.gas = float(pool.deployment_gas_usd)
-        self.events: List[ProfitTakingEvent] = []
         self.owner_orders = 0
+        self.takings = 0
+        self.undefined = 0
+        self.impact_min = _INF
+        self.impact_max = -_INF
+        self.impact_sum = 0.0
         self.month1_deadline = pool.created_time_pool + FIRST_MONTH_SECONDS
         self.month1_value = 0.0
         self.month1_share = 0.0
@@ -119,15 +113,22 @@ class ProfitTracker:
             self.invested += y_usd
         else:
             self.returned += y_usd
-            impact = y_usd / value_before if value_before > 0 else IMPACT_UNDEFINED
-            self.events.append(ProfitTakingEvent(
-                order_index=state.order_index,
-                timestamp=timestamp,
-                kind=category,
-                value_usd=y_usd,
-                pool_value_before_usd=value_before,
-                impact=impact,
-            ))
+            self.takings += 1
+            impact = y_usd / value_before if value_before > 0 else _INF
+            if impact < _INF:
+                # A plain left-to-right sum from 0.0 (no compensation):
+                # the exported impact_avg is this sum over the finite count.
+                self.impact_sum += impact
+                if impact < self.impact_min:
+                    self.impact_min = impact
+                if impact > self.impact_max:
+                    self.impact_max = impact
+            else:
+                self.undefined += 1
+        if not (-_INF < self.gas < _INF and self.invested < _INF
+                and self.returned < _INF):
+            raise SwapOverflow(f"owner sums out of float range: gas {self.gas}, "
+                               f"invested {self.invested}, returned {self.returned}")
 
     def add_order(self, order: DexOrder) -> None:
         """add() one order; a ledger violation names the pool and the order."""
@@ -149,7 +150,7 @@ class ProfitTracker:
             # History so far ends inside the first month: the latest state
             # stands in.
             month1 = current
-        finite = [e.impact for e in self.events if math.isfinite(e.impact)]
+        finite = self.takings - self.undefined
         return ProfitReport(
             realized_profit_usd=self.returned - self.invested - self.gas,
             invested_usd=self.invested,
@@ -157,12 +158,12 @@ class ProfitTracker:
             gas_usd=self.gas,
             unrealized_first_month_usd=month1,
             unrealized_current_usd=current,
-            profit_taking=list(self.events),
-            profit_taking_count=len(self.events),
-            max_impact=max(finite) if finite else 0.0,
-            min_impact=min(finite) if finite else 0.0,
+            profit_taking_count=self.takings,
+            max_impact=self.impact_max if finite else 0.0,
+            min_impact=self.impact_min if finite else 0.0,
+            mean_impact=self.impact_sum / finite if finite else 0.0,
             owner_order_count=self.owner_orders,
-            undefined_impacts=len(self.events) - len(finite),
+            undefined_impacts=self.undefined,
         )
 
 

@@ -1,10 +1,11 @@
 """Streaming detection: one pass over an order file, O(pools) memory.
 
 Orders are consumed line by line from JSONL without materializing any pool's
-full history; each pool keeps a constant-size profit tracker plus its
-profit-taking event list. File order is execution order: each order is
-applied where it stands, and a pool's timestamps must never decrease (the
-`NonMonotonicTime` error line, shared with `dataio.ingest`).
+full history; each pool keeps one constant-size profit tracker. File order is
+execution order: each order is applied where it stands, and a row that breaks
+the ledger's rules (a pool's timestamp going down, its value going below zero
+or out of float range) gives the same error line, with file and line, as in
+`dataio.ingest`.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from .ledger import (
     PoolRecord,
     swap_amount_out,
 )
-from .metrics import FIRST_MONTH_SECONDS, ProfitReport, ProfitTakingEvent
+from .metrics import FIRST_MONTH_SECONDS, ProfitReport
 from .validators import SecurityProfile
 
 # Scenario clocks start here (2020-09-13T12:26:40Z) plus a seeded offset.
@@ -52,6 +52,16 @@ _EPOCH = 1_600_000_000
 
 # Boundary between "small" drain impacts and rug-pull territory.
 _IMPACT_SPLIT = 0.95
+
+# Fixed scenario scales. The owner's deployment deposit sets the pool's size,
+# the scale of investor buys and of the SLID profit targets.
+_INITIAL_DEPOSIT_USD = 19_000.0
+_INITIAL_PAIRED_PRICE = 1e-3          # base per paired token at deployment
+_GAS_PER_ORDER_USD = 4.0              # per owner order
+_OWNER_NOISE_TRADES_PER_DAY = 2.0     # SLID owner buys, Poisson rate
+_PROFIT_MULTIPLE_TARGET = 10.3        # SLID realized profit / deposit
+_RESIDUAL_MULTIPLE_TARGET = 1.56      # SLID first-month unrealized / deposit
+_MULTI_ADDRESS_COUNT = 3              # linked drain senders of SlidMultiAddress
 
 
 class InfeasibleConfig(Exception):
@@ -71,7 +81,6 @@ class ScenarioKind(str, Enum):
 class ScenarioConfig:
     kind: ScenarioKind
     seed: int = 0
-    initial_deposit_usd: float = 19_000.0
     investor_count: int = 60
     investor_arrival: float = 4.0          # Poisson rate per day
     lifetime_days: int = 120
@@ -79,14 +88,8 @@ class ScenarioConfig:
     slid_impact_range: Tuple[float, float] = (0.0739, 0.4293)
     rug_drain_day: int = 0
     rug_impact: float = 0.99
-    owner_noise_trades_per_day: float = 2.0
-    profit_multiple_target: float = 10.3
-    residual_multiple_target: float = 1.56
     slow_start_day: int = 200
     early_sell_count: int = 3
-    multi_address_count: int = 3
-    initial_paired_price: float = 1e-3
-    gas_per_order_usd: float = 4.0
 
     def __post_init__(self):
         self.kind = ScenarioKind(self.kind)
@@ -98,8 +101,6 @@ class ScenarioConfig:
             raise InfeasibleConfig(f"rug_impact must be >= {_IMPACT_SPLIT}")
         if self.lifetime_days < 1:
             raise InfeasibleConfig("lifetime_days must be >= 1")
-        if self.initial_deposit_usd <= 0:
-            raise InfeasibleConfig("initial deposit must be positive")
         if self.kind == ScenarioKind.RUGPULL and self.rug_drain_day >= self.lifetime_days:
             raise InfeasibleConfig("rug_drain_day beyond pool lifetime")
         if self.kind == ScenarioKind.SLID_SLOW:
@@ -129,7 +130,6 @@ class _PoolSim:
     """Evolving reserves plus flow-value bookkeeping for one scenario."""
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
-        self.cfg = cfg
         self.rng = rng
         self.orders: List[DexOrder] = []
         self.hash_counter = 0
@@ -191,7 +191,7 @@ class _PoolSim:
         if self.rb > 0:
             y_paired = y_base * (self.rp / self.rb)
         else:
-            y_paired = y_base / self.cfg.initial_paired_price
+            y_paired = y_base / _INITIAL_PAIRED_PRICE
         if sender == self.owner:
             self.owner_invested += y_base
             self.owner_gas += gas
@@ -404,7 +404,7 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                 investor = sim.next_investor()
                 # Buy sizes are anchored to the deployment scale so organic
                 # inflow grows the pool linearly, not exponentially.
-                size = sim.cfg.initial_deposit_usd * 0.01 * float(rng.lognormal(0.0, 0.6))
+                size = _INITIAL_DEPOSIT_USD * 0.01 * float(rng.lognormal(0.0, 0.6))
                 size = min(max(size, 1.0), sim.flow_value * 0.1 + 1.0)
                 needed_paired = size * (sim.rp / sim.rb) if sim.rb > 0 else math.inf
                 if rng.random() < 0.05 and sim.holdings.get(investor, 0.0) >= needed_paired:
@@ -425,7 +425,7 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                     sim.sell(ts, payload, amount)
             elif kind == _NOISE:
                 size = min(sim.flow_value * float(rng.uniform(0.001, 0.005)),
-                           sim.cfg.initial_deposit_usd * 0.01)
+                           _INITIAL_DEPOSIT_USD * 0.01)
                 if size > 0.01:
                     sim.buy(ts, sim.owner, size, gas=gas)
             elif kind == _EARLY_SELL:
@@ -435,8 +435,8 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
             elif kind == _DRAIN:
                 _execute_drain(sim, rng, ts, campaign, gas)
             elif kind == _RUG:
-                wave = float(rng.uniform(1.5, 3.0)) * sim.cfg.initial_deposit_usd
-                sim.ensure_value(ts - 1200, sim.cfg.initial_deposit_usd + wave)
+                wave = float(rng.uniform(1.5, 3.0)) * _INITIAL_DEPOSIT_USD
+                sim.ensure_value(ts - 1200, _INITIAL_DEPOSIT_USD + wave)
                 for _ in range(int(rng.integers(1, 4))):
                     sim.sell_for_value(
                         ts - int(rng.integers(200, 1100)), sim.owner,
@@ -473,21 +473,21 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     sim = _PoolSim(cfg, rng)
     deployment_gas = float(rng.uniform(80, 400))
     name = f"TOK{int(rng.integers(100, 999))}"
-    gas = cfg.gas_per_order_usd
+    gas = _GAS_PER_ORDER_USD
     kind = cfg.kind
     metadata: Dict[str, object] = {}
     profile = _benign_profile(rng)
 
     # Deployment deposit funds both reserves; the owner starts with the pool.
-    sim.rp = cfg.initial_deposit_usd / cfg.initial_paired_price
-    sim.rb = cfg.initial_deposit_usd
+    sim.rp = _INITIAL_DEPOSIT_USD / _INITIAL_PAIRED_PRICE
+    sim.rb = _INITIAL_DEPOSIT_USD
     sim.k = sim.rp * sim.rb
-    sim.flow_value = cfg.initial_deposit_usd
+    sim.flow_value = _INITIAL_DEPOSIT_USD
     sim.owner_share = 1.0
     sim._emit(sim.t0, Category.DEPOSIT, sim.owner, sim.rp, sim.rb, gas=gas)
 
     pool = sim.pool_record(kind == ScenarioKind.LEGITIMATE, name, deployment_gas)
-    invested = cfg.initial_deposit_usd
+    invested = _INITIAL_DEPOSIT_USD
 
     if kind == ScenarioKind.LEGITIMATE:
         _run_timeline(
@@ -537,7 +537,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     senders = None
     if kind == ScenarioKind.SLID_MULTI_ADDRESS:
         senders = ["0x" + rng.bytes(20).hex()
-                   for _ in range(max(1, cfg.multi_address_count))]
+                   for _ in range(_MULTI_ADDRESS_COUNT)]
         metadata["linked_addresses"] = list(senders)
 
     early: Optional[Dict[int, List[int]]] = None
@@ -547,19 +547,19 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
             early.setdefault(day, []).append(int(rng.integers(60, SECONDS_PER_DAY - 120)))
 
     campaign = _Campaign(
-        target_profit=cfg.profit_multiple_target * invested,
+        target_profit=_PROFIT_MULTIPLE_TARGET * invested,
         n_left=cfg.slid_drain_count,
         lo=cfg.slid_impact_range[0], hi=cfg.slid_impact_range[1],
         senders=senders)
     pump = None
     if cfg.lifetime_days > 30 and kind != ScenarioKind.SLID_SLOW:
-        pump = (29, cfg.residual_multiple_target * invested)
+        pump = (29, _RESIDUAL_MULTIPLE_TARGET * invested)
 
     _run_timeline(
         sim, rng, lifetime_days=cfg.lifetime_days,
         arrival_rate_for_day=lambda day: cfg.investor_arrival,
         allow_investor_sells=True,
-        noise_rate=cfg.owner_noise_trades_per_day,
+        noise_rate=_OWNER_NOISE_TRADES_PER_DAY,
         noise_end_day=min(70, cfg.lifetime_days),
         drains_by_day=drains, campaign=campaign,
         early_sell_days=early, pump=pump, gas=gas)
@@ -647,14 +647,15 @@ _KIND_ALIASES = {
 _TUPLE_FIELDS = {"slid_impact_range"}
 _INT_FIELDS = {
     "investor_count", "lifetime_days", "slid_drain_count", "rug_drain_day",
-    "slow_start_day", "early_sell_count", "multi_address_count",
+    "slow_start_day", "early_sell_count",
 }
 
 
 def corpus_spec_from_options(options: Dict[str, str]):
     """Translate `kind.key=value` options into build_corpus arguments.
 
-    Recognised per-kind keys: `count`, any ScenarioConfig field, plus
+    Recognised per-kind keys: `count`, any ScenarioConfig field but `kind`
+    and `seed` (both set per scenario by plan_corpus), plus
     `survive_month_fraction` (share of pools given the full lifetime) with
     `short_lifetime_days` for the rest. A bare `seed=` sets the master seed.
     Returns (counts, seed, overrides, lifetime_chooser).
@@ -688,7 +689,8 @@ def corpus_spec_from_options(options: Dict[str, str]):
             overrides.setdefault(kind, {})[field_name] = tuple(parts)
         elif field_name in _INT_FIELDS:
             overrides.setdefault(kind, {})[field_name] = int(raw)
-        elif field_name in ScenarioConfig.__dataclass_fields__:
+        elif (field_name in ScenarioConfig.__dataclass_fields__
+              and field_name not in ("kind", "seed")):
             overrides.setdefault(kind, {})[field_name] = float(raw)
         else:
             raise ConfigError(f"unknown scenario option {field_name!r}")
@@ -724,7 +726,7 @@ def oracle_report(orders: Sequence[DexOrder], pool: PoolRecord) -> ProfitReport:
     returned = 0.0
     gas = pool.deployment_gas_usd
     owner_orders = 0
-    events: List[ProfitTakingEvent] = []
+    impacts: List[float] = []
 
     value = 0.0
     units_total = 0.0
@@ -733,7 +735,7 @@ def oracle_report(orders: Sequence[DexOrder], pool: PoolRecord) -> ProfitReport:
     month1_value = None
     month1_share = None
 
-    for index, order in enumerate(orders, start=1):
+    for order in orders:
         usd = order.y_base * order.price_base
         if order.timestamp > month1_cutoff and month1_value is None:
             month1_value = value
@@ -745,11 +747,7 @@ def oracle_report(orders: Sequence[DexOrder], pool: PoolRecord) -> ProfitReport:
             gas += order.gas_fee_usd
             if order.category in (Category.SELL, Category.WITHDRAW):
                 returned += usd
-                events.append(ProfitTakingEvent(
-                    order_index=index, timestamp=order.timestamp,
-                    kind=order.category.value, value_usd=usd,
-                    pool_value_before_usd=value,
-                    impact=usd / value if value > 0 else math.inf))
+                impacts.append(usd / value if value > 0 else math.inf)
             else:
                 invested += usd
 
@@ -786,7 +784,7 @@ def oracle_report(orders: Sequence[DexOrder], pool: PoolRecord) -> ProfitReport:
         month1_value = value
         month1_share = share
 
-    finite = [e.impact for e in events if math.isfinite(e.impact)]
+    finite = [impact for impact in impacts if math.isfinite(impact)]
     return ProfitReport(
         realized_profit_usd=returned - invested - gas,
         invested_usd=invested,
@@ -794,10 +792,10 @@ def oracle_report(orders: Sequence[DexOrder], pool: PoolRecord) -> ProfitReport:
         gas_usd=gas,
         unrealized_first_month_usd=month1_value * month1_share,
         unrealized_current_usd=value * share,
-        profit_taking=events,
-        profit_taking_count=len(events),
+        profit_taking_count=len(impacts),
         max_impact=max(finite) if finite else 0.0,
         min_impact=min(finite) if finite else 0.0,
+        mean_impact=sum(finite) / len(finite) if finite else 0.0,
         owner_order_count=owner_orders,
-        undefined_impacts=len(events) - len(finite),
+        undefined_impacts=len(impacts) - len(finite),
     )

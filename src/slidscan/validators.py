@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .ledger import DexOrder, PoolRecord
-from .metrics import ProfitReport, ProfitTakingEvent, profit_report
+from .metrics import ProfitReport, profit_report
 
 
 class EmptySeries(Exception):
@@ -154,35 +154,26 @@ def profit_validate(report: ProfitReport) -> bool:
     return report.realized_profit_usd > 0.0 and report.unrealized_first_month_usd > 0.0
 
 
-def _max_finite_impact(events: Sequence[ProfitTakingEvent]) -> float:
-    best = 0.0
-    for event in events:
-        if math.isfinite(event.impact) and event.impact > best:
-            best = event.impact
-    return best
-
-
-def owner_activity_validate(pool: PoolRecord,
-                            events: Sequence[ProfitTakingEvent],
+def owner_activity_validate(pool: PoolRecord, report: ProfitReport,
                             cfg: HeuristicConfig = DEFAULT_CONFIG) -> bool:
     """Unburned LP tokens, enough profit-taking orders, all of them small."""
     if pool.lpt_burned:
         return False
-    if len(events) < cfg.t_count:
+    if report.profit_taking_count < cfg.t_count:
         return False
-    return _max_finite_impact(events) < cfg.t_impact
+    return report.max_impact < cfg.t_impact
 
 
-def rugpull_detect(pool: PoolRecord, events: Sequence[ProfitTakingEvent],
+def rugpull_detect(pool: PoolRecord, report: ProfitReport,
                    cfg: HeuristicConfig = DEFAULT_CONFIG) -> bool:
     """Single near-total drain: any finite impact at or above t_impact.
 
-    Undefined (empty-pool) impact sentinels mark inconsistent data and do not
-    flag a rug, mirroring their exclusion from the impact aggregates.
+    Undefined (empty-pool) impacts mark inconsistent data and do not flag a
+    rug: they are left out of the report's impact aggregates.
     """
     if pool.lpt_burned:
         return False
-    return _max_finite_impact(events) >= cfg.t_impact
+    return report.max_impact >= cfg.t_impact
 
 
 def stability_check(prices: Sequence[float], volumes: Sequence[float],
@@ -226,13 +217,12 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
     Layer order: owner-profit check, honeypot, rug pull, owner-action
     eligibility. Pools surviving all four are SLID exactly when every
     validator passes. The rug-pull layer and the owner-activity validator
-    read the report's profit-taking events.
+    read the report's profit-taking count and largest impact.
     """
-    events = report.profit_taking
     trace: List[Tuple[str, bool, str]] = []
     is_honeypot, honeypot_pass = honeypot_validate(profile, cfg)
     profit_pass = profit_validate(report)
-    activity_pass = owner_activity_validate(pool, events, cfg)
+    activity_pass = owner_activity_validate(pool, report, cfg)
 
     def verdict(label: Label) -> Verdict:
         return Verdict(
@@ -258,7 +248,7 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
     else:
         trace.append(("honeypot", True, "no honeypot features"))
 
-    if rugpull_detect(pool, events, cfg):
+    if rugpull_detect(pool, report, cfg):
         trace.append(("rug_pull", False,
                       f"max impact {report.max_impact:.4f} >= {cfg.t_impact}"))
         return verdict(Label.RUGPULL)

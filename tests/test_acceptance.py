@@ -192,7 +192,7 @@ def test_acceptance_4_profit_metric_differential():
     kinds = list(ScenarioKind)
     fields = ("realized_profit_usd", "invested_usd", "returned_usd", "gas_usd",
               "unrealized_first_month_usd", "unrealized_current_usd",
-              "max_impact", "min_impact")
+              "max_impact", "min_impact", "mean_impact")
     worst = 0.0
     for seed in range(1000):
         kind = kinds[seed % len(kinds)]

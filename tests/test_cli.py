@@ -70,7 +70,7 @@ def run_on(command, corpus, tmp_path):
         return main(["features"] + inputs + ["--window", "60"] + out)
     if command == "sweep":
         return main(["sweep", "--corpus", str(corpus)] + out)
-    return main(["report", "--kind", "trend"] + inputs + out)
+    return main(["report", "--kind", command] + inputs + out)
 
 
 def write_same_block_corpus(root):
@@ -196,39 +196,105 @@ def oversize_first_sell(rows):
     raise AssertionError("no sell in the corpus")
 
 
+def _user_buys(rows):
+    """Indices of the first pool's non-owner buys; a generated pool's first
+    order is its owner's deposit."""
+    pool, owner = rows[0]["pool_address"], rows[0]["sender"]
+    return [i for i, row in enumerate(rows)
+            if row["pool_address"] == pool and row["category"] == "Buy"
+            and row["sender"] != owner]
+
+
+def overflow_buy_value(rows):
+    """One user buy whose y_base x price_base is past the float range."""
+    i = _user_buys(rows)[0]
+    rows[i]["y_base"] = repr(1e200)
+    rows[i]["price_base"] = 1e200
+    return i + 1
+
+
+def overflow_pool_value(rows):
+    """Two user buys of 1e308 each: the second takes pool value past the
+    float range."""
+    first, second = _user_buys(rows)[:2]
+    rows[first]["y_base"] = rows[second]["y_base"] = repr(1e308)
+    return second + 1
+
+
+def overflow_owner_gas(rows):
+    """Two owner orders with 1e308 gas each: the owner's gas sum overflows."""
+    pool, owner = rows[0]["pool_address"], rows[0]["sender"]
+    first, second = [i for i, row in enumerate(rows)
+                     if row["pool_address"] == pool and row["sender"] == owner][:2]
+    rows[first]["gas_fee_usd"] = rows[second]["gas_fee_usd"] = 1e308
+    return second + 1
+
+
+def oversize_first_sell_then_swap_last_pair(rows):
+    """Two faults: the first faulty line is the one every command names."""
+    lineno = oversize_first_sell(rows)
+    for i in range(len(rows) - 2, lineno, -1):
+        a, b = rows[i], rows[i + 1]
+        if a["pool_address"] == b["pool_address"] and a["timestamp"] < b["timestamp"]:
+            rows[i], rows[i + 1] = b, a
+            return lineno
+    raise AssertionError("no increasing pair after the first sell")
+
+
+LEDGER_FAULTS = [
+    (swap_first_increasing_pair, "NonMonotonicTime", "out-of-order"),
+    (oversize_first_sell, "NegativePoolValue", "negative-value"),
+    (oversize_first_sell_then_swap_last_pair, "NegativePoolValue", "two-faults"),
+    (overflow_buy_value, "SwapOverflow", "buy-value-overflow"),
+    (overflow_pool_value, "SwapOverflow", "pool-value-overflow"),
+]
+
+
 class TestBadOrderRows:
     @pytest.mark.parametrize("command,mutate,violation", [
-        ("detect", swap_first_increasing_pair, "NonMonotonicTime"),
-        ("features", swap_first_increasing_pair, "NonMonotonicTime"),
-        ("trend", swap_first_increasing_pair, "NonMonotonicTime"),
-        ("sweep", swap_first_increasing_pair, "NonMonotonicTime"),
-        ("detect", oversize_first_sell, "NegativePoolValue"),
-        ("features", oversize_first_sell, "NegativePoolValue"),
-    ], ids=["detect-out-of-order", "features-out-of-order", "trend-out-of-order",
-            "sweep-out-of-order", "detect-negative-value", "features-negative-value"])
+        pytest.param(command, mutate, violation, id=f"{command}-{fault}")
+        for mutate, violation, fault in LEDGER_FAULTS
+        for command in ("detect", "features", "age", "trend", "profit", "sweep")])
     def test_ledger_violation_exit_code(self, corpus, tmp_path, capsys,
                                         command, mutate, violation):
+        """Every command prints the line detect prints for a row that breaks
+        the ledger's rules, naming the file and line, and writes nothing."""
         bad = tmp_path / "bad"
         lineno = mutated_corpus(corpus, bad, mutate)
+        orders = bad / "orders.jsonl"
+        assert run_on("detect", bad, tmp_path) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith(f'error code=2 kind=SchemaError msg="{orders} '
+                                   f'line {lineno}: {violation}: ')
+        assert expected.count("\n") == 1
+        if mutate is swap_first_increasing_pair:
+            rows = [json.loads(line) for line in orders.read_text().splitlines()]
+            late, early = rows[lineno - 2]["timestamp"], rows[lineno - 1]["timestamp"]
+            assert expected.endswith(f'NonMonotonicTime: order at {early} before '
+                                     f'last applied {late}"\n')
+        code = run_on(command, bad, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "features"])
+    def test_owner_gas_overflow_exit_code(self, corpus, tmp_path, capsys, command):
+        """An owner gas sum past the float range is an error, not a -inf
+        realized profit in the export."""
+        bad = tmp_path / "bad"
+        lineno = mutated_corpus(corpus, bad, overflow_owner_gas)
         code = run_on(command, bad, tmp_path)
         err = capsys.readouterr().err
         assert code == 2
-        assert "error code=2" in err
-        assert violation in err
-        orders = bad / "orders.jsonl"
-        rows = [json.loads(line) for line in orders.read_text().splitlines()]
-        if mutate is swap_first_increasing_pair:
-            # Every command prints the line detect prints for this row.
-            late, early = rows[lineno - 2]["timestamp"], rows[lineno - 1]["timestamp"]
-            assert err == (f'error code=2 kind=SchemaError msg="{orders} line {lineno}: '
-                           f'NonMonotonicTime: order at {early} before last applied '
-                           f'{late}"\n')
-        elif command == "detect":
-            assert "kind=SchemaError" in err
-            assert f"orders.jsonl line {lineno}:" in err
+        assert err.count("\n") == 1
+        assert "SwapOverflow" in err and "owner sums out of float range" in err
+        if command == "detect":
+            assert err.startswith(f'error code=2 kind=SchemaError msg="{bad / "orders.jsonl"} '
+                                  f'line {lineno}: SwapOverflow: ')
         else:
-            row = rows[lineno - 1]
+            row = json.loads((bad / "orders.jsonl").read_text().splitlines()[lineno - 1])
             assert f"pool {row['pool_address']} order {row['hash']}:" in err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("mutate,message", [
         pytest.param(lambda row: {**row, "y_base": "nan"},

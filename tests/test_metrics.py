@@ -1,6 +1,6 @@
 """Profit accounting: realized/unrealized profit and impact series."""
 
-import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from slidscan.metrics import ProfitTracker, profit_report
 from slidscan.synth import ScenarioConfig, ScenarioKind, generate, oracle_report
 
-from conftest import OWNER, USER, make_order, make_pool
+from conftest import OWNER, T0, USER, make_order, make_pool
 
 
 def replayed_to(pool, orders, at):
@@ -122,25 +122,26 @@ class TestImpactSeries:
             make_order("Deposit", 1000.0, 100.0),
             make_order("Sell", 50.0, 5.0),
         ]
-        events = profit_report(make_pool(), orders).profit_taking
-        assert len(events) == 1
-        assert events[0].impact == pytest.approx(0.05)
-        assert events[0].pool_value_before_usd == 1000.0
+        report = profit_report(make_pool(), orders)
+        assert (report.profit_taking_count, report.undefined_impacts) == (1, 0)
+        # 50 USD out of the 1000 USD the pool held just before the sell.
+        assert report.min_impact == report.max_impact == report.mean_impact == 0.05
 
     def test_full_drain_withdraw_has_impact_one(self):
         orders = [
             make_order("Deposit", 1000.0, 100.0),
             make_order("Withdraw", 1000.0, 100.0),
         ]
-        events = profit_report(make_pool(), orders).profit_taking
-        assert events[0].impact == pytest.approx(1.0)
+        report = profit_report(make_pool(), orders)
+        assert report.profit_taking_count == 1
+        assert report.max_impact == pytest.approx(1.0)
 
     def test_rug_pull_scenario_has_near_total_impact(self):
         scenario = generate(ScenarioConfig(kind=ScenarioKind.RUGPULL, seed=2))
         report = profit_report(scenario.pool, scenario.orders)
         assert report.max_impact >= 0.95
 
-    def test_zero_pool_before_yields_inf_sentinel_excluded_from_aggregates(self):
+    def test_zero_pool_before_is_undefined_and_excluded_from_aggregates(self):
         orders = [
             make_order("Sell", 1e-7, 1.0),          # dust sell, pool value still zero
             make_order("Deposit", 1000.0, 100.0),
@@ -148,11 +149,46 @@ class TestImpactSeries:
         ]
         pool = make_pool()
         report = profit_report(pool, orders)
+        assert report.profit_taking_count == 2
         assert report.undefined_impacts == 1
         assert report.max_impact == pytest.approx(0.1)
         assert report.min_impact == pytest.approx(0.1)
-        infinite = [e for e in report.profit_taking if math.isinf(e.impact)]
-        assert len(infinite) == 1
+        assert report.mean_impact == pytest.approx(0.1)
+
+    def test_mean_is_the_in_order_sum_over_the_count(self):
+        """min, max and mean of the finite impacts, the mean a plain
+        left-to-right float sum from 0.0 over the count."""
+        orders = [make_order("Deposit", 1000.0, 100.0)]
+        orders += [make_order("Sell", usd, 1.0) for usd in (30.0, 70.0, 9.0, 45.0)]
+        report = profit_report(make_pool(), orders)
+        impacts, value, total = [], 1000.0, 0.0
+        for usd in (30.0, 70.0, 9.0, 45.0):
+            impacts.append(usd / value)
+            total += usd / value
+            value -= usd
+        assert report.profit_taking_count == 4
+        assert report.min_impact == min(impacts)
+        assert report.max_impact == max(impacts)
+        assert report.mean_impact == total / 4
+
+    def test_tracker_memory_does_not_grow_with_owner_sells(self):
+        """The tracker keeps running figures, not one record per owner sell:
+        20k sells leave its memory where it was (O(pools) streaming)."""
+        pool = make_pool()
+        tracker = ProfitTracker(pool)
+        tracker.add(T0, "Deposit", OWNER, 1e9, 1.0)
+        tracker.report()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20_000):
+                tracker.add(T0 + 1 + i, "Sell", OWNER, 1.0, 1.0, 0.5)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        report = tracker.report()
+        assert (report.profit_taking_count, report.owner_order_count) == (20_000, 20_001)
+        assert grown < 64 * 1024, f"tracker grew {grown} bytes over 20k owner sells"
 
     def test_user_exits_are_not_profit_taking(self):
         orders = [
@@ -160,7 +196,9 @@ class TestImpactSeries:
             make_order("Sell", 50.0, 5.0, sender=USER),
             make_order("Withdraw", 30.0, 5.0, sender=USER),
         ]
-        assert profit_report(make_pool(), orders).profit_taking == []
+        report = profit_report(make_pool(), orders)
+        assert (report.profit_taking_count, report.undefined_impacts) == (0, 0)
+        assert report.max_impact == report.min_impact == report.mean_impact == 0.0
 
 
 class TestProperties:
@@ -184,8 +222,8 @@ class TestProperties:
                          ScenarioKind.HONEYPOT):
                 scenario = generate(ScenarioConfig(kind=kind, seed=seed))
                 report = profit_report(scenario.pool, scenario.orders)
-                for event in report.profit_taking:
-                    assert 0.0 <= event.impact <= 1.0
+                assert report.undefined_impacts == 0
+                assert 0.0 <= report.min_impact <= report.max_impact <= 1.0
 
     def test_first_month_snapshot_consistency(self):
         """Month-1 unrealized equals value*share of the state replayed to

@@ -49,8 +49,8 @@ class TestLabelFidelity:
         assert report.unrealized_first_month_usd > 0
         assert report.profit_taking_count == 423
         lo, hi = 0.0739, 0.4293
-        for event in report.profit_taking:
-            assert lo * 0.99 <= event.impact <= hi * 1.01
+        assert report.undefined_impacts == 0
+        assert lo * 0.99 <= report.min_impact <= report.max_impact <= hi * 1.01
 
     def test_rugpull_impact_at_least_threshold(self):
         for seed in range(4):
@@ -157,10 +157,12 @@ class TestOracleDifferential:
             reference = oracle_report(scenario.orders, scenario.pool)
             for field in ("realized_profit_usd", "invested_usd", "returned_usd",
                           "gas_usd", "unrealized_first_month_usd",
-                          "unrealized_current_usd", "max_impact", "min_impact"):
+                          "unrealized_current_usd", "max_impact", "min_impact",
+                          "mean_impact"):
                 a, b = getattr(mine, field), getattr(reference, field)
                 assert a == pytest.approx(b, rel=1e-6, abs=1e-9), (kind, seed, field)
             assert mine.profit_taking_count == reference.profit_taking_count
+            assert mine.undefined_impacts == reference.undefined_impacts
             assert mine.owner_order_count == reference.owner_order_count
 
 
@@ -213,3 +215,14 @@ class TestCorpusSpec:
         from slidscan.config import ConfigError
         with pytest.raises(ConfigError):
             corpus_spec_from_options({"ponzi.count": "1"})
+
+    @pytest.mark.parametrize("key", [
+        "initial_deposit_usd", "owner_noise_trades_per_day", "profit_multiple_target",
+        "residual_multiple_target", "multi_address_count", "initial_paired_price",
+        "gas_per_order_usd", "kind", "seed"])
+    def test_non_option_keys_rejected(self, key):
+        """The generator's fixed scales are constants, and each scenario's
+        kind and seed come from the plan: none is a config key."""
+        from slidscan.config import ConfigError
+        with pytest.raises(ConfigError, match=key):
+            corpus_spec_from_options({"slid.count": "1", f"slid.{key}": "2"})

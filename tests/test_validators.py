@@ -5,7 +5,7 @@ import math
 import pytest
 
 from slidscan.config import ConfigError, load_heuristic_config
-from slidscan.metrics import ProfitReport, ProfitTakingEvent
+from slidscan.metrics import ProfitReport, profit_report
 from slidscan.validators import (
     DEFAULT_CONFIG,
     EmptySeries,
@@ -20,20 +20,13 @@ from slidscan.validators import (
     stability_check,
 )
 
-from conftest import make_pool
+from conftest import make_order, make_pool
 
 
-def event(impact, kind="Sell", value=None, before=1000.0, index=1, ts=0):
-    if value is None:
-        value = impact * before if math.isfinite(impact) else 1.0
-    return ProfitTakingEvent(order_index=index, timestamp=ts, kind=kind,
-                             value_usd=value, pool_value_before_usd=before,
-                             impact=impact)
-
-
-def report(realized=100.0, unrealized_1m=50.0, events=(), owner_orders=10):
-    events = list(events)
-    finite = [e.impact for e in events if math.isfinite(e.impact)]
+def report(realized=100.0, unrealized_1m=50.0, impacts=(), owner_orders=10):
+    """A report whose owner took profit with these impacts, in order; an
+    infinite impact is one against an empty pool."""
+    finite = [impact for impact in impacts if math.isfinite(impact)]
     return ProfitReport(
         realized_profit_usd=realized,
         invested_usd=max(-realized, 0.0),
@@ -41,11 +34,12 @@ def report(realized=100.0, unrealized_1m=50.0, events=(), owner_orders=10):
         gas_usd=0.0,
         unrealized_first_month_usd=unrealized_1m,
         unrealized_current_usd=unrealized_1m,
-        profit_taking=events,
-        profit_taking_count=len(events),
+        profit_taking_count=len(impacts),
         max_impact=max(finite) if finite else 0.0,
         min_impact=min(finite) if finite else 0.0,
+        mean_impact=sum(finite) / len(finite) if finite else 0.0,
         owner_order_count=owner_orders,
+        undefined_impacts=len(impacts) - len(finite),
     )
 
 
@@ -91,51 +85,52 @@ class TestProfitValidator:
 class TestOwnerActivityValidator:
     def test_burned_pool_excluded(self):
         pool = make_pool(lpt_burned=True)
-        events = [event(0.3, index=i) for i in range(10)]
-        assert not owner_activity_validate(pool, events, DEFAULT_CONFIG)
+        assert not owner_activity_validate(pool, report(impacts=[0.3] * 10),
+                                           DEFAULT_CONFIG)
 
     def test_enough_small_events_pass(self):
         pool = make_pool()
-        events = [event(0.30, index=i) for i in range(6)]
-        assert owner_activity_validate(pool, events, DEFAULT_CONFIG)
+        assert owner_activity_validate(pool, report(impacts=[0.30] * 6),
+                                       DEFAULT_CONFIG)
 
     def test_single_large_impact_fails_strictly(self):
         pool = make_pool()
-        events = [event(0.30, index=i) for i in range(5)] + [event(0.95, index=6)]
-        assert not owner_activity_validate(pool, events, DEFAULT_CONFIG)
+        assert not owner_activity_validate(
+            pool, report(impacts=[0.30] * 5 + [0.95]), DEFAULT_CONFIG)
 
     def test_too_few_events_fail(self):
         pool = make_pool()
-        events = [event(0.30, index=i) for i in range(4)]
-        assert not owner_activity_validate(pool, events, DEFAULT_CONFIG)
+        assert not owner_activity_validate(pool, report(impacts=[0.30] * 4),
+                                           DEFAULT_CONFIG)
 
 
 class TestRugPullDetect:
     def test_near_total_drain_flags(self):
         pool = make_pool()
-        assert rugpull_detect(pool, [event(0.999, kind="Withdraw")],
-                              DEFAULT_CONFIG)
+        assert rugpull_detect(pool, report(impacts=[0.999]), DEFAULT_CONFIG)
 
     def test_slid_range_drains_do_not_flag(self):
         pool = make_pool()
-        events = [event(0.0739 + 0.02 * i, index=i) for i in range(18)]
-        assert max(e.impact for e in events) < 0.43
-        assert not rugpull_detect(pool, events, DEFAULT_CONFIG)
+        impacts = [0.0739 + 0.02 * i for i in range(18)]
+        assert max(impacts) < 0.43
+        assert not rugpull_detect(pool, report(impacts=impacts), DEFAULT_CONFIG)
 
     def test_no_events_do_not_flag(self):
-        assert not rugpull_detect(make_pool(), [], DEFAULT_CONFIG)
+        assert not rugpull_detect(make_pool(), report(), DEFAULT_CONFIG)
 
     def test_exactly_095_is_rug_territory(self):
         pool = make_pool()
-        events = [event(0.95)]
-        assert rugpull_detect(pool, events, DEFAULT_CONFIG)
-        assert not owner_activity_validate(pool, events + [event(0.1, index=i)
-                                                           for i in range(5)],
-                                           DEFAULT_CONFIG)
+        assert rugpull_detect(pool, report(impacts=[0.95]), DEFAULT_CONFIG)
+        assert not owner_activity_validate(
+            pool, report(impacts=[0.95] + [0.1] * 5), DEFAULT_CONFIG)
 
-    def test_infinite_sentinel_does_not_flag(self):
-        assert not rugpull_detect(make_pool(), [event(math.inf)],
-                                  DEFAULT_CONFIG)
+    def test_undefined_impact_does_not_flag(self):
+        """An owner sell against an empty pool has no impact, so it cannot
+        look like a near-total drain."""
+        pool = make_pool()
+        rep = profit_report(pool, [make_order("Sell", 1e-7, 1.0)])
+        assert (rep.profit_taking_count, rep.undefined_impacts) == (1, 1)
+        assert not rugpull_detect(pool, rep, DEFAULT_CONFIG)
 
 
 class TestClassifyPool:
@@ -148,51 +143,47 @@ class TestClassifyPool:
 
     def test_rug_pull_first_day_drain(self):
         pool = make_pool()
-        events = [event(0.99, kind="Withdraw")]
         verdict = classify_pool(pool, SecurityProfile(),
-                                report(events=events), DEFAULT_CONFIG)
+                                report(impacts=[0.99]), DEFAULT_CONFIG)
         assert verdict.label == Label.RUGPULL
 
     def test_canonical_slid(self):
         pool = make_pool()
-        events = [event(0.07 + (0.36 * i / 422), index=i) for i in range(423)]
+        impacts = [0.07 + (0.36 * i / 422) for i in range(423)]
         verdict = classify_pool(pool, SecurityProfile(),
                                 report(realized=196_000.0, unrealized_1m=29_000.0,
-                                       events=events), DEFAULT_CONFIG)
+                                       impacts=impacts), DEFAULT_CONFIG)
         assert verdict.label == Label.SLID
         assert verdict.honeypot_pass and verdict.profit_pass and verdict.owner_activity_pass
 
     def test_honeypot_layer_precedes_validators(self):
         pool = make_pool()
-        events = [event(0.2, index=i) for i in range(10)]
         verdict = classify_pool(pool, SecurityProfile(sell_tax=0.9),
-                                report(events=events), DEFAULT_CONFIG)
+                                report(impacts=[0.2] * 10), DEFAULT_CONFIG)
         assert verdict.label == Label.HONEYPOT
         assert not verdict.honeypot_pass
 
     def test_missing_profile_proceeds_with_pass(self):
         pool = make_pool()
-        events = [event(0.2, index=i) for i in range(6)]
         verdict = classify_pool(pool, None,
-                                report(events=events), DEFAULT_CONFIG)
+                                report(impacts=[0.2] * 6), DEFAULT_CONFIG)
         assert verdict.label == Label.SLID
         assert not verdict.profile_known
         assert any("unknown" in reason for _, _, reason in verdict.layer_trace)
 
     def test_too_few_owner_actions_is_undetermined(self):
         pool = make_pool()
-        events = [event(0.2)]
         verdict = classify_pool(pool, SecurityProfile(),
-                                report(events=events, owner_orders=2), DEFAULT_CONFIG)
+                                report(impacts=[0.2], owner_orders=2), DEFAULT_CONFIG)
         assert verdict.label == Label.UNDETERMINED
         assert [name for name, ok, _ in verdict.layer_trace if not ok] == ["owner_actions"]
 
     def test_slid_iff_all_three_validators(self):
         pool = make_pool()
-        events = [event(0.2, index=i) for i in range(6)]
+        impacts = [0.2] * 6
         cases = [
-            (SecurityProfile(), report(events=events), Label.SLID),
-            (SecurityProfile(), report(unrealized_1m=0.0, events=events),
+            (SecurityProfile(), report(impacts=impacts), Label.SLID),
+            (SecurityProfile(), report(unrealized_1m=0.0, impacts=impacts),
              Label.UNDETERMINED),
         ]
         for profile, rep, expected in cases:
@@ -204,12 +195,12 @@ class TestClassifyPool:
 
     def test_mutual_exclusion_rug_vs_slid(self):
         """An impact >= t_impact forces the rug layer; below it the rug layer
-        can never fire, so no event list yields both labels."""
+        can never fire, so no profit-taking history yields both labels."""
         pool = make_pool()
         for max_impact in (0.3, 0.9499, 0.95, 0.999):
-            events = [event(0.1, index=i) for i in range(5)] + [event(max_impact)]
             verdict = classify_pool(pool, SecurityProfile(),
-                                    report(events=events), DEFAULT_CONFIG)
+                                    report(impacts=[0.1] * 5 + [max_impact]),
+                                    DEFAULT_CONFIG)
             if max_impact >= 0.95:
                 assert verdict.label == Label.RUGPULL
             else:
@@ -219,8 +210,7 @@ class TestClassifyPool:
     def test_monotonic_in_t_count(self):
         """Raising t_count never converts non-SLID into SLID."""
         pool = make_pool()
-        events = [event(0.2, index=i) for i in range(7)]
-        rep = report(events=events)
+        rep = report(impacts=[0.2] * 7)
         labels = []
         for t_count in (1, 3, 5, 7, 8, 20):
             cfg = HeuristicConfig(t_count=t_count)
@@ -231,8 +221,7 @@ class TestClassifyPool:
 
     def test_determinism(self):
         pool = make_pool()
-        events = [event(0.2, index=i) for i in range(6)]
-        rep = report(events=events)
+        rep = report(impacts=[0.2] * 6)
         first = classify_pool(pool, SecurityProfile(), rep, DEFAULT_CONFIG)
         second = classify_pool(pool, SecurityProfile(), rep, DEFAULT_CONFIG)
         assert first == second
