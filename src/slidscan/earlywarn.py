@@ -252,7 +252,7 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
         "majority_label": model.majority_label,
         "model": model.model.to_dict() if model.model is not None else None,
     }
-    Path(path).write_text(json.dumps(payload))
+    Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------

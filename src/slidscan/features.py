@@ -304,8 +304,8 @@ def write_features_csv(vectors: Sequence[FeatureVector],
 
 
 def read_features_csv(path: Union[str, Path]) -> List[FeatureVector]:
-    """Read a write_features_csv export; a wrong header or a malformed row
-    raises SchemaError with its line number."""
+    """Read a write_features_csv export; a wrong header, a malformed row or a
+    non-finite value raises SchemaError with its line number."""
     vectors: List[FeatureVector] = []
     expected = ["pool_address", "window_days", "label"] + list(FEATURE_NAMES)
     with open(path, newline="") as handle:
@@ -316,10 +316,15 @@ def read_features_csv(path: Union[str, Path]) -> List[FeatureVector]:
             try:
                 if len(row) != len(expected):
                     raise ValueError(f"{len(row)} columns, expected {len(expected)}")
+                values = np.array([float(v) for v in row[3:]], dtype=np.float64)
+                bad = np.flatnonzero(~np.isfinite(values))
+                if len(bad):
+                    i = bad[0]
+                    raise ValueError(f"non-finite {FEATURE_NAMES[i]} {row[3 + i]!r}")
                 vectors.append(FeatureVector(
                     pool_address=row[0],
                     window_days=int(row[1]),
-                    values=np.array([float(v) for v in row[3:]], dtype=np.float64),
+                    values=values,
                     missing=np.zeros(FEATURE_COUNT, dtype=bool),
                     label=bool(int(row[2])),
                 ))

@@ -5,7 +5,9 @@ imbalanced corpora (weights inversely proportional to class frequencies).
 The forest bins each feature into quantile buckets once per fit, so node
 splitting reduces to histogram prefix sums; trees compare raw feature values
 against the bin-edge thresholds at prediction time, which keeps training
-fast without changing the learned splits.
+fast without changing the learned splits. Each node takes one histogram pass
+over all its sampled features together and scores every (feature, bin) pair
+at once. On a tied score the feature drawn first wins, then its lowest bin.
 """
 
 from __future__ import annotations
@@ -111,20 +113,24 @@ class _Tree:
         self.nodes: List[_Node] = []
 
     def fit(self, X: np.ndarray, codes: np.ndarray, y: np.ndarray,
-            edges: List[np.ndarray], rng: np.random.Generator,
-            max_depth: int, min_leaf: int, mtry: int,
+            edges: List[np.ndarray], bin_valid: np.ndarray, offsets: np.ndarray,
+            rng: np.random.Generator, max_depth: int, min_leaf: int, mtry: int,
             class_weights: Tuple[float, float]) -> None:
         self._X = X
         self._codes = codes
         self._y = y
         self._edges = edges
+        self._bin_valid = bin_valid
+        self._offsets = offsets
         self._rng = rng
         self._max_depth = max_depth
         self._min_leaf = min_leaf
         self._mtry = mtry
         self._w0, self._w1 = class_weights
         self._grow(np.arange(len(y)), 0)
-        del self._X, self._codes, self._y, self._edges, self._rng
+        del (self._X, self._codes, self._y, self._edges, self._bin_valid,
+             self._offsets, self._rng, self._max_depth, self._min_leaf,
+             self._mtry, self._w0, self._w1)
 
     def _leaf(self, idx: np.ndarray) -> int:
         n1 = int(self._y[idx].sum())
@@ -143,43 +149,37 @@ class _Tree:
             return self._leaf(idx)
 
         features = self._rng.choice(self._codes.shape[1], size=self._mtry, replace=False)
-        best_score = math.inf
-        best_feature = -1
-        best_bin = -1
+        # One histogram over all sampled features: row k of the reshaped
+        # counts is feature features[k], column b its bin b.
+        shifted = self._codes[idx[:, None], features] + self._offsets
+        width = MAX_BINS + 1
+        hist_all = np.bincount(shifted.ravel(), minlength=self._mtry * width)
+        hist1 = np.bincount(shifted[y_node == 1].ravel(), minlength=self._mtry * width)
+        left_n = np.cumsum(hist_all.reshape(self._mtry, width), axis=1)[:, :-1]
+        left1 = np.cumsum(hist1.reshape(self._mtry, width), axis=1)[:, :-1]
+        right_n = n - left_n
+        valid = (self._bin_valid[features]
+                 & (left_n >= self._min_leaf) & (right_n >= self._min_leaf))
         w0, w1 = self._w0, self._w1
-        for f in features:
-            edges = self._edges[f]
-            if len(edges) == 0:
-                continue
-            c = self._codes[idx, f]
-            nbins = len(edges) + 1
-            hist1 = np.bincount(c[y_node == 1], minlength=nbins)
-            hist_all = np.bincount(c, minlength=nbins)
-            left_n = np.cumsum(hist_all)[:-1]
-            right_n = n - left_n
-            valid = (left_n >= self._min_leaf) & (right_n >= self._min_leaf)
-            if not valid.any():
-                continue
-            left1 = np.cumsum(hist1)[:-1]
-            left0 = left_n - left1
-            right1 = n1 - left1
-            right0 = (n - n1) - left0
-            L0, L1 = w0 * left0, w1 * left1
-            R0, R1 = w0 * right0, w1 * right1
-            lw = L0 + L1
-            rw = R0 + R1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_l = 1.0 - (L0 ** 2 + L1 ** 2) / np.maximum(lw ** 2, 1e-300)
-                gini_r = 1.0 - (R0 ** 2 + R1 ** 2) / np.maximum(rw ** 2, 1e-300)
-                score = (lw * gini_l + rw * gini_r) / (lw + rw)
-            score[~valid] = math.inf
-            b = int(np.argmin(score))
-            if score[b] < best_score:
-                best_score = score[b]
-                best_feature = int(f)
-                best_bin = b
-        if best_feature < 0 or not math.isfinite(best_score):
+        left0 = left_n - left1
+        right1 = n1 - left1
+        right0 = (n - n1) - left0
+        L0, L1 = w0 * left0, w1 * left1
+        R0, R1 = w0 * right0, w1 * right1
+        lw = L0 + L1
+        rw = R0 + R1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gini_l = 1.0 - (L0 ** 2 + L1 ** 2) / np.maximum(lw ** 2, 1e-300)
+            gini_r = 1.0 - (R0 ** 2 + R1 ** 2) / np.maximum(rw ** 2, 1e-300)
+            score = (lw * gini_l + rw * gini_r) / (lw + rw)
+        score[~valid] = math.inf
+        # The first minimum in row-major order: the earliest sampled feature
+        # that reaches the best score, then its first bin.
+        best = int(np.argmin(score))
+        if not math.isfinite(score.flat[best]):
             return self._leaf(idx)
+        k, best_bin = divmod(best, MAX_BINS)
+        best_feature = int(features[k])
 
         threshold = float(self._edges[best_feature][best_bin])
         mask = self._X[idx, best_feature] < threshold
@@ -267,12 +267,17 @@ def fit_forest(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
     for j in range(f):
         codes[:, j] = np.searchsorted(edges[j], X[:, j], side="right")
 
+    # Bin b of feature j is a candidate split only below its edge count;
+    # sampled column k is shifted by k histogram widths.
+    bin_valid = np.arange(MAX_BINS) < np.array([len(e) for e in edges])[:, None]
+    offsets = np.arange(mtry) * (MAX_BINS + 1)
+
     rng = np.random.default_rng(seed)
     trees: List[_Tree] = []
     for _ in range(n_trees):
         sample = rng.integers(0, n, size=n)
         tree = _Tree()
-        tree.fit(X[sample], codes[sample], y[sample], edges, rng,
-                 max_depth, min_leaf, mtry, class_weights)
+        tree.fit(X[sample], codes[sample], y[sample], edges, bin_valid, offsets,
+                 rng, max_depth, min_leaf, mtry, class_weights)
         trees.append(tree)
     return ForestModel(trees, n_trees, max_depth, min_leaf, mtry, seed)

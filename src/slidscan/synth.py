@@ -658,6 +658,8 @@ def corpus_spec_from_options(options: Dict[str, str]):
     and `seed` (both set per scenario by plan_corpus), plus
     `survive_month_fraction` (share of pools given the full lifetime) with
     `short_lifetime_days` for the rest. A bare `seed=` sets the master seed.
+    A value that does not parse, a negative count or an impact range that is
+    not two numbers raises ConfigError naming the key and the value.
     Returns (counts, seed, overrides, lifetime_chooser).
     """
     from .config import ConfigError
@@ -667,33 +669,40 @@ def corpus_spec_from_options(options: Dict[str, str]):
     overrides: Dict[ScenarioKind, Dict[str, object]] = {}
     survival: Dict[ScenarioKind, Tuple[float, int]] = {}
     for key, raw in options.items():
-        if key == "seed":
-            seed = int(raw)
-            continue
-        if "." not in key:
-            raise ConfigError(f"corpus option {key!r} must be seed or kind.key")
-        kind_name, field_name = key.split(".", 1)
-        kind = _KIND_ALIASES.get(kind_name.lower())
-        if kind is None:
-            raise ConfigError(f"unknown scenario kind {kind_name!r}")
-        if field_name == "count":
-            counts[kind] = int(raw)
-        elif field_name == "survive_month_fraction":
-            fraction, short = survival.get(kind, (1.0, 10))
-            survival[kind] = (float(raw), short)
-        elif field_name == "short_lifetime_days":
-            fraction, _ = survival.get(kind, (1.0, 10))
-            survival[kind] = (fraction, int(raw))
-        elif field_name in _TUPLE_FIELDS:
-            parts = [float(p) for p in raw.split(",")]
-            overrides.setdefault(kind, {})[field_name] = tuple(parts)
-        elif field_name in _INT_FIELDS:
-            overrides.setdefault(kind, {})[field_name] = int(raw)
-        elif (field_name in ScenarioConfig.__dataclass_fields__
-              and field_name not in ("kind", "seed")):
-            overrides.setdefault(kind, {})[field_name] = float(raw)
-        else:
-            raise ConfigError(f"unknown scenario option {field_name!r}")
+        try:
+            if key == "seed":
+                seed = int(raw)
+                continue
+            if "." not in key:
+                raise ConfigError(f"corpus option {key!r} must be seed or kind.key")
+            kind_name, field_name = key.split(".", 1)
+            kind = _KIND_ALIASES.get(kind_name.lower())
+            if kind is None:
+                raise ConfigError(f"unknown scenario kind {kind_name!r}")
+            if field_name == "count":
+                counts[kind] = int(raw)
+                if counts[kind] < 0:
+                    raise ValueError("negative count")
+            elif field_name == "survive_month_fraction":
+                fraction, short = survival.get(kind, (1.0, 10))
+                survival[kind] = (float(raw), short)
+            elif field_name == "short_lifetime_days":
+                fraction, _ = survival.get(kind, (1.0, 10))
+                survival[kind] = (fraction, int(raw))
+            elif field_name in _TUPLE_FIELDS:
+                parts = tuple(float(p) for p in raw.split(","))
+                if len(parts) != 2:
+                    raise ValueError("expected two numbers")
+                overrides.setdefault(kind, {})[field_name] = parts
+            elif field_name in _INT_FIELDS:
+                overrides.setdefault(kind, {})[field_name] = int(raw)
+            elif (field_name in ScenarioConfig.__dataclass_fields__
+                  and field_name not in ("kind", "seed")):
+                overrides.setdefault(kind, {})[field_name] = float(raw)
+            else:
+                raise ConfigError(f"unknown scenario option {field_name!r}")
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
     chooser = None
     if survival:

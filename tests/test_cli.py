@@ -488,6 +488,28 @@ def _features_csv_with_bad_row(corpus, tmp_path):
             f"{path} line 2:")
 
 
+def _features_csv_with_value(tmp_path, value):
+    """Two labelled rows; line 3 carries `value` in its last feature column."""
+    path = tmp_path / "features.csv"
+    header = ["pool_address", "window_days", "label", *FEATURE_NAMES]
+    ones = ["1.0"] * len(FEATURE_NAMES)
+    path.write_text("".join(",".join(row) + "\n" for row in (
+        header, ["0xa", "57", "0", *ones], ["0xb", "57", "1", *ones[:-1], value])))
+    return path
+
+
+def _features_csv_with_nan_for_logistic(corpus, tmp_path):
+    path = _features_csv_with_value(tmp_path, "nan")
+    return (["train", "--features", str(path), "--model", "LogisticRegression"],
+            f"{path} line 3:")
+
+
+def _features_csv_with_inf_for_forest(corpus, tmp_path):
+    path = _features_csv_with_value(tmp_path, "inf")
+    return (["train", "--features", str(path), "--model", "RandomForest"],
+            f"{path} line 3:")
+
+
 def _labels_csv_without_pool_column(corpus, tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("address,true_label\n0xa,SLID\n")
@@ -528,15 +550,53 @@ def _unknown_label_filter(corpus, tmp_path):
             "--labels-filter", "Bogus"], None
 
 
+def _corpus_config(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    return ["generate", "--config", str(cfg)]
+
+
+def _corpus_config_with_bad_float(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "slid.count = 1\nslid.slid_impact_range = abc\n"),
+            "slid.slid_impact_range: 'abc'")
+
+
+def _corpus_config_with_bad_count(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "legitimate.count = two\n"),
+            "legitimate.count: 'two'")
+
+
+def _corpus_config_with_bad_seed(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "seed = x\nlegitimate.count = 2\n"),
+            "seed: 'x'")
+
+
+def _corpus_config_with_negative_count(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "legitimate.count = -3\n"),
+            "legitimate.count: '-3'")
+
+
+def _corpus_config_with_one_value_range(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "slid.count = 1\nslid.slid_impact_range = 0.5\n"),
+            "slid.slid_impact_range: '0.5'")
+
+
 class TestUnusableInputs:
     @pytest.mark.parametrize("build,code,kind", [
         (_features_csv_with_bad_header, 2, "SchemaError"),
         (_features_csv_with_bad_row, 2, "SchemaError"),
+        (_features_csv_with_nan_for_logistic, 2, "SchemaError"),
+        (_features_csv_with_inf_for_forest, 2, "SchemaError"),
         (_labels_csv_without_pool_column, 2, "SchemaError"),
         (_single_class_features_csv, 3, "SingleClassInput"),
         (_corpus_without_slid_verdict, 3, "SingleClassInput"),
         (_corpus_with_one_slid_verdict, 3, "SingleClassInput"),
         (_unknown_label_filter, 4, "UsageError"),
+        (_corpus_config_with_bad_float, 4, "ConfigError"),
+        (_corpus_config_with_bad_count, 4, "ConfigError"),
+        (_corpus_config_with_bad_seed, 4, "ConfigError"),
+        (_corpus_config_with_negative_count, 4, "ConfigError"),
+        (_corpus_config_with_one_value_range, 4, "ConfigError"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_documented_error_line(self, corpus, tmp_path, capsys, build, code, kind):
         """A command that cannot use its input ends with the documented
@@ -552,3 +612,4 @@ class TestUnusableInputs:
         if location is not None:
             assert location in err
         assert not out.exists()
+

@@ -163,6 +163,16 @@ class TestSerialization:
         assert np.allclose(exported_scores(payload, probe), model.scores(probe),
                            rtol=0.0, atol=1e-12)
 
+    def test_non_finite_parameter_is_not_exported(self, tmp_path):
+        """model.json is strict JSON: a NaN weight raises, no file is written."""
+        X, y = toy_separable(n=80, noise=0.3, seed=7)
+        model = train((X, y), ClassifierKind.LOGISTIC_REGRESSION, seed=5)
+        model.model.weights[0] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            save_model(model, path)
+        assert not path.exists()
+
 
 class TestClassWeightEffect:
     def test_weighted_recall_not_worse_on_imbalanced_data(self):
