@@ -27,6 +27,7 @@ from .config import ConfigError, load_heuristic_config, parse_kv_file
 from .dataio import EmptyDataset, SchemaError
 from .earlywarn import ClassifierKind, DEFAULT_D_LIST, SingleClassInput
 from .ledger import LedgerError
+from .models import ScaleOverflow
 from .synth import InfeasibleConfig
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label
 
@@ -84,6 +85,7 @@ def cmd_generate(args) -> int:
     counts, seed, overrides, chooser = synth.corpus_spec_from_options(options)
     if not counts:
         raise ConfigError(f"{args.config}: no scenario counts configured")
+    scenarios = synth.build_corpus(counts, seed, overrides, chooser, sort_by_address=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     orders_path = out / "orders.jsonl"
@@ -93,8 +95,7 @@ def cmd_generate(args) -> int:
     labels: List[tuple] = []
     total_orders = 0
     orders_path.write_text("")    # orders are appended pool by pool
-    for scenario in synth.build_corpus(counts, seed, overrides, chooser,
-                                       sort_by_address=True):
+    for scenario in scenarios:
         pools.append(scenario.pool)
         profiles[scenario.pool.paired_address] = scenario.profile
         labels.append((scenario.pool.pool_address, scenario.true_label))
@@ -167,7 +168,12 @@ def cmd_train(args) -> int:
     vectors = features.read_features_csv(args.features)
     kind = ClassifierKind(args.model)
     grid = earlywarn.DEFAULT_HYPER_GRID[kind] if args.grid else None
-    model = earlywarn.train(vectors, kind, seed=args.seed, hyper_grid=grid)
+    try:
+        model = earlywarn.train(vectors, kind, seed=args.seed, hyper_grid=grid)
+    except ScaleOverflow as exc:
+        # Line 1, the header, names the column.
+        raise SchemaError(args.features, 1, f"feature column "
+                          f"{features.FEATURE_NAMES[exc.column]}: {exc.reason}") from exc
     earlywarn.save_model(model, args.out)
     print(f"trained {kind.value} on {len(vectors)} rows "
           f"(hyperparameters {model.hyperparameters}) -> {args.out}")

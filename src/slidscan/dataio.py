@@ -16,10 +16,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .ledger import (Category, DexOrder, LedgerError, LedgerState, PoolRecord,
-                     advance_state)
-from .metrics import ProfitReport
+from .ledger import Category, DexOrder, LedgerError, PoolRecord
+from .metrics import ProfitReport, ProfitTracker
 from .validators import Label, SecurityProfile, Verdict
+
+try:  # the optional "fast" extra; every line reads the same without it
+    from orjson import loads as _orjson_loads
+except ImportError:
+    _orjson_loads = None
 
 PathLike = Union[str, Path]
 
@@ -106,8 +110,9 @@ def order_to_row(order: DexOrder) -> dict:
 def decode_order(row: dict) -> Tuple[int, str, str, float, float, float]:
     """The one check of outside order values, for batch and streaming alike.
 
-    Every column but the pool address, the recorded balances and price_paired
-    is checked here (an `int` block, a `str` hash, both legs). Returns the
+    Every column but the pool address is checked here: an `int` block, a
+    `str` hash, both legs, a finite non-negative price_paired, and recorded
+    balances that are null or parse as floats. Returns the
     `ProfitTracker.add` arguments (timestamp, category, sender, y_base,
     price_base, gas_fee_usd), or raises one of ROW_ERRORS."""
     timestamp = row["timestamp"]
@@ -124,6 +129,14 @@ def decode_order(row: dict) -> Tuple[int, str, str, float, float, float]:
                     and 0.0 < price_base < _INF and -_INF < gas_fee_usd < _INF)):
         raise ValueError(_order_fault(timestamp, block, tx_hash, category, y_paired,
                                       y_base, price_base, gas_fee_usd))
+    if not 0.0 <= float(row.get("price_paired", 0.0)) < _INF:
+        raise ValueError("price_paired must be finite and non-negative")
+    x_paired = row.get("x_paired")
+    if x_paired is not None:
+        float(x_paired)
+    x_base = row.get("x_base")
+    if x_base is not None:
+        float(x_base)
     return timestamp, category, row["sender"], y_base, price_base, gas_fee_usd
 
 
@@ -142,25 +155,17 @@ def _order_fault(timestamp, block, tx_hash, category, *amounts: float) -> str:
 
 
 def order_from_row(row: dict) -> DexOrder:
+    """The DexOrder of an order row that `decode_order` accepts."""
     timestamp, category, sender, y_base, price_base, gas_fee_usd = decode_order(row)
-    price_paired = float(row.get("price_paired", 0.0))
-    if not 0.0 <= price_paired < _INF:
-        raise ValueError("price_paired must be finite and non-negative")
-    return DexOrder(
-        block=row["block"],
-        timestamp=timestamp,
-        hash=row["hash"],
-        category=_CATEGORIES[category],
-        pool_address=row["pool_address"],
-        sender=sender,
-        x_paired=None if row.get("x_paired") is None else float(row["x_paired"]),
-        x_base=None if row.get("x_base") is None else float(row["x_base"]),
-        y_paired=float(row["y_paired"]),
-        y_base=y_base,
-        price_paired=price_paired,
-        price_base=price_base,
-        gas_fee_usd=gas_fee_usd,
-    )
+    x_paired = row.get("x_paired")
+    x_base = row.get("x_base")
+    # Positional: the field order of DexOrder.
+    return DexOrder(row["block"], timestamp, row["hash"], _CATEGORIES[category],
+                    row["pool_address"], sender,
+                    None if x_paired is None else float(x_paired),
+                    None if x_base is None else float(x_base),
+                    float(row["y_paired"]), y_base, float(row.get("price_paired", 0.0)),
+                    price_base, gas_fee_usd)
 
 
 def profile_to_row(token_address: str, profile: SecurityProfile) -> dict:
@@ -264,14 +269,42 @@ class Dataset:
 
 _SCAN_JSON = json.JSONDecoder().scan_once
 
+# orjson reads an integer literal outside the 64-bit range as a float, where
+# the stdlib reads an int; any float this large may be one.
+_ORJSON_EXACT_FLOAT = 9.2e18
+
 
 def iter_jsonl(path: PathLike):
     """(line number, row) for every non-blank line: the one JSONL reader.
-    Invalid JSON and rows that are not objects raise SchemaError."""
+    Invalid JSON and rows that are not objects raise SchemaError.
+
+    With orjson installed, a line is first read by `orjson.loads`. Its row is
+    kept only when it is an object of scalars whose floats lie within
+    +-9.2e18: there orjson and the stdlib give equal rows of the same types.
+    Every other line (an orjson error, a nested value, a float that may be an
+    overflowed integer, a non-object) goes to the stdlib reader below, so the
+    rows and errors are the same with and without orjson."""
     scan = _SCAN_JSON
+    fast_loads = _orjson_loads
+    bound = _ORJSON_EXACT_FLOAT
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            # Fast path skips json.loads' per-line wrapper; loads does the rest.
+            if fast_loads is not None:
+                try:
+                    row = fast_loads(line)
+                except ValueError:
+                    row = None
+                if type(row) is dict:
+                    for value in row.values():
+                        if type(value) is float:
+                            if not -bound <= value <= bound:
+                                break
+                        elif type(value) is dict or type(value) is list:
+                            break
+                    else:
+                        yield lineno, row
+                        continue
+            # Stdlib fast path skips json.loads' per-line wrapper; loads does the rest.
             try:
                 row, end = scan(line, 0)
             except (StopIteration, ValueError):
@@ -299,11 +332,11 @@ def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
     skipped, malformed rows raise SchemaError with their line number.
 
     Each pool keeps its orders in file order, which is their execution
-    order; nothing re-sorts them. Every order is applied to its pool's
-    `LedgerState` as it is read, so an order that breaks the ledger's rules
-    (a timestamp before its pool's previous one, a pool value driven below
-    zero or out of float range) raises, at the first such line in the file,
-    the SchemaError line `pipeline.stream_detect` raises for it."""
+    order; nothing re-sorts them. Every order is added to its pool's
+    `ProfitTracker` as it is read, so an order that breaks the ledger's rules
+    (a timestamp before its pool's previous one, a pool value or an owner sum
+    driven below zero or out of float range) raises, at the first such line
+    in the file, the SchemaError line `pipeline.stream_detect` raises for it."""
     stats = IngestStats()
     pools: Dict[str, PoolRecord] = {}
     for lineno, row in iter_jsonl(pool_file):
@@ -317,7 +350,7 @@ def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
         raise EmptyDataset(f"no usable pools in {pool_file}")
 
     orders: Dict[str, List[DexOrder]] = {address: [] for address in pools}
-    books = {address: (orders[address], LedgerState(), pool.owner_address)
+    books = {address: (orders[address], ProfitTracker(pool))
              for address, pool in pools.items()}
     if orders_file is not None:
         for lineno, row in iter_jsonl(orders_file):
@@ -330,10 +363,10 @@ def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
                 order = order_from_row(row)
             except ROW_ERRORS as exc:
                 raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
-            pool_orders, state, owner = book
+            pool_orders, tracker = book
             try:
-                advance_state(state, order.timestamp, order.category,
-                              order.sender == owner, order.y_base, order.price_base)
+                tracker.add(order.timestamp, order.category, order.sender,
+                            order.y_base, order.price_base, order.gas_fee_usd)
             except LedgerError as exc:
                 raise ledger_fault(orders_file, lineno, exc) from exc
             pool_orders.append(order)

@@ -35,6 +35,17 @@ def balanced_class_weights(y: np.ndarray) -> Tuple[float, float]:
 # Logistic regression
 # ---------------------------------------------------------------------------
 
+class ScaleOverflow(ValueError):
+    """A feature column whose mean or standard deviation is not finite, so
+    the z-scoring of logistic regression cannot use it."""
+
+    reason = "mean or standard deviation out of float range"
+
+    def __init__(self, column: int):
+        super().__init__(f"feature column {column}: {self.reason}")
+        self.column = column
+
+
 @dataclass
 class LogisticModel:
     weights: np.ndarray
@@ -68,12 +79,17 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float
     """Full-batch gradient descent on weighted cross-entropy with L2 penalty.
 
     Features are z-scored on the training data; constant columns get unit
-    scale so they contribute nothing.
+    scale so they contribute nothing. A column whose mean or standard
+    deviation leaves the float range raises ScaleOverflow.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+    if len(bad):
+        raise ScaleOverflow(int(bad[0]))
     scale[scale == 0.0] = 1.0
     Z = (X - mean) / scale
 

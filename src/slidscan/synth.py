@@ -101,6 +101,8 @@ class ScenarioConfig:
             raise InfeasibleConfig(f"rug_impact must be >= {_IMPACT_SPLIT}")
         if self.lifetime_days < 1:
             raise InfeasibleConfig("lifetime_days must be >= 1")
+        if not 0.0 <= self.investor_arrival < math.inf:
+            raise InfeasibleConfig("investor_arrival must be a finite rate >= 0")
         if self.kind == ScenarioKind.RUGPULL and self.rug_drain_day >= self.lifetime_days:
             raise InfeasibleConfig("rug_drain_day beyond pool lifetime")
         if self.kind == ScenarioKind.SLID_SLOW:
@@ -619,7 +621,9 @@ def build_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
                  overrides: Optional[Dict[ScenarioKind, Dict[str, object]]] = None,
                  lifetime_chooser=None,
                  sort_by_address: bool = False) -> Iterable[GeneratedScenario]:
-    """Yield scenarios for each kind/count; one pool's orders in memory at a time.
+    """Scenarios for each kind/count, generated lazily: one pool's orders in
+    memory at a time. Every scenario is planned, and its config checked, on
+    the call.
 
     With sort_by_address the stream is grouped by ascending pool address
     (stable output files) at the cost of planning the headers twice.
@@ -627,8 +631,7 @@ def build_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
     plans = plan_corpus(counts, seed, overrides, lifetime_chooser)
     if sort_by_address:
         plans.sort(key=scenario_pool_address)
-    for plan in plans:
-        yield generate(plan)
+    return (generate(plan) for plan in plans)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,9 @@ def run_on(command, corpus, tmp_path):
         return main(["features"] + inputs + ["--window", "60"] + out)
     if command == "sweep":
         return main(["sweep", "--corpus", str(corpus)] + out)
+    if command == "slid-profit":
+        return main(["report", "--kind", "profit", "--labels-filter", "SLID"]
+                    + inputs + out)
     return main(["report", "--kind", command] + inputs + out)
 
 
@@ -277,23 +280,18 @@ class TestBadOrderRows:
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("command", ["detect", "features"])
+    @pytest.mark.parametrize("command", ["detect", "features", "sweep", "slid-profit"])
     def test_owner_gas_overflow_exit_code(self, corpus, tmp_path, capsys, command):
         """An owner gas sum past the float range is an error, not a -inf
-        realized profit in the export."""
+        realized profit in the export, and every command names its line."""
         bad = tmp_path / "bad"
         lineno = mutated_corpus(corpus, bad, overflow_owner_gas)
         code = run_on(command, bad, tmp_path)
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1
-        assert "SwapOverflow" in err and "owner sums out of float range" in err
-        if command == "detect":
-            assert err.startswith(f'error code=2 kind=SchemaError msg="{bad / "orders.jsonl"} '
-                                  f'line {lineno}: SwapOverflow: ')
-        else:
-            row = json.loads((bad / "orders.jsonl").read_text().splitlines()[lineno - 1])
-            assert f"pool {row['pool_address']} order {row['hash']}:" in err
+        assert err.startswith(f'error code=2 kind=SchemaError msg="{bad / "orders.jsonl"} '
+                              f'line {lineno}: SwapOverflow: owner sums out of float range')
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("mutate,message", [
@@ -328,6 +326,12 @@ class TestBadOrderRows:
         pytest.param(lambda row: {**row, "block": row["block"] + 0.5},
                      "bad order row: block {row[block]!r} is not an integer",
                      id="fractional-block"),
+        pytest.param(lambda row: {**row, "x_base": "abc"},
+                     "bad order row: could not convert string to float: 'abc'",
+                     id="unparsable-x-base"),
+        pytest.param(lambda row: {**row, "price_paired": -1.0},
+                     "bad order row: price_paired must be finite and non-negative",
+                     id="negative-price-paired"),
     ])
     @pytest.mark.parametrize("command", ["detect", "features", "trend"])
     def test_non_finite_amount_is_schema_error(self, corpus, tmp_path, capsys,
@@ -504,6 +508,19 @@ def _features_csv_with_nan_for_logistic(corpus, tmp_path):
             f"{path} line 3:")
 
 
+def _features_csv_with_overflow_for_logistic(corpus, tmp_path):
+    """Six finite rows whose first column alternates +-1e308: its standard
+    deviation overflows, and line 1, the header, names the column."""
+    path = tmp_path / "features.csv"
+    header = ["pool_address", "window_days", "label", *FEATURE_NAMES]
+    ones = ["1.0"] * (len(FEATURE_NAMES) - 1)
+    path.write_text("".join(",".join(row) + "\n" for row in [header] + [
+        [f"0x{i}", "57", str(i % 2), "-1e308" if i % 2 else "1e308", *ones]
+        for i in range(6)]))
+    return (["train", "--features", str(path), "--model", "LogisticRegression"],
+            f"{path} line 1: feature column {FEATURE_NAMES[0]}:")
+
+
 def _features_csv_with_inf_for_forest(corpus, tmp_path):
     path = _features_csv_with_value(tmp_path, "inf")
     return (["train", "--features", str(path), "--model", "RandomForest"],
@@ -576,6 +593,18 @@ def _corpus_config_with_negative_count(corpus, tmp_path):
             "legitimate.count: '-3'")
 
 
+def _corpus_config_with_negative_arrival(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "legitimate.count = 2\n"
+                                     "legitimate.investor_arrival = -1\n"),
+            "investor_arrival")
+
+
+def _corpus_config_with_nan_arrival(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "legitimate.count = 2\n"
+                                     "legitimate.investor_arrival = nan\n"),
+            "investor_arrival")
+
+
 def _corpus_config_with_one_value_range(corpus, tmp_path):
     return (_corpus_config(tmp_path, "slid.count = 1\nslid.slid_impact_range = 0.5\n"),
             "slid.slid_impact_range: '0.5'")
@@ -586,6 +615,7 @@ class TestUnusableInputs:
         (_features_csv_with_bad_header, 2, "SchemaError"),
         (_features_csv_with_bad_row, 2, "SchemaError"),
         (_features_csv_with_nan_for_logistic, 2, "SchemaError"),
+        (_features_csv_with_overflow_for_logistic, 2, "SchemaError"),
         (_features_csv_with_inf_for_forest, 2, "SchemaError"),
         (_labels_csv_without_pool_column, 2, "SchemaError"),
         (_single_class_features_csv, 3, "SingleClassInput"),
@@ -597,6 +627,8 @@ class TestUnusableInputs:
         (_corpus_config_with_bad_seed, 4, "ConfigError"),
         (_corpus_config_with_negative_count, 4, "ConfigError"),
         (_corpus_config_with_one_value_range, 4, "ConfigError"),
+        (_corpus_config_with_negative_arrival, 4, "InfeasibleConfig"),
+        (_corpus_config_with_nan_arrival, 4, "InfeasibleConfig"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_documented_error_line(self, corpus, tmp_path, capsys, build, code, kind):
         """A command that cannot use its input ends with the documented

@@ -1,9 +1,13 @@
 """JSONL ingestion, round-trip fidelity, and skip/error accounting."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slidscan import dataio
 from slidscan.dataio import (
     EmptyDataset,
     SchemaError,
@@ -11,6 +15,7 @@ from slidscan.dataio import (
     decode_order,
     dump_row,
     ingest,
+    iter_jsonl,
     order_from_row,
     order_to_row,
     write_orders_jsonl,
@@ -42,6 +47,21 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
+def assert_reemit_identical(corpus_dir, tmp_path):
+    """generate -> ingest -> re-emit writes the generated bytes."""
+    dataset = ingest(corpus_dir / "pools.jsonl", corpus_dir / "orders.jsonl",
+                     corpus_dir / "profiles.jsonl")
+    write_pools_jsonl(dataset.pools.values(), tmp_path / "pools.jsonl")
+    write_orders_jsonl((order for address in dataset.pools
+                        for order in dataset.orders[address]),
+                       tmp_path / "orders.jsonl")
+    write_profiles_jsonl(dataset.profiles, tmp_path / "profiles.jsonl")
+    for name in ("pools", "orders", "profiles"):
+        original = (corpus_dir / f"{name}.jsonl").read_bytes()
+        emitted = (tmp_path / f"{name}.jsonl").read_bytes()
+        assert original == emitted, f"{name} round trip not byte-identical"
+
+
 class TestRoundTrip:
     def test_order_row_codec_preserves_values(self):
         order = make_order("Buy", 55.25, 123.5, x_paired=1234567.25,
@@ -50,17 +70,7 @@ class TestRoundTrip:
         assert order_from_row(row) == order
 
     def test_generate_ingest_reemit_byte_identical(self, corpus_dir, tmp_path):
-        dataset = ingest(corpus_dir / "pools.jsonl", corpus_dir / "orders.jsonl",
-                         corpus_dir / "profiles.jsonl")
-        write_pools_jsonl(dataset.pools.values(), tmp_path / "pools.jsonl")
-        write_orders_jsonl((order for address in dataset.pools
-                            for order in dataset.orders[address]),
-                           tmp_path / "orders.jsonl")
-        write_profiles_jsonl(dataset.profiles, tmp_path / "profiles.jsonl")
-        for name in ("pools", "orders", "profiles"):
-            original = (corpus_dir / f"{name}.jsonl").read_bytes()
-            emitted = (tmp_path / f"{name}.jsonl").read_bytes()
-            assert original == emitted, f"{name} round trip not byte-identical"
+        assert_reemit_identical(corpus_dir, tmp_path)
 
     def test_ingest_is_idempotent(self, corpus_dir):
         a = ingest(corpus_dir / "pools.jsonl", corpus_dir / "orders.jsonl")
@@ -166,3 +176,126 @@ class TestStreamBatchState:
                 stream.add(*decode_order(row))
             assert batch.state == stream.state, scenario.pool.pool_address
             assert batch.report() == stream.report(), scenario.pool.pool_address
+
+
+# ---------------------------------------------------------------------------
+# The JSONL reader, with orjson and with the stdlib alone
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["orjson", "stdlib"])
+def reader(request, monkeypatch):
+    """Run a test on each path of `iter_jsonl`: the orjson reader, where
+    installed, and the stdlib reader, forced by hiding orjson."""
+    if request.param == "stdlib":
+        monkeypatch.setattr(dataio, "_orjson_loads", None)
+    elif dataio._orjson_loads is None:
+        pytest.skip("orjson is not installed")
+    return request.param
+
+
+def typed(value):
+    """A value with the type of every part spelled out, so that 1 and 1.0,
+    0.0 and -0.0, or a reordered dict compare unequal."""
+    if isinstance(value, dict):
+        return ("dict", [(key, typed(item)) for key, item in value.items()])
+    if isinstance(value, list):
+        return ("list", [typed(item) for item in value])
+    return (type(value).__name__, repr(value))
+
+
+def read_lines(lines):
+    """Every (line number, typed row) `iter_jsonl` yields for these lines,
+    ending with the name and text of the exception it raises, if any."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "rows.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        out = []
+        try:
+            for lineno, row in iter_jsonl(path):
+                out.append((lineno, typed(row)))
+        except Exception as exc:  # compared as data: both paths must agree
+            out.append((type(exc).__name__, str(exc).replace(str(path), "<path>")))
+        return out
+
+
+class TestJsonlReader:
+    def test_rows_and_types(self, reader):
+        big = 123456789012345678901234567890
+        lines = ['{"a":1,"b":2.5,"c":"x","d":null,"e":true}', "", "   ",
+                 '{"a":1}\x0c', ' {"a":-0,"b":-0.0}', f'{{"n":{big},"m":-{big}}}',
+                 '{"n":18446744073709551615,"m":-9223372036854775809}',
+                 '{"x":NaN,"y":-Infinity,"z":1e400}', '{"s":"\\ud800"}',
+                 '{"a":1,"b":2,"a":3}', '{"d":{"e":[1,2.5]},"f":[]}', '{"f":9.3e18}']
+        assert read_lines(lines) == [
+            (1, typed({"a": 1, "b": 2.5, "c": "x", "d": None, "e": True})),
+            (4, typed({"a": 1})),
+            (5, typed({"a": 0, "b": -0.0})),
+            (6, typed({"n": big, "m": -big})),
+            (7, typed({"n": 2 ** 64 - 1, "m": -2 ** 63 - 1})),
+            (8, typed({"x": float("nan"), "y": float("-inf"), "z": float("inf")})),
+            (9, typed({"s": "\ud800"})),
+            (10, typed({"a": 3, "b": 2})),
+            (11, typed({"d": {"e": [1, 2.5]}, "f": []})),
+            (12, typed({"f": 9.3e18})),
+        ]
+
+    @pytest.mark.parametrize("line,message", [
+        ("{not json", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ('{"a":1} x', "invalid JSON: Extra data"),
+        ("[1, 2]", "row is not a JSON object"),
+        ("12345678901234567890123", "row is not a JSON object"),
+        ("NaN", "row is not a JSON object"),
+    ])
+    def test_bad_line_is_schema_error(self, reader, line, message):
+        out = read_lines(['{"a":1}', line])
+        assert out[0] == (1, typed({"a": 1}))
+        assert out[1][0] == "SchemaError"
+        assert out[1][1].startswith(f"<path> line 2: {message}")
+
+    def test_generate_ingest_reemit_byte_identical(self, reader, corpus_dir, tmp_path):
+        assert_reemit_identical(corpus_dir, tmp_path)
+
+
+_NUMERIC_COLUMNS = ["block", "timestamp", "price_paired", "price_base", "gas_fee_usd"]
+_EDGE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0", "-0.0",
+                  "1e-400", '"\\ud800"', '"\\udc00"', '"\\ud83d\\ude00"', "true",
+                  "null", '"abc"', "[1,2]", '{"k":1}', "[]", "{}",
+                  "9223372036854775807", "-9223372036854775808",
+                  "18446744073709551615", "18446744073709551616"]
+_literal = st.one_of(
+    st.sampled_from(_EDGE_LITERALS),
+    st.integers(10 ** 18, 10 ** 40 - 1).flatmap(
+        lambda n: st.sampled_from([str(n), f"-{n}"])),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][-+]?[0-9]{1,3})?",
+                  fullmatch=True),
+)
+_value = st.one_of(_literal, _literal.map(lambda v: f"[{v}]"),
+                   _literal.map(lambda v: f'{{"k":{v}}}'))
+_object = st.lists(st.tuples(st.sampled_from(_NUMERIC_COLUMNS + ["hash", "x_base"]),
+                             _value), max_size=6).map(
+    lambda items: "{" + ",".join(f'"{key}":{value}' for key, value in items) + "}")
+_padding = st.sampled_from(["", "", " ", "\t"])
+_line = st.one_of(
+    st.tuples(_padding, _object, _padding).map("".join),
+    st.tuples(_padding, st.one_of(_object, _literal),
+              st.sampled_from(["\x0c", " \x0c", "\x0b", "x"])).map("".join),
+    st.sampled_from(["", " ", "\x0c", "{", "}", "[", "{]"]),
+)
+
+
+class TestReaderPathsAgree:
+    @pytest.mark.skipif(dataio._orjson_loads is None, reason="orjson is not installed")
+    @given(_line)
+    @settings(max_examples=400, deadline=None)
+    def test_orjson_and_stdlib_give_identical_rows(self, line):
+        """A line gives a type-identical row, or the same error, whether
+        orjson reads it or the stdlib does."""
+        fast = read_lines([line])
+        saved = dataio._orjson_loads
+        dataio._orjson_loads = None
+        try:
+            assert read_lines([line]) == fast
+        finally:
+            dataio._orjson_loads = saved
