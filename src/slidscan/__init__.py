@@ -25,7 +25,6 @@ from .validators import (
     owner_activity_validate,
     profit_validate,
     rugpull_detect,
-    stability_check,
 )
 from .features import FEATURE_NAMES, FeatureVector, extract_features
 from .synth import (

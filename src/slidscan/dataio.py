@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -75,6 +74,9 @@ def pool_to_row(pool: PoolRecord) -> dict:
 
 
 def pool_from_row(row: dict) -> PoolRecord:
+    lpt_burned = row["lpt_burned"]
+    if type(lpt_burned) is not bool:
+        raise ValueError(f"lpt_burned {lpt_burned!r} is not a boolean")
     return PoolRecord(
         pool_address=row["pool_address"],
         base_address=row["base_address"],
@@ -84,7 +86,7 @@ def pool_from_row(row: dict) -> PoolRecord:
         created_time_token=int(row["created_time_token"]),
         dex=row.get("dex", "Synthetic"),
         name=row.get("name", ""),
-        lpt_burned=bool(row["lpt_burned"]),
+        lpt_burned=lpt_burned,
         deployment_gas_usd=float(row.get("deployment_gas_usd", 0.0)),
     )
 
@@ -168,15 +170,26 @@ def order_from_row(row: dict) -> DexOrder:
                     price_base, gas_fee_usd)
 
 
+# (field name, whether it is a flag) of every SecurityProfile field.
+_PROFILE_FIELDS = tuple((f.name, type(f.default) is bool) for f in fields(SecurityProfile))
+
+
 def profile_to_row(token_address: str, profile: SecurityProfile) -> dict:
     row = {"token_address": token_address}
-    for f in fields(SecurityProfile):
-        row[f.name] = getattr(profile, f.name)
+    for name, _ in _PROFILE_FIELDS:
+        row[name] = getattr(profile, name)
     return row
 
 
 def profile_from_row(row: dict) -> Tuple[str, SecurityProfile]:
-    kwargs = {f.name: row[f.name] for f in fields(SecurityProfile) if f.name in row}
+    """A missing field takes the benign default; a flag must be a JSON boolean."""
+    kwargs = {}
+    for name, is_flag in _PROFILE_FIELDS:
+        if name in row:
+            value = row[name]
+            if is_flag and type(value) is not bool:
+                raise ValueError(f"{name} {value!r} is not a boolean")
+            kwargs[name] = value
     return row["token_address"], SecurityProfile(**kwargs)
 
 
@@ -234,17 +247,6 @@ def write_profiles_jsonl(profiles: Dict[str, SecurityProfile], path: PathLike,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class IngestStats:
-    rows_read: Counter = field(default_factory=Counter)
-    rows_skipped: Counter = field(default_factory=Counter)
-
-    def summary(self) -> str:
-        read = ", ".join(f"{k}={v}" for k, v in sorted(self.rows_read.items()))
-        skipped = ", ".join(f"{k}={v}" for k, v in sorted(self.rows_skipped.items()))
-        return f"read [{read}] skipped [{skipped or 'none'}]"
-
-
-@dataclass
 class Dataset:
     """The one corpus object: pools, each pool's orders in execution order,
     profiles keyed by paired token, and (after `analysis.enrich`) every
@@ -253,7 +255,7 @@ class Dataset:
     pools: Dict[str, PoolRecord]
     orders: Dict[str, List[DexOrder]]
     profiles: Dict[str, SecurityProfile]
-    stats: IngestStats
+    orders_skipped_unknown_pool: int = 0
     enriched: Dict[str, Tuple[ProfitReport, Verdict]] = field(default_factory=dict)
 
     def profile_for(self, pool: PoolRecord) -> Optional[SecurityProfile]:
@@ -326,60 +328,68 @@ def ledger_fault(path: PathLike, lineno: int, exc: LedgerError) -> SchemaError:
     return SchemaError(path, lineno, f"{type(exc).__name__}: {exc}")
 
 
-def ingest(pool_file: PathLike, orders_file: Optional[PathLike] = None,
+def read_pools(path: PathLike) -> Dict[str, PoolRecord]:
+    """Pool records by address, in file order: the one pool-file reader."""
+    pools: Dict[str, PoolRecord] = {}
+    for lineno, row in iter_jsonl(path):
+        try:
+            pool = pool_from_row(row)
+        except ROW_ERRORS as exc:
+            raise SchemaError(path, lineno, f"bad pool row: {exc}") from exc
+        pools[pool.pool_address] = pool
+    if not pools:
+        raise EmptyDataset(f"no usable pools in {path}")
+    return pools
+
+
+def read_profiles(path: Optional[PathLike]) -> Dict[str, SecurityProfile]:
+    """Security profiles by token address: the one profile-file reader.
+    Without a file every pool's profile is unknown."""
+    profiles: Dict[str, SecurityProfile] = {}
+    if path is not None:
+        for lineno, row in iter_jsonl(path):
+            try:
+                token, profile = profile_from_row(row)
+            except ROW_ERRORS as exc:
+                raise SchemaError(path, lineno, f"bad profile row: {exc}") from exc
+            profiles[token] = profile
+    return profiles
+
+
+def ingest(pool_file: PathLike, orders_file: PathLike,
            profiles_file: Optional[PathLike] = None) -> Dataset:
     """Load a dataset; orders referencing unknown pools are counted and
     skipped, malformed rows raise SchemaError with their line number.
 
-    Each pool keeps its orders in file order, which is their execution
-    order; nothing re-sorts them. Every order is added to its pool's
-    `ProfitTracker` as it is read, so an order that breaks the ledger's rules
-    (a timestamp before its pool's previous one, a pool value or an owner sum
-    driven below zero or out of float range) raises, at the first such line
-    in the file, the SchemaError line `pipeline.stream_detect` raises for it."""
-    stats = IngestStats()
-    pools: Dict[str, PoolRecord] = {}
-    for lineno, row in iter_jsonl(pool_file):
-        stats.rows_read["pools"] += 1
-        try:
-            pool = pool_from_row(row)
-        except ROW_ERRORS as exc:
-            raise SchemaError(pool_file, lineno, f"bad pool row: {exc}") from exc
-        pools[pool.pool_address] = pool
-    if not pools:
-        raise EmptyDataset(f"no usable pools in {pool_file}")
-
+    Pools, then profiles, then orders are read, as `pipeline.stream_detect`
+    reads them. Each pool keeps its orders in file order, which is their
+    execution order; nothing re-sorts them. Every order is added to its
+    pool's `ProfitTracker` as it is read, so an order that breaks the
+    ledger's rules (a timestamp before its pool's previous one, a pool value
+    or an owner sum driven below zero or out of float range) raises, at the
+    first such line in the file, the SchemaError line `pipeline.stream_detect`
+    raises for it."""
+    pools = read_pools(pool_file)
+    profiles = read_profiles(profiles_file)
     orders: Dict[str, List[DexOrder]] = {address: [] for address in pools}
     books = {address: (orders[address], ProfitTracker(pool))
              for address, pool in pools.items()}
-    if orders_file is not None:
-        for lineno, row in iter_jsonl(orders_file):
-            stats.rows_read["orders"] += 1
-            try:
-                book = books.get(row["pool_address"])
-                if book is None:
-                    stats.rows_skipped["order_unknown_pool"] += 1
-                    continue
-                order = order_from_row(row)
-            except ROW_ERRORS as exc:
-                raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
-            pool_orders, tracker = book
-            try:
-                tracker.add(order.timestamp, order.category, order.sender,
-                            order.y_base, order.price_base, order.gas_fee_usd)
-            except LedgerError as exc:
-                raise ledger_fault(orders_file, lineno, exc) from exc
-            pool_orders.append(order)
-
-    profiles: Dict[str, SecurityProfile] = {}
-    if profiles_file is not None:
-        for lineno, row in iter_jsonl(profiles_file):
-            stats.rows_read["profiles"] += 1
-            try:
-                token, profile = profile_from_row(row)
-            except ROW_ERRORS as exc:
-                raise SchemaError(profiles_file, lineno, f"bad profile row: {exc}") from exc
-            profiles[token] = profile
-
-    return Dataset(pools=pools, orders=orders, profiles=profiles, stats=stats)
-
+    skipped = 0
+    for lineno, row in iter_jsonl(orders_file):
+        try:
+            book = books.get(row["pool_address"])
+            if book is None:
+                skipped += 1
+                continue
+            order = order_from_row(row)
+        except ROW_ERRORS as exc:
+            raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
+        pool_orders, tracker = book
+        try:
+            tracker.add(order.timestamp, order.category, order.sender,
+                        order.y_base, order.price_base, order.gas_fee_usd)
+        except LedgerError as exc:
+            raise ledger_fault(orders_file, lineno, exc) from exc
+        pool_orders.append(order)
+    return Dataset(pools=pools, orders=orders, profiles=profiles,
+                   orders_skipped_unknown_pool=skipped)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from .dataio import (ROW_ERRORS, SchemaError, anonymize_address, decode_order,
-                     ingest, iter_jsonl, ledger_fault)
+                     iter_jsonl, ledger_fault, read_pools, read_profiles)
 from .ledger import LedgerError
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Verdict, classify_pool
@@ -40,9 +40,10 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
                   anonymize: bool = False,
                   ) -> Tuple[DetectSummary, Dict[str, Tuple[ProfitReport, Verdict]]]:
     """Classify every pool in one streaming pass over the order file."""
-    dataset = ingest(pools_file, orders_file=None, profiles_file=profiles_file)
+    pools = read_pools(pools_file)
+    profiles = read_profiles(profiles_file)
     trackers: Dict[str, ProfitTracker] = {
-        address: ProfitTracker(pool) for address, pool in dataset.pools.items()
+        address: ProfitTracker(pool) for address, pool in pools.items()
     }
 
     summary = DetectSummary(pools=len(trackers))
@@ -66,8 +67,8 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
 
     results: Dict[str, Tuple[ProfitReport, Verdict]] = {}
     for address, tracker in trackers.items():
-        pool = dataset.pools[address]
-        profile = dataset.profile_for(pool)
+        pool = pools[address]
+        profile = profiles.get(pool.paired_address)
         if profile is None:
             summary.pools_without_profile += 1
         report = tracker.report()

@@ -22,18 +22,12 @@ between SLID and Undetermined.
 
 from __future__ import annotations
 
-import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .ledger import DexOrder, PoolRecord
 from .metrics import ProfitReport, profit_report
-
-
-class EmptySeries(Exception):
-    """Stability check invoked with an empty price or volume sequence."""
 
 
 class Label(str, Enum):
@@ -81,8 +75,7 @@ class HeuristicConfig:
     t_count / t_impact drive the owner-activity validator (t_impact also the
     rug-pull layer); tax_threshold the honeypot validator. Fixed windows and
     counts are module constants instead (metrics.FIRST_MONTH_SECONDS,
-    MIN_OWNER_ACTIONS). The diagnostic stability check takes its volatility
-    thresholds (theta_p, theta_v) as arguments.
+    MIN_OWNER_ACTIONS).
     """
 
     t_count: int = 5
@@ -94,6 +87,8 @@ class HeuristicConfig:
             raise ValueError("t_impact must be in (0, 1]")
         if self.t_count < 1:
             raise ValueError("t_count must be >= 1")
+        if not 0.0 <= self.tax_threshold <= 1.0:
+            raise ValueError("tax_threshold must be in [0, 1]")
 
 
 DEFAULT_CONFIG = HeuristicConfig()
@@ -107,18 +102,6 @@ class Verdict:
     honeypot_pass: bool
     profit_pass: bool
     owner_activity_pass: bool
-    layer_trace: List[Tuple[str, bool, str]] = field(default_factory=list)
-    profile_known: bool = True
-
-
-@dataclass
-class StabilityResult:
-    passed: bool
-    evaluated: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 # ---------------------------------------------------------------------------
@@ -176,35 +159,6 @@ def rugpull_detect(pool: PoolRecord, report: ProfitReport,
     return report.max_impact >= cfg.t_impact
 
 
-def stability_check(prices: Sequence[float], volumes: Sequence[float],
-                    theta_p: Optional[float] = None,
-                    theta_v: Optional[float] = None) -> StabilityResult:
-    """Diagnostic low-volatility check on a pool's price and volume sequences.
-
-    Passes when the relative standard deviation of each sequence stays below
-    its threshold (theta_p for prices, theta_v for volumes). Never gates
-    classification; with both thresholds unset it reports pass without
-    evaluating.
-    """
-    if theta_p is None and theta_v is None:
-        return StabilityResult(passed=True, evaluated=False, reason="not evaluated")
-    if not prices or not volumes:
-        raise EmptySeries("stability check needs non-empty price/volume series")
-
-    def rel_std(values):
-        mean = statistics.fmean(values)
-        if mean == 0:
-            return math.inf
-        return statistics.pstdev(values) / abs(mean)
-
-    ok = True
-    if theta_p is not None:
-        ok = ok and rel_std(prices) < theta_p
-    if theta_v is not None:
-        ok = ok and rel_std(volumes) < theta_v
-    return StabilityResult(passed=ok, evaluated=True)
-
-
 # ---------------------------------------------------------------------------
 # Four-layer classification
 # ---------------------------------------------------------------------------
@@ -219,56 +173,22 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
     validator passes. The rug-pull layer and the owner-activity validator
     read the report's profit-taking count and largest impact.
     """
-    trace: List[Tuple[str, bool, str]] = []
     is_honeypot, honeypot_pass = honeypot_validate(profile, cfg)
     profit_pass = profit_validate(report)
     activity_pass = owner_activity_validate(pool, report, cfg)
-
-    def verdict(label: Label) -> Verdict:
-        return Verdict(
-            label=label,
-            honeypot_pass=honeypot_pass,
-            profit_pass=profit_pass,
-            owner_activity_pass=activity_pass,
-            layer_trace=trace,
-            profile_known=profile is not None,
-        )
-
     if report.realized_profit_usd <= 0.0:
-        trace.append(("owner_profit", False,
-                      f"realized profit {report.realized_profit_usd:.2f} <= 0"))
-        return verdict(Label.LEGITIMATE)
-    trace.append(("owner_profit", True, "owner realized profit positive"))
-
-    if profile is None:
-        trace.append(("honeypot", True, "security profile unknown; treated as pass"))
+        label = Label.LEGITIMATE
     elif is_honeypot:
-        trace.append(("honeypot", False, "token restricts victim trading"))
-        return verdict(Label.HONEYPOT)
+        label = Label.HONEYPOT
+    elif rugpull_detect(pool, report, cfg):
+        label = Label.RUGPULL
+    elif report.owner_order_count < MIN_OWNER_ACTIONS:
+        label = Label.UNDETERMINED
+    elif honeypot_pass and profit_pass and activity_pass:
+        label = Label.SLID
     else:
-        trace.append(("honeypot", True, "no honeypot features"))
-
-    if rugpull_detect(pool, report, cfg):
-        trace.append(("rug_pull", False,
-                      f"max impact {report.max_impact:.4f} >= {cfg.t_impact}"))
-        return verdict(Label.RUGPULL)
-    trace.append(("rug_pull", True, "no near-total drain"))
-
-    if report.owner_order_count < MIN_OWNER_ACTIONS:
-        trace.append(("owner_actions", False,
-                      f"only {report.owner_order_count} owner DEX activities"))
-        return verdict(Label.UNDETERMINED)
-    trace.append(("owner_actions", True,
-                  f"{report.owner_order_count} owner DEX activities"))
-
-    if honeypot_pass and profit_pass and activity_pass:
-        trace.append(("validators", True, "all three validators flagged"))
-        return verdict(Label.SLID)
-    failed = [name for name, ok in (
-        ("honeypot", honeypot_pass), ("profit", profit_pass),
-        ("owner_activity", activity_pass)) if not ok]
-    trace.append(("validators", False, "failed: " + ", ".join(failed)))
-    return verdict(Label.UNDETERMINED)
+        label = Label.UNDETERMINED
+    return Verdict(label, honeypot_pass, profit_pass, activity_pass)
 
 
 def judge_pool(pool: PoolRecord, profile: Optional[SecurityProfile],

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from slidscan.dataio import Dataset, IngestStats
+from slidscan.dataio import Dataset
 from slidscan.ledger import Category, DexOrder, PoolRecord
 
 _hash_counter = itertools.count(1)
@@ -63,7 +63,7 @@ def make_dataset(entries) -> Dataset:
         orders[pool.pool_address] = list(pool_orders)
         if profile:
             profiles[pool.paired_address] = profile[0]
-    return Dataset(pools=pools, orders=orders, profiles=profiles, stats=IngestStats())
+    return Dataset(pools=pools, orders=orders, profiles=profiles)
 
 
 class UnitShareOracle:

@@ -385,6 +385,18 @@ legitimate.investor_count = 400
 """
 
 
+# Runs its arguments as a child and prints the child's exit code and
+# ru_maxrss (KiB), from wait4. On Linux a child started by subprocess can
+# carry its parent's RSS high-water mark across exec, so a child of pytest
+# reads at least pytest's peak; a child of this small process reads its own.
+DETECT_LAUNCHER = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def test_acceptance_8_throughput_and_reproducibility(tmp_path_factory):
     root = tmp_path_factory.mktemp("throughput")
     cfg = root / "big.cfg"
@@ -404,24 +416,20 @@ def test_acceptance_8_throughput_and_reproducibility(tmp_path_factory):
     n_orders = sum(1 for _ in open(corpus / "orders.jsonl"))
     assert n_orders >= 10_000_000, f"corpus only has {n_orders} orders"
 
-    # The detect child's own rusage, from wait4: RUSAGE_CHILDREN would give
-    # the largest child this process ever waited for, such as `generate`.
-    detect_err = root / "detect.err"
     started = time.time()
-    with open(detect_err, "w") as err:
-        detect = subprocess.Popen(
-            [sys.executable, "-m", "slidscan.cli", "detect",
-             "--pools", str(corpus / "pools.jsonl"),
-             "--orders", str(corpus / "orders.jsonl"),
-             "--profiles", str(corpus / "profiles.jsonl"),
-             "--out", str(root / "verdicts.csv")],
-            stdout=subprocess.DEVNULL, stderr=err, env=env)
-        _, status, usage = os.wait4(detect.pid, 0)
+    launcher = subprocess.run(
+        [sys.executable, "-c", DETECT_LAUNCHER, sys.executable, "-m", "slidscan.cli",
+         "detect", "--pools", str(corpus / "pools.jsonl"),
+         "--orders", str(corpus / "orders.jsonl"),
+         "--profiles", str(corpus / "profiles.jsonl"),
+         "--out", str(root / "verdicts.csv")],
+        capture_output=True, text=True, env=env)
     elapsed = time.time() - started
-    detect.returncode = os.waitstatus_to_exitcode(status)
-    assert detect.returncode == 0, detect_err.read_text()
+    assert launcher.returncode == 0, launcher.stderr
+    returncode, maxrss_kib = map(int, launcher.stdout.split())
+    assert returncode == 0, launcher.stderr
     assert elapsed < 120.0, f"streaming detect took {elapsed:.0f}s"
-    peak_rss_mb = usage.ru_maxrss / 1024
+    peak_rss_mb = maxrss_kib / 1024
     assert peak_rss_mb < 1024, f"peak child RSS {peak_rss_mb:.0f} MiB"
 
     verdict_lines = (root / "verdicts.csv").read_text().splitlines()

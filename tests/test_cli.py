@@ -44,18 +44,20 @@ def read_csv(path):
         return list(csv.DictReader(handle))
 
 
-def mutated_corpus(corpus, out, mutate):
-    """Copy the corpus into `out`, letting `mutate` edit the parsed order rows
-    in place; returns the 1-based order-file line it reports as bad."""
-    out.mkdir()
-    for name in ("pools.jsonl", "profiles.jsonl"):
-        shutil.copy(corpus / name, out / name)
-    rows = [json.loads(line)
-            for line in (corpus / "orders.jsonl").read_text().splitlines()]
-    lineno = mutate(rows)
-    (out / "orders.jsonl").write_text(
-        "".join(dataio.dump_row(row) + "\n" for row in rows))
-    return lineno
+def rewrite_rows(path, mutate):
+    """Let `mutate` edit the parsed rows of a JSONL file in place and write
+    them back; returns what `mutate` returns."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    result = mutate(rows)
+    path.write_text("".join(dataio.dump_row(row) + "\n" for row in rows))
+    return result
+
+
+def mutated_corpus(corpus, out, mutate, name="orders.jsonl"):
+    """Copy the corpus into `out`, letting `mutate` edit the parsed rows of
+    its file `name` in place; returns the 1-based line it reports as bad."""
+    shutil.copytree(corpus, out)
+    return rewrite_rows(out / name, mutate)
 
 
 def run_on(command, corpus, tmp_path):
@@ -354,6 +356,55 @@ class TestBadOrderRows:
         assert ("non-finite" in err) == ("non-finite" in message)
         assert err == (f'error code=2 kind=SchemaError msg="{orders} '
                        f'line {lineno}: {message.format(row=row)}"\n')
+
+
+class TestBadPoolAndProfileRows:
+    @pytest.mark.parametrize("name,field,value,message", [
+        pytest.param("pools.jsonl", "lpt_burned", "false",
+                     "bad pool row: lpt_burned 'false' is not a boolean",
+                     id="string-lpt_burned"),
+        pytest.param("profiles.jsonl", "buyable", "true",
+                     "bad profile row: buyable 'true' is not a boolean",
+                     id="string-buyable"),
+        pytest.param("profiles.jsonl", "transfer_pausable", 0,
+                     "bad profile row: transfer_pausable 0 is not a boolean",
+                     id="int-transfer_pausable"),
+    ])
+    @pytest.mark.parametrize("command", ["detect", "features", "trend"])
+    def test_flag_must_be_json_boolean(self, corpus, tmp_path, capsys, command,
+                                       name, field, value, message):
+        """A flag that is not a JSON boolean is a bad row, not a truthy
+        string that silently changes verdicts."""
+        def set_flag(rows):
+            rows[2][field] = value
+            return 3
+
+        bad = tmp_path / "bad"
+        lineno = mutated_corpus(corpus, bad, set_flag, name)
+        assert run_on(command, bad, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f'error code=2 kind=SchemaError msg="{bad / name} line {lineno}: {message}"\n')
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "features", "trend"])
+    def test_profile_row_named_before_order_row(self, corpus, tmp_path, capsys,
+                                                command):
+        """Every command reads pools, then profiles, then orders: with a bad
+        profile row and a bad order row, each names the profile's line."""
+        def bad_tax(rows):
+            rows[3]["sell_tax"] = 7.0
+            return 4
+
+        def bad_category(rows):
+            rows[999]["category"] = "Bogus"
+
+        bad = tmp_path / "bad"
+        lineno = mutated_corpus(corpus, bad, bad_tax, "profiles.jsonl")
+        rewrite_rows(bad / "orders.jsonl", bad_category)
+        assert run_on(command, bad, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f'error code=2 kind=SchemaError msg="{bad / "profiles.jsonl"} '
+            f'line {lineno}: bad profile row: taxes must be fractions in [0, 1]"\n')
 
 
 class TestStreamBatchAgreement:

@@ -18,6 +18,7 @@ from slidscan.dataio import (
     iter_jsonl,
     order_from_row,
     order_to_row,
+    read_pools,
     write_orders_jsonl,
     write_pools_jsonl,
     write_profiles_jsonl,
@@ -96,7 +97,7 @@ class TestIngestContracts:
                   make_order("Buy", 5.0, 1.0, pool_address="0x" + "8" * 40)]
         write_orders_jsonl(orders, tmp_path / "orders.jsonl")
         dataset = ingest(tmp_path / "pools.jsonl", tmp_path / "orders.jsonl")
-        assert dataset.stats.rows_skipped["order_unknown_pool"] == 2
+        assert dataset.orders_skipped_unknown_pool == 2
         assert len(dataset.orders[pool.pool_address]) == 1
 
     def test_orders_kept_in_file_order(self, tmp_path):
@@ -133,12 +134,12 @@ class TestIngestContracts:
     def test_invalid_json_is_schema_error(self, tmp_path):
         (tmp_path / "pools.jsonl").write_text("{not json\n")
         with pytest.raises(SchemaError):
-            ingest(tmp_path / "pools.jsonl")
+            read_pools(tmp_path / "pools.jsonl")
 
     def test_empty_pool_file_raises_empty_dataset(self, tmp_path):
         (tmp_path / "pools.jsonl").write_text("")
         with pytest.raises(EmptyDataset):
-            ingest(tmp_path / "pools.jsonl")
+            read_pools(tmp_path / "pools.jsonl")
 
 
 class TestAnonymize:
