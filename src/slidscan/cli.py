@@ -146,6 +146,14 @@ def _load_labels_csv(path) -> Dict[str, bool]:
     return labels
 
 
+def _orders_summary(dataset: dataio.Dataset) -> str:
+    """The order count of a summary line, as `detect` prints it: every row
+    read, and in brackets those skipped because their pool is unknown."""
+    skipped = dataset.orders_skipped_unknown_pool
+    read = skipped + sum(map(len, dataset.orders.values()))
+    return f"{read} orders ({skipped} skipped)"
+
+
 def cmd_features(args) -> int:
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(args.pools, args.orders, profiles_file=args.profiles)
@@ -160,7 +168,8 @@ def cmd_features(args) -> int:
             pool, dataset.orders[address], args.window,
             label=label_map.get(address, False)))
     features.write_features_csv(vectors, args.out, anonymize=args.anonymize)
-    print(f"features: {len(vectors)} pools at window d={args.window} -> {args.out}")
+    print(f"features: {len(vectors)} pools, {_orders_summary(dataset)} at window "
+          f"d={args.window} -> {args.out}")
     return 0
 
 
@@ -205,7 +214,8 @@ def cmd_sweep(args) -> int:
                              repr(m.precision), repr(m.recall), repr(m.f1),
                              *m.confusion])
     speedup = earlywarn.window_speedup(results)
-    print(f"sweep: {len(results)} detector/window cells -> {args.out} "
+    print(f"sweep: {len(dataset.pools)} pools, {_orders_summary(dataset)}, "
+          f"{len(results)} detector/window cells -> {args.out} "
           f"(window speedup {speedup:.2f}x)")
     return 0
 
@@ -226,7 +236,8 @@ def cmd_report(args) -> int:
     extra = ""
     if args.kind == "age":
         extra = f" (alive after month: {report.alive_after_fraction(30):.3f})"
-    print(f"report {args.kind}: {report.pool_count} pools -> {args.out}{extra}")
+    print(f"report {args.kind}: {report.pool_count} pools, {_orders_summary(dataset)} "
+          f"-> {args.out}{extra}")
     return 0
 
 

@@ -74,16 +74,21 @@ def pool_to_row(pool: PoolRecord) -> dict:
 
 
 def pool_from_row(row: dict) -> PoolRecord:
+    """A pool row's record: `lpt_burned` must be a JSON boolean and both
+    creation times JSON integers."""
     lpt_burned = row["lpt_burned"]
     if type(lpt_burned) is not bool:
         raise ValueError(f"lpt_burned {lpt_burned!r} is not a boolean")
+    for name in ("created_time_pool", "created_time_token"):
+        if type(row[name]) is not int:
+            raise ValueError(f"{name} {row[name]!r} is not an integer")
     return PoolRecord(
         pool_address=row["pool_address"],
         base_address=row["base_address"],
         paired_address=row["paired_address"],
         owner_address=row["owner_address"],
-        created_time_pool=int(row["created_time_pool"]),
-        created_time_token=int(row["created_time_token"]),
+        created_time_pool=row["created_time_pool"],
+        created_time_token=row["created_time_token"],
         dex=row.get("dex", "Synthetic"),
         name=row.get("name", ""),
         lpt_burned=lpt_burned,
@@ -109,14 +114,17 @@ def order_to_row(order: DexOrder) -> dict:
     }
 
 
-def decode_order(row: dict) -> Tuple[int, str, str, float, float, float]:
+def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
+                                     Optional[float], Optional[float],
+                                     float, float, float, float, float]:
     """The one check of outside order values, for batch and streaming alike.
 
     Every column but the pool address is checked here: an `int` block, a
     `str` hash, both legs, a finite non-negative price_paired, and recorded
-    balances that are null or parse as floats. Returns the
-    `ProfitTracker.add` arguments (timestamp, category, sender, y_base,
-    price_base, gas_fee_usd), or raises one of ROW_ERRORS."""
+    balances that are null or parse as floats. Returns every field of the
+    row's `DexOrder`, in `DexOrder` field order, each parsed once: the
+    category is the shared `Category` member, amounts are floats, and a
+    missing price_paired or gas_fee_usd is 0.0. Raises one of ROW_ERRORS."""
     timestamp = row["timestamp"]
     block = row["block"]
     tx_hash = row["hash"]
@@ -131,15 +139,18 @@ def decode_order(row: dict) -> Tuple[int, str, str, float, float, float]:
                     and 0.0 < price_base < _INF and -_INF < gas_fee_usd < _INF)):
         raise ValueError(_order_fault(timestamp, block, tx_hash, category, y_paired,
                                       y_base, price_base, gas_fee_usd))
-    if not 0.0 <= float(row.get("price_paired", 0.0)) < _INF:
+    price_paired = float(row.get("price_paired", 0.0))
+    if not 0.0 <= price_paired < _INF:
         raise ValueError("price_paired must be finite and non-negative")
     x_paired = row.get("x_paired")
     if x_paired is not None:
-        float(x_paired)
+        x_paired = float(x_paired)
     x_base = row.get("x_base")
     if x_base is not None:
-        float(x_base)
-    return timestamp, category, row["sender"], y_base, price_base, gas_fee_usd
+        x_base = float(x_base)
+    return (block, timestamp, tx_hash, _CATEGORIES[category], row["pool_address"],
+            row["sender"], x_paired, x_base, y_paired, y_base, price_paired,
+            price_base, gas_fee_usd)
 
 
 def _order_fault(timestamp, block, tx_hash, category, *amounts: float) -> str:
@@ -158,16 +169,7 @@ def _order_fault(timestamp, block, tx_hash, category, *amounts: float) -> str:
 
 def order_from_row(row: dict) -> DexOrder:
     """The DexOrder of an order row that `decode_order` accepts."""
-    timestamp, category, sender, y_base, price_base, gas_fee_usd = decode_order(row)
-    x_paired = row.get("x_paired")
-    x_base = row.get("x_base")
-    # Positional: the field order of DexOrder.
-    return DexOrder(row["block"], timestamp, row["hash"], _CATEGORIES[category],
-                    row["pool_address"], sender,
-                    None if x_paired is None else float(x_paired),
-                    None if x_base is None else float(x_base),
-                    float(row["y_paired"]), y_base, float(row.get("price_paired", 0.0)),
-                    price_base, gas_fee_usd)
+    return DexOrder(*decode_order(row))
 
 
 # (field name, whether it is a flag) of every SecurityProfile field.
@@ -298,10 +300,11 @@ def iter_jsonl(path: PathLike):
                     row = None
                 if type(row) is dict:
                     for value in row.values():
-                        if type(value) is float:
+                        kind = type(value)
+                        if kind is float:
                             if not -bound <= value <= bound:
                                 break
-                        elif type(value) is dict or type(value) is list:
+                        elif kind is dict or kind is list:
                             break
                     else:
                         yield lineno, row
@@ -329,11 +332,15 @@ def ledger_fault(path: PathLike, lineno: int, exc: LedgerError) -> SchemaError:
 
 
 def read_pools(path: PathLike) -> Dict[str, PoolRecord]:
-    """Pool records by address, in file order: the one pool-file reader."""
+    """Pool records by address, in file order: the one pool-file reader.
+    A pool address may appear on one row only."""
     pools: Dict[str, PoolRecord] = {}
     for lineno, row in iter_jsonl(path):
         try:
             pool = pool_from_row(row)
+            if pool.pool_address in pools:
+                raise ValueError(f"pool_address {pool.pool_address!r} repeats an "
+                                 "earlier row")
         except ROW_ERRORS as exc:
             raise SchemaError(path, lineno, f"bad pool row: {exc}") from exc
         pools[pool.pool_address] = pool

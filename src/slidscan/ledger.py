@@ -113,7 +113,9 @@ class DexOrder:
     `audit_reserves` (None when the source did not record them, e.g.
     reconstructed-only synthetic streams). The type does
     not check its values: rows read from outside are validated by the one
-    order decoder, `dataio.decode_order`. It has no ordering of its own: a
+    order decoder, `dataio.decode_order`, which returns every field of the
+    order in the field order below, so `DexOrder(*decode_order(row))` is the
+    row's order. It has no ordering of its own: a
     pool's orders execute in the order they are listed (in a file, the line
     order), and their timestamps never decrease.
 

@@ -260,11 +260,13 @@ class ForestModel:
 
 
 def _quantile_edges(X: np.ndarray) -> List[np.ndarray]:
-    edges = []
+    """Per column, the distinct inner quantiles that split its values."""
     qs = np.linspace(0.0, 1.0, MAX_BINS + 1)[1:-1]
+    quantiles = np.quantile(X, qs, axis=0)
+    edges = []
     for f in range(X.shape[1]):
         col = X[:, f]
-        e = np.unique(np.quantile(col, qs))
+        e = np.unique(quantiles[:, f])
         e = e[(e > col.min()) & (e <= col.max())]
         edges.append(e.astype(np.float64))
     return edges

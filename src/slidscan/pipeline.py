@@ -57,7 +57,9 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
             if tracker is None:
                 skipped += 1
                 continue
-            tracker.add(*decode_order(row))
+            (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,
+             gas_fee_usd) = decode_order(row)
+            tracker.add(timestamp, category, sender, y_base, price_base, gas_fee_usd)
         except ROW_ERRORS as exc:
             raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
         except LedgerError as exc:

@@ -407,6 +407,53 @@ class TestBadPoolAndProfileRows:
             f'line {lineno}: bad profile row: taxes must be fractions in [0, 1]"\n')
 
 
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("created_time_pool", "1600000000",
+                     "bad pool row: created_time_pool '1600000000' is not an integer",
+                     id="string-created_time_pool"),
+        pytest.param("created_time_token", 1600000000.9,
+                     "bad pool row: created_time_token 1600000000.9 is not an integer",
+                     id="float-created_time_token"),
+        pytest.param("pool_address", None, "bad pool row: pool_address {address!r} "
+                     "repeats an earlier row", id="repeated-pool_address"),
+    ])
+    @pytest.mark.parametrize("command", ["detect", "features", "trend"])
+    def test_pool_row_times_and_address(self, corpus, tmp_path, capsys, command,
+                                        field, value, message):
+        """Creation times are JSON integers, not strings or floats cast to
+        int, and a repeated pool address does not replace the earlier row."""
+        def set_field(rows):
+            rows[2][field] = rows[0][field] if value is None else value
+            return 3, rows[0]["pool_address"]
+
+        bad = tmp_path / "bad"
+        lineno, address = mutated_corpus(corpus, bad, set_field, "pools.jsonl")
+        assert run_on(command, bad, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f'error code=2 kind=SchemaError msg="{bad / "pools.jsonl"} line {lineno}: '
+            f'{message.format(address=address)}"\n')
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestUnknownPoolOrders:
+    @pytest.mark.parametrize("command", ["detect", "features", "sweep", "trend",
+                                         "slid-profit"])
+    def test_skipped_orders_on_summary_line(self, corpus, tmp_path, capsys, command):
+        """Every command counts the order rows whose pool is not in the pools
+        file, and says how many it skipped, as detect does."""
+        cut = tmp_path / "cut"
+        shutil.copytree(corpus, cut)
+        lines = (cut / "pools.jsonl").read_text().splitlines(keepends=True)
+        (cut / "pools.jsonl").write_text("".join(lines[:12]))
+        kept = {json.loads(line)["pool_address"] for line in lines[:12]}
+        orders = [json.loads(line)["pool_address"]
+                  for line in (cut / "orders.jsonl").read_text().splitlines()]
+        skipped = sum(address not in kept for address in orders)
+        assert 0 < skipped < len(orders)
+        assert run_on(command, cut, tmp_path) == 0
+        assert f"{len(orders)} orders ({skipped} skipped)" in capsys.readouterr().out
+
+
 class TestStreamBatchAgreement:
     @staticmethod
     def assert_agree(corpus, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from slidscan.dataio import (
     write_pools_jsonl,
     write_profiles_jsonl,
 )
+from slidscan.ledger import Category
 from slidscan.metrics import ProfitTracker
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
 
@@ -72,6 +74,33 @@ class TestRoundTrip:
 
     def test_generate_ingest_reemit_byte_identical(self, corpus_dir, tmp_path):
         assert_reemit_identical(corpus_dir, tmp_path)
+
+    @pytest.mark.parametrize("category", list(Category))
+    def test_order_from_row_reads_each_column_once(self, category):
+        """The row is parsed once: no column is read twice, and the category
+        is the shared Category member, not the row's string."""
+        class CountingRow(dict):
+            def __init__(self, row):
+                super().__init__(row)
+                self.reads = Counter()
+
+            def __getitem__(self, key):
+                self.reads[key] += 1
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.reads[key] += 1
+                return super().get(key, default)
+
+        order = make_order(category.value, 55.25, 123.5, x_paired=1234567.25,
+                           x_base=19234.5)
+        row = CountingRow(json.loads(dump_row(order_to_row(order))))
+        assert len(row) == 13
+        decoded = order_from_row(row)
+        assert decoded == order
+        assert decoded.category is category
+        assert set(row.reads) <= set(row)
+        assert max(row.reads.values()) == 1, row.reads
 
     def test_ingest_is_idempotent(self, corpus_dir):
         a = ingest(corpus_dir / "pools.jsonl", corpus_dir / "orders.jsonl")
@@ -174,7 +203,9 @@ class TestStreamBatchState:
             for order in scenario.orders:
                 row = json.loads(dump_row(order_to_row(order)))
                 batch.add_order(order_from_row(row))
-                stream.add(*decode_order(row))
+                (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,
+                 gas_fee_usd) = decode_order(row)
+                stream.add(timestamp, category, sender, y_base, price_base, gas_fee_usd)
             assert batch.state == stream.state, scenario.pool.pool_address
             assert batch.report() == stream.report(), scenario.pool.pool_address
 

@@ -148,3 +148,22 @@ def test_fit_leaves_only_the_nodes():
     forest = fit_forest(X, y, balanced_class_weights(y), n_trees=3, seed=4)
     for tree in forest.trees:
         assert list(vars(tree)) == ["nodes"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_quantile_edges_equal_per_column_quantiles(seed):
+    """One np.quantile call over every column gives, bit for bit, the edges
+    of one call per column, with ties, constant and wide-ranged columns."""
+    X, _ = _binned_data(seed, n=240, f=57)
+    X[:, 7] *= 1e9
+    X[:, 11] = np.round(X[:, 11] * 3.0)
+    qs = np.linspace(0.0, 1.0, models.MAX_BINS + 1)[1:-1]
+    edges = models._quantile_edges(X)
+    assert len(edges) == X.shape[1]
+    for f, got in enumerate(edges):
+        col = X[:, f]
+        want = np.unique(np.quantile(col, qs))
+        want = want[(want > col.min()) & (want <= col.max())]
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), f
+    assert len(edges[2]) == 0
