@@ -21,7 +21,6 @@ from .validators import (
     Verdict,
     classify_pool,
     honeypot_validate,
-    judge_pool,
     owner_activity_validate,
     profit_validate,
     rugpull_detect,

@@ -175,10 +175,13 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     vectors = features.read_features_csv(args.features)
+    if not vectors:
+        raise SingleClassInput("empty training matrix")
+    X, y = features.feature_matrix(vectors)
     kind = ClassifierKind(args.model)
     grid = earlywarn.DEFAULT_HYPER_GRID[kind] if args.grid else None
     try:
-        model = earlywarn.train(vectors, kind, seed=args.seed, hyper_grid=grid)
+        model = earlywarn.train(X, y, kind, seed=args.seed, hyper_grid=grid)
     except ScaleOverflow as exc:
         # Line 1, the header, names the column.
         raise SchemaError(args.features, 1, f"feature column "
@@ -203,8 +206,8 @@ def cmd_sweep(args) -> int:
     analysis.enrich(dataset, cfg)
     grid = ({kind: earlywarn.DEFAULT_HYPER_GRID[kind] for kind in ClassifierKind}
             if args.grid else None)
-    results = earlywarn.sweep(dataset, args.d_list, cfg, seed=args.seed,
-                              hyper_grid=grid)
+    windows = earlywarn.prepare_windows(dataset, args.d_list, cfg)
+    results = earlywarn.sweep(windows, args.d_list, seed=args.seed, hyper_grid=grid)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["detector", "d", "accuracy", "precision", "recall",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 from .validators import HeuristicConfig
 
@@ -32,6 +32,17 @@ def parse_kv_file(path: Union[str, Path]) -> Dict[str, str]:
     return options
 
 
+def parse_value(default: Union[int, float, Tuple[float, ...]], raw: str):
+    """Parse a raw option string by the type of the option's default: an int,
+    a float, or a tuple of as many comma-separated floats. Raises ValueError."""
+    if isinstance(default, tuple):
+        parts = tuple(float(part) for part in raw.split(","))
+        if len(parts) != len(default):
+            raise ValueError(f"expected {len(default)} numbers")
+        return parts
+    return type(default)(raw)
+
+
 def load_heuristic_config(path: Union[str, Path]) -> HeuristicConfig:
     """Build a HeuristicConfig from a key=value file; unknown keys are errors."""
     defaults = {f.name: f.default for f in fields(HeuristicConfig)}
@@ -40,8 +51,7 @@ def load_heuristic_config(path: Union[str, Path]) -> HeuristicConfig:
         if key not in defaults:
             raise ConfigError(f"{path}: unknown heuristic option {key!r}")
         try:
-            # Every field is an int or a float: parse with its default's type.
-            typed[key] = type(defaults[key])(value)
+            typed[key] = parse_value(defaults[key], value)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
     try:

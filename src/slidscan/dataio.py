@@ -351,15 +351,19 @@ def read_pools(path: PathLike) -> Dict[str, PoolRecord]:
 
 def read_profiles(path: Optional[PathLike]) -> Dict[str, SecurityProfile]:
     """Security profiles by token address: the one profile-file reader.
-    Without a file every pool's profile is unknown."""
+    Without a file every pool's profile is unknown. A token address may
+    appear on one row only."""
     profiles: Dict[str, SecurityProfile] = {}
     if path is not None:
         for lineno, row in iter_jsonl(path):
             try:
                 token, profile = profile_from_row(row)
+                if token in profiles:
+                    raise ValueError(f"token_address {token!r} repeats an "
+                                     "earlier row")
+                profiles[token] = profile
             except ROW_ERRORS as exc:
                 raise SchemaError(path, lineno, f"bad profile row: {exc}") from exc
-            profiles[token] = profile
     return profiles
 
 

@@ -25,7 +25,6 @@ from .features import (
     FEATURE_NAMES,
     FeatureVector,
     extract_with_report,
-    feature_matrix,
 )
 from .dataio import Dataset
 from .models import balanced_class_weights, fit_forest, fit_logistic
@@ -125,20 +124,12 @@ def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> Tuple[int, int, 
 # Training
 # ---------------------------------------------------------------------------
 
-def _as_matrix(matrix) -> Tuple[np.ndarray, np.ndarray, List[str]]:
-    if isinstance(matrix, tuple):
-        X, y = matrix
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] == len(FEATURE_NAMES):
-            names = list(FEATURE_NAMES)
-        else:
-            names = [f"f{i}" for i in range(X.shape[1])]
-        return X, np.asarray(y, dtype=np.int64), names
-    vectors: Sequence[FeatureVector] = list(matrix)
-    if not vectors:
-        raise SingleClassInput("empty training matrix")
-    X, y = feature_matrix(vectors)
-    return X, y, list(FEATURE_NAMES)
+def _feature_names(width: int) -> List[str]:
+    """FEATURE_NAMES for a full-width matrix, else f0, f1, ... (a narrow
+    matrix carries no canonical names)."""
+    if width == len(FEATURE_NAMES):
+        return list(FEATURE_NAMES)
+    return [f"f{i}" for i in range(width)]
 
 
 def _fit(kind: ClassifierKind, X: np.ndarray, y: np.ndarray,
@@ -181,17 +172,20 @@ def _grid_candidates(grid: Dict[str, list]) -> List[Dict[str, object]]:
             for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def train(matrix, kind: Union[str, ClassifierKind], seed: int = 0,
-          hyper_grid: Optional[Dict[str, list]] = None) -> ClassifierModel:
-    """Fit a classifier; optional grid search by stratified 5-fold F1.
+def train(X: np.ndarray, y: np.ndarray, kind: Union[str, ClassifierKind],
+          seed: int = 0, hyper_grid: Optional[Dict[str, list]] = None
+          ) -> ClassifierModel:
+    """Fit a classifier on feature rows X and 0/1 labels y; optional grid
+    search by stratified 5-fold F1.
 
-    `matrix` is either a sequence of labeled FeatureVectors or an (X, y)
-    tuple. Class weights are inversely proportional to class frequencies.
+    Class weights are inversely proportional to class frequencies.
     Degenerate inputs (identical rows, mixed labels) fall back to a
     majority-class model with a SingleSignal warning.
     """
     kind = ClassifierKind(kind)
-    X, y, names = _as_matrix(matrix)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    names = _feature_names(X.shape[1])
     if len(X) != len(y):
         raise DimensionMismatch(f"{len(X)} rows vs {len(y)} labels")
     classes = np.unique(y)
@@ -312,19 +306,15 @@ TEST_FRACTION = 0.2
 PLATEAU_FRACTION = 0.95
 
 
-def sweep(dataset: Dataset, d_list: Sequence[int] = DEFAULT_D_LIST,
-          cfg: HeuristicConfig = DEFAULT_CONFIG, seed: int = 0,
-          hyper_grid: Optional[Dict[str, Dict[str, list]]] = None,
-          windows: Optional[WindowedCorpus] = None) -> List[EvalMetrics]:
-    """Evaluate every detector at every window on a held-out stratified split
-    (TEST_FRACTION of each class) of an enriched dataset.
+def sweep(windows: WindowedCorpus, d_list: Sequence[int], seed: int = 0,
+          hyper_grid: Optional[Dict[str, Dict[str, list]]] = None) -> List[EvalMetrics]:
+    """Evaluate every detector at every window of `d_list` on a held-out
+    stratified split (TEST_FRACTION of each class) of the pools that
+    `prepare_windows` extracted `windows` from.
 
     Classifiers retrain per window on the training pools; the rule-based
-    detector classifies the same truncated windows directly. Pass a
-    precomputed `windows` to reuse feature extraction across seeds.
+    detector's calls on the same truncated windows are read from `windows`.
     """
-    if windows is None:
-        windows = prepare_windows(dataset, d_list, cfg)
     labels = windows.labels
     train_idx, test_idx = stratified_split(labels.astype(np.int64),
                                            TEST_FRACTION, seed)
@@ -337,9 +327,9 @@ def sweep(dataset: Dataset, d_list: Sequence[int] = DEFAULT_D_LIST,
                 pred = windows.heuristic_by_d[d][test_idx]
             else:
                 kind = ClassifierKind(detector)
-                grid = (hyper_grid or {}).get(kind) if hyper_grid else None
-                model = train((X[train_idx], labels[train_idx].astype(np.int64)),
-                              kind, seed=seed, hyper_grid=grid)
+                grid = hyper_grid.get(kind) if hyper_grid else None
+                model = train(X[train_idx], labels[train_idx], kind, seed=seed,
+                              hyper_grid=grid)
                 pred = model.scores(X[test_idx]) >= model.threshold
             tp, fp, tn, fn = confusion_counts(labels[test_idx], pred)
             results.append(metrics_from_confusion(tp, fp, tn, fn, d, detector))

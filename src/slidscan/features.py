@@ -147,7 +147,8 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
     for d in sorted(set(d_list)):
         window_end = start + d * SECONDS_PER_DAY
         while order is not None and order.timestamp < window_end:
-            tracker.add_order(order)
+            tracker.add(order.timestamp, order.category, order.sender,
+                        order.y_base, order.price_base, order.gas_fee_usd)
             day = (order.timestamp - start) // SECONDS_PER_DAY
             is_owner = order.sender == owner
             counts[("owner" if is_owner else "user", order.category)] += 1

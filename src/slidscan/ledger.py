@@ -143,19 +143,17 @@ class DexOrder:
 class LedgerState:
     """Evolving pool accounting over a replay: the figures profit reports read.
 
-    `drained` is set once a deposit or withdrawal leaves the pool empty (the
-    owner share then stays frozen). Reserves are not mirrored here;
-    `audit_reserves` reconstructs them from an order list when recorded
-    balances need checking.
+    A deposit or withdrawal that leaves the pool empty freezes the owner
+    share. Reserves are not mirrored here; `audit_reserves` reconstructs them
+    from an order list when recorded balances need checking.
     """
 
-    __slots__ = ("pool_value_usd", "owner_share", "last_timestamp", "drained")
+    __slots__ = ("pool_value_usd", "owner_share", "last_timestamp")
 
     def __init__(self):
         self.pool_value_usd: float = 0.0
         self.owner_share: float = 0.0
         self.last_timestamp: int = -(2 ** 62)
-        self.drained: bool = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LedgerState):
@@ -219,19 +217,17 @@ def advance_state(state: LedgerState, timestamp: int, category: str,
     state.pool_value_usd = x_new
 
     # Owner-share update applies to liquidity events only; swaps move value
-    # but not provider proportions.
-    if category == "Deposit" or category == "Withdraw":
-        if x_new == 0.0:
-            state.drained = True  # share frozen at its prior value
-        else:
-            share = state.owner_share * (x_prev / x_new)
-            if is_owner:
-                share += signed / x_new
-            if share < 0.0:
-                share = 0.0
-            elif share > 1.0:
-                share = 1.0
-            state.owner_share = share
+    # but not provider proportions. Draining the pool to zero freezes the
+    # share at its prior value.
+    if (category == "Deposit" or category == "Withdraw") and x_new != 0.0:
+        share = state.owner_share * (x_prev / x_new)
+        if is_owner:
+            share += signed / x_new
+        if share < 0.0:
+            share = 0.0
+        elif share > 1.0:
+            share = 1.0
+        state.owner_share = share
 
 
 def audit_reserves(orders: Iterable[DexOrder]) -> Tuple[float, float, int]:

@@ -30,7 +30,6 @@ from typing import Iterable
 
 from .ledger import (
     DexOrder,
-    LedgerError,
     LedgerState,
     PoolRecord,
     SwapOverflow,
@@ -63,9 +62,9 @@ class ProfitReport:
 class ProfitTracker:
     """Incremental profit accounting for one pool.
 
-    Feed orders in execution order (timestamps never decrease) via add()
-    (the decoded values of one order row) or add_order(); report() covers
-    the orders added so far and may be called between adds. Keeps O(1) state:
+    Feed orders in execution order (timestamps never decrease) via add(),
+    the decoded values of one order row; report() covers the orders added
+    so far and may be called between adds. Keeps O(1) state:
     a LedgerState plus running sums, counts and impact extrema.
     """
 
@@ -130,15 +129,6 @@ class ProfitTracker:
             raise SwapOverflow(f"owner sums out of float range: gas {self.gas}, "
                                f"invested {self.invested}, returned {self.returned}")
 
-    def add_order(self, order: DexOrder) -> None:
-        """add() one order; a ledger violation names the pool and the order."""
-        try:
-            self.add(order.timestamp, order.category, order.sender,
-                     order.y_base, order.price_base, order.gas_fee_usd)
-        except LedgerError as exc:
-            raise type(exc)(
-                f"pool {self.pool.pool_address} order {order.hash}: {exc}") from exc
-
     def report(self) -> ProfitReport:
         """Report on the orders added so far; it leaves the tracker unchanged,
         so a mid-stream report does not alter a later one."""
@@ -176,5 +166,6 @@ def profit_report(pool: PoolRecord, orders: Iterable[DexOrder]) -> ProfitReport:
     execution order."""
     tracker = ProfitTracker(pool)
     for order in orders:
-        tracker.add_order(order)
+        tracker.add(order.timestamp, order.category, order.sender,
+                    order.y_base, order.price_base, order.gas_fee_usd)
     return tracker.report()

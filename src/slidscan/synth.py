@@ -30,7 +30,7 @@ the metrics module; tests compare the two paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,6 +44,7 @@ from .ledger import (
     PoolRecord,
     swap_amount_out,
 )
+from .config import ConfigError, parse_value
 from .metrics import FIRST_MONTH_SECONDS, ProfitReport
 from .validators import SecurityProfile
 
@@ -647,26 +648,23 @@ _KIND_ALIASES = {
     "slidmultiaddress": ScenarioKind.SLID_MULTI_ADDRESS,
 }
 
-_TUPLE_FIELDS = {"slid_impact_range"}
-_INT_FIELDS = {
-    "investor_count", "lifetime_days", "slid_drain_count", "rug_drain_day",
-    "slow_start_day", "early_sell_count",
-}
+# ScenarioConfig field -> its default, whose type parses the option's value.
+_OPTION_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)
+                    if f.name not in ("kind", "seed")}
 
 
 def corpus_spec_from_options(options: Dict[str, str]):
     """Translate `kind.key=value` options into build_corpus arguments.
 
     Recognised per-kind keys: `count`, any ScenarioConfig field but `kind`
-    and `seed` (both set per scenario by plan_corpus), plus
+    and `seed` (both set per scenario by plan_corpus), each parsed by the
+    type of its default (`config.parse_value`), plus
     `survive_month_fraction` (share of pools given the full lifetime) with
     `short_lifetime_days` for the rest. A bare `seed=` sets the master seed.
     A value that does not parse, a negative count or an impact range that is
     not two numbers raises ConfigError naming the key and the value.
     Returns (counts, seed, overrides, lifetime_chooser).
     """
-    from .config import ConfigError
-
     seed = 0
     counts: Dict[ScenarioKind, int] = {}
     overrides: Dict[ScenarioKind, Dict[str, object]] = {}
@@ -692,16 +690,9 @@ def corpus_spec_from_options(options: Dict[str, str]):
             elif field_name == "short_lifetime_days":
                 fraction, _ = survival.get(kind, (1.0, 10))
                 survival[kind] = (fraction, int(raw))
-            elif field_name in _TUPLE_FIELDS:
-                parts = tuple(float(p) for p in raw.split(","))
-                if len(parts) != 2:
-                    raise ValueError("expected two numbers")
-                overrides.setdefault(kind, {})[field_name] = parts
-            elif field_name in _INT_FIELDS:
-                overrides.setdefault(kind, {})[field_name] = int(raw)
-            elif (field_name in ScenarioConfig.__dataclass_fields__
-                  and field_name not in ("kind", "seed")):
-                overrides.setdefault(kind, {})[field_name] = float(raw)
+            elif field_name in _OPTION_DEFAULTS:
+                overrides.setdefault(kind, {})[field_name] = parse_value(
+                    _OPTION_DEFAULTS[field_name], raw)
             else:
                 raise ConfigError(f"unknown scenario option {field_name!r}")
         except ValueError as exc:

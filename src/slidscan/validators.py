@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
-from .ledger import DexOrder, PoolRecord
-from .metrics import ProfitReport, profit_report
+from .ledger import PoolRecord
+from .metrics import ProfitReport
 
 
 class Label(str, Enum):
@@ -58,9 +58,6 @@ class SecurityProfile:
     def __post_init__(self):
         if not 0.0 <= self.buy_tax <= 1.0 or not 0.0 <= self.sell_tax <= 1.0:
             raise ValueError("taxes must be fractions in [0, 1]")
-
-
-BENIGN_PROFILE = SecurityProfile()
 
 
 # Layer 4: fewer owner DEX activities than this leave a pool Undetermined.
@@ -109,16 +106,17 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def honeypot_validate(profile: Optional[SecurityProfile],
-                      cfg: HeuristicConfig = DEFAULT_CONFIG) -> Tuple[bool, bool]:
-    """Returns (is_honeypot, validator_pass).
+                      cfg: HeuristicConfig = DEFAULT_CONFIG) -> bool:
+    """Whether the token's contract restrictions make the pool a honeypot;
+    the honeypot validator passes exactly when this is False.
 
     anti_whale and trading_cooldown appear in legitimate tokens too, so they
     are soft signals only and never flag on their own. A missing profile
     passes with a warning recorded by the caller.
     """
     if profile is None:
-        return False, True
-    is_honeypot = (
+        return False
+    return (
         profile.buy_tax > cfg.tax_threshold
         or profile.sell_tax > cfg.tax_threshold
         or not profile.buyable
@@ -129,7 +127,6 @@ def honeypot_validate(profile: Optional[SecurityProfile],
         or profile.slippage_modifiable
         or profile.personal_slippage_modifiable
     )
-    return is_honeypot, not is_honeypot
 
 
 def profit_validate(report: ProfitReport) -> bool:
@@ -169,11 +166,12 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
     """Run the exclusion layers then the three validators.
 
     Layer order: owner-profit check, honeypot, rug pull, owner-action
-    eligibility. Pools surviving all four are SLID exactly when every
-    validator passes. The rug-pull layer and the owner-activity validator
-    read the report's profit-taking count and largest impact.
+    eligibility. Pools surviving all four (the honeypot validator has passed
+    by then) are SLID exactly when the other two validators pass. The
+    rug-pull layer and the owner-activity validator read the report's
+    profit-taking count and largest impact.
     """
-    is_honeypot, honeypot_pass = honeypot_validate(profile, cfg)
+    is_honeypot = honeypot_validate(profile, cfg)
     profit_pass = profit_validate(report)
     activity_pass = owner_activity_validate(pool, report, cfg)
     if report.realized_profit_usd <= 0.0:
@@ -184,17 +182,8 @@ def classify_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
         label = Label.RUGPULL
     elif report.owner_order_count < MIN_OWNER_ACTIONS:
         label = Label.UNDETERMINED
-    elif honeypot_pass and profit_pass and activity_pass:
+    elif profit_pass and activity_pass:
         label = Label.SLID
     else:
         label = Label.UNDETERMINED
-    return Verdict(label, honeypot_pass, profit_pass, activity_pass)
-
-
-def judge_pool(pool: PoolRecord, profile: Optional[SecurityProfile],
-               orders: Iterable[DexOrder],
-               cfg: HeuristicConfig = DEFAULT_CONFIG) -> Tuple[ProfitReport, Verdict]:
-    """Profit report and verdict of one pool from its complete orders, in
-    execution order."""
-    report = profit_report(pool, orders)
-    return report, classify_pool(pool, profile, report, cfg)
+    return Verdict(label, not is_honeypot, profit_pass, activity_pass)

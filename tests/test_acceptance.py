@@ -31,7 +31,7 @@ from slidscan.synth import (
     generate,
     oracle_report,
 )
-from slidscan.validators import DEFAULT_CONFIG, Label, judge_pool
+from slidscan.validators import DEFAULT_CONFIG, Label, classify_pool
 
 from conftest import OWNER, USER, UnitShareOracle, make_dataset, make_order
 
@@ -45,9 +45,8 @@ def _passline(n: int, message: str) -> None:
 
 
 def classify_scenario(scenario, cfg=DEFAULT_CONFIG):
-    report, verdict = judge_pool(scenario.pool, scenario.profile, scenario.orders,
-                                 cfg)
-    return verdict, report
+    report = profit_report(scenario.pool, scenario.orders)
+    return classify_pool(scenario.pool, scenario.profile, report, cfg), report
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
     slow_recalls = []
     rf_f1_by_d = {d: [] for d in D_LIST}
     for seed in range(5):
-        results = sweep(dataset, D_LIST, seed=seed, windows=windows)
+        results = sweep(windows, D_LIST, seed=seed)
         by_key = {(m.detector, m.window_days): m for m in results}
         f1_at_57.append(by_key[(rf, 57)].f1)
         for d in D_LIST:
@@ -312,7 +311,7 @@ def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
         labels = windows.labels
         train_idx, test_idx = stratified_split(labels.astype(np.int64), 0.2, seed)
         X = np.stack([v.values for v in windows.vectors_by_d[57]])
-        model = train((X[train_idx], labels[train_idx].astype(np.int64)),
+        model = train(X[train_idx], labels[train_idx],
                       ClassifierKind.RANDOM_FOREST, seed=seed)
         pred = model.scores(X[test_idx]) >= model.threshold
         slow_mask = np.array([truth[windows.pool_addresses[i]] == "SlidSlow"

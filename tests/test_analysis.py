@@ -16,7 +16,7 @@ class TestAgeReport:
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0),
                   make_order("Buy", 1.0, 0.1, ts=T0 + 90 * SECONDS_PER_DAY)]
         report = analyze(make_dataset([(pool, orders)]), "age")
-        assert report.age_histogram == {90: (1, 1)}
+        assert report.rows == {90: (1, 1)}
         assert report.pool_count == 1
 
     def test_alive_fraction(self):
@@ -41,7 +41,7 @@ class TestAgeReport:
                                  pool_address=pool.pool_address)]
             pools_orders.append((pool, orders))
         report = analyze(make_dataset(pools_orders), "age")
-        assert sum(c for c, _ in report.age_histogram.values()) == report.pool_count
+        assert sum(c for c, _ in report.rows.values()) == report.pool_count
 
 
 class TestProfitReportDays:
@@ -55,8 +55,8 @@ class TestProfitReportDays:
             make_order("Withdraw", 30.0, 5.0, ts=T0 + SECONDS_PER_DAY + 60), # day 1
         ]
         report = analyze(make_dataset([(pool, orders)]), "profit")
-        assert report.daily_profit_taking[0] == (1, pytest.approx(50.0))
-        assert report.daily_profit_taking[1] == (1, pytest.approx(30.0))
+        assert report.rows[0] == (1, pytest.approx(50.0))
+        assert report.rows[1] == (1, pytest.approx(30.0))
         assert report.realized_share_on_day(0) == pytest.approx(50.0 / 80.0)
 
     def test_rug_pull_concentrates_on_day_zero(self):
@@ -75,7 +75,7 @@ class TestTrendReport:
             make_order("Sell", 500.0, 5.0, ts=T0 + 300),   # owner, excluded
         ]
         report = analyze(make_dataset([(pool, orders)]), "trend")
-        assert report.daily_trend[0] == (2, pytest.approx(100.0))
+        assert report.rows[0] == (2, pytest.approx(100.0))
 
 
 class TestLabelFilter:

@@ -406,6 +406,30 @@ class TestBadPoolAndProfileRows:
             f'error code=2 kind=SchemaError msg="{bad / "profiles.jsonl"} '
             f'line {lineno}: bad profile row: taxes must be fractions in [0, 1]"\n')
 
+    @pytest.mark.parametrize("value,message", [
+        pytest.param([1], "bad profile row: unhashable type: 'list'",
+                     id="array-token_address"),
+        pytest.param(None, "bad profile row: token_address {token!r} repeats an "
+                     "earlier row", id="repeated-token_address"),
+    ])
+    @pytest.mark.parametrize("command", ["detect", "features", "trend"])
+    def test_profile_token_address(self, corpus, tmp_path, capsys, command,
+                                   value, message):
+        """A token address that cannot key a profile is a bad profile row,
+        not a traceback, and a repeated one does not replace the earlier
+        row's profile."""
+        def set_token(rows):
+            rows[2]["token_address"] = (rows[0]["token_address"] if value is None
+                                        else value)
+            return 3, rows[0]["token_address"]
+
+        bad = tmp_path / "bad"
+        lineno, token = mutated_corpus(corpus, bad, set_token, "profiles.jsonl")
+        assert run_on(command, bad, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f'error code=2 kind=SchemaError msg="{bad / "profiles.jsonl"} line '
+            f'{lineno}: {message.format(token=token)}"\n')
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("field,value,message", [
         pytest.param("created_time_pool", "1600000000",
@@ -642,6 +666,14 @@ def _single_class_features_csv(corpus, tmp_path):
     return ["train", "--features", str(path), "--model", "LogisticRegression"], None
 
 
+def _header_only_features_csv(corpus, tmp_path):
+    path = tmp_path / "features.csv"
+    header = ["pool_address", "window_days", "label", *FEATURE_NAMES]
+    path.write_text(",".join(header) + "\n")
+    return (["train", "--features", str(path), "--model", "RandomForest"],
+            "empty training matrix")
+
+
 def _corpus_without_slid_verdict(corpus, tmp_path):
     cfg = tmp_path / "legit.cfg"
     cfg.write_text("seed = 5\nlegitimate.count = 4\nlegitimate.lifetime_days = 20\n")
@@ -717,6 +749,7 @@ class TestUnusableInputs:
         (_features_csv_with_inf_for_forest, 2, "SchemaError"),
         (_labels_csv_without_pool_column, 2, "SchemaError"),
         (_single_class_features_csv, 3, "SingleClassInput"),
+        (_header_only_features_csv, 3, "SingleClassInput"),
         (_corpus_without_slid_verdict, 3, "SingleClassInput"),
         (_corpus_with_one_slid_verdict, 3, "SingleClassInput"),
         (_unknown_label_filter, 4, "UsageError"),

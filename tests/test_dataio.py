@@ -202,7 +202,9 @@ class TestStreamBatchState:
             stream = ProfitTracker(scenario.pool)
             for order in scenario.orders:
                 row = json.loads(dump_row(order_to_row(order)))
-                batch.add_order(order_from_row(row))
+                order = order_from_row(row)
+                batch.add(order.timestamp, order.category, order.sender,
+                          order.y_base, order.price_base, order.gas_fee_usd)
                 (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,
                  gas_fee_usd) = decode_order(row)
                 stream.add(timestamp, category, sender, y_base, price_base, gas_fee_usd)

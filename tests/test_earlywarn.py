@@ -21,7 +21,7 @@ from slidscan.earlywarn import (
     train,
     window_speedup,
 )
-from slidscan.features import FEATURE_COUNT, FeatureVector
+from slidscan.features import FEATURE_COUNT, FeatureVector, feature_matrix
 from slidscan.models import fit_logistic
 from slidscan.synth import ScenarioKind, build_corpus
 
@@ -51,7 +51,7 @@ class TestTrain:
     @pytest.mark.parametrize("kind", list(ClassifierKind))
     def test_perfectly_separable_reaches_unit_f1(self, kind):
         X, y = toy_separable()
-        model = train((X, y), kind, seed=1)
+        model = train(X, y, kind, seed=1)
         pred = model.scores(X) >= model.threshold
         tp, fp, tn, fn = confusion_counts(y == 1, pred)
         assert metrics_from_confusion(tp, fp, tn, fn, 0, kind.value).f1 == 1.0
@@ -60,25 +60,25 @@ class TestTrain:
         X = np.ones((10, 3))
         y = np.array([1, 1, 1, 1, 1, 1, 0, 0, 0, 0])
         with pytest.warns(UserWarning, match="SingleSignal"):
-            model = train((X, y), ClassifierKind.LOGISTIC_REGRESSION)
+            model = train(X, y, ClassifierKind.LOGISTIC_REGRESSION)
         assert model.majority_label is True
         assert np.all(model.scores(X) == 1.0)
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
         with pytest.raises(SingleClassInput):
-            train((X, np.ones(10, dtype=np.int64)), ClassifierKind.RANDOM_FOREST)
+            train(X, np.ones(10, dtype=np.int64), ClassifierKind.RANDOM_FOREST)
 
     def test_dimension_mismatch_on_predict(self):
         X, y = toy_separable()
-        model = train((X, y), ClassifierKind.LOGISTIC_REGRESSION)
+        model = train(X, y, ClassifierKind.LOGISTIC_REGRESSION)
         with pytest.raises(DimensionMismatch):
             model.scores(np.zeros((2, 9)))
 
     def test_grid_search_selects_from_grid(self):
         X, y = toy_separable(n=80, noise=0.2, seed=3)
         grid = DEFAULT_HYPER_GRID[ClassifierKind.LOGISTIC_REGRESSION]
-        model = train((X, y), ClassifierKind.LOGISTIC_REGRESSION, seed=0,
+        model = train(X, y, ClassifierKind.LOGISTIC_REGRESSION, seed=0,
                       hyper_grid=grid)
         assert model.hyperparameters["learning_rate"] in grid["learning_rate"]
         assert model.hyperparameters["l2"] in grid["l2"]
@@ -88,7 +88,7 @@ class TestTrain:
         y = np.zeros(100, dtype=np.int64)
         y[:10] = 1
         X[:10, 0] += 1.0
-        model = train((X, y), ClassifierKind.LOGISTIC_REGRESSION)
+        model = train(X, y, ClassifierKind.LOGISTIC_REGRESSION)
         w0, w1 = model.class_weights
         assert w1 / w0 == pytest.approx(90 / 10)
 
@@ -96,7 +96,8 @@ class TestTrain:
 class TestPredict:
     def test_separable_regions_and_determinism(self):
         X, y = toy_separable()
-        model = train(as_vectors(X, y), ClassifierKind.RANDOM_FOREST, seed=2)
+        model = train(*feature_matrix(as_vectors(X, y)), ClassifierKind.RANDOM_FOREST,
+                      seed=2)
         probe = np.stack([v.values for v in as_vectors(
             np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]]), [1, 0])])
         score_pos, score_neg = model.scores(probe)
@@ -149,7 +150,7 @@ class TestSerialization:
         """model.json is an export: it names its keys and carries enough to
         reproduce the model's scores without slidscan."""
         X, y = toy_separable(n=80, noise=0.3, seed=7)
-        model = train((X, y), kind, seed=5)
+        model = train(X, y, kind, seed=5)
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
@@ -166,7 +167,7 @@ class TestSerialization:
     def test_non_finite_parameter_is_not_exported(self, tmp_path):
         """model.json is strict JSON: a NaN weight raises, no file is written."""
         X, y = toy_separable(n=80, noise=0.3, seed=7)
-        model = train((X, y), ClassifierKind.LOGISTIC_REGRESSION, seed=5)
+        model = train(X, y, ClassifierKind.LOGISTIC_REGRESSION, seed=5)
         model.model.weights[0] = np.nan
         path = tmp_path / "model.json"
         with pytest.raises(ValueError):
@@ -192,7 +193,7 @@ class TestClassWeightEffect:
                                      np.ones(40, dtype=bool)])
             # train() weights classes; the same fit with uniform weights
             # is the baseline.
-            weighted = train((X, y), ClassifierKind.LOGISTIC_REGRESSION, seed=seed)
+            weighted = train(X, y, ClassifierKind.LOGISTIC_REGRESSION, seed=seed)
             uniform = fit_logistic(X, y, (1.0, 1.0))
             recalls = {}
             for weighting, model in ((True, weighted), (False, uniform)):
@@ -231,8 +232,8 @@ class TestSweep:
     def test_sweep_shapes_and_reproducibility(self, small_dataset):
         d_list = (120, 57)
         windows = prepare_windows(small_dataset, d_list)
-        first = sweep(small_dataset, d_list, seed=3, windows=windows)
-        second = sweep(small_dataset, d_list, seed=3, windows=windows)
+        first = sweep(windows, d_list, seed=3)
+        second = sweep(windows, d_list, seed=3)
         assert first == second
         assert len(first) == len(d_list) * 3
         detectors = {m.detector for m in first}

@@ -1,6 +1,8 @@
 """Windowed feature extraction: canonical names, counts, ratios, monotonicity."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
 
 from conftest import T0, USER, make_order
 
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "feature_schema.md"
+
 # The count features docs/feature_schema.md guarantees never decrease as d grows.
 COUNT_FEATURES = list(OAF_NAMES) + [
     "user_dep", "user_with", "user_buy", "user_sell", "user_count",
@@ -46,6 +50,22 @@ class TestSchema:
         assert len(LPF_NAMES) == 22
         assert FEATURE_NAMES[0] == "owner_dep"
         assert FEATURE_NAMES[-1] == "r_pval_min_on_max"
+
+    def test_schema_doc_tables_match_feature_names(self):
+        """The `| # | name | definition |` rows of docs/feature_schema.md
+        list FEATURE_NAMES in order, and each row's number or range is the
+        1-based position of its names."""
+        names = []
+        for line in SCHEMA_DOC.read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not re.fullmatch(r"\d+(–\d+)?", cells[0]):
+                continue
+            row = re.findall(r"`([a-z0-9_]+)`", cells[1])
+            first, _, last = cells[0].partition("–")
+            assert (int(first), int(last or first)) == \
+                (len(names) + 1, len(names) + len(row)), line
+            names += row
+        assert names == list(FEATURE_NAMES)
 
     def test_vector_shape_and_names_stable(self, pool):
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0)]

@@ -121,12 +121,11 @@ class TestApplyOrder:
         with pytest.raises(NegativePoolValue):
             advance_state(state, T0 + 1, "Withdraw", True, 150.0, 1.0)
 
-    def test_full_drain_freezes_share_and_marks_drained(self):
+    def test_full_drain_freezes_share(self):
         state = LedgerState()
         advance_state(state, T0, "Deposit", True, 100.0, 1.0)
         advance_state(state, T0 + 1, "Withdraw", True, 100.0, 1.0)
         assert state.pool_value_usd == 0.0
-        assert state.drained
         assert state.owner_share == 1.0  # frozen at its prior value
 
     def test_recorded_balance_mismatch_raises_warning_counter(self):

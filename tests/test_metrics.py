@@ -11,13 +11,18 @@ from slidscan.synth import ScenarioConfig, ScenarioKind, generate, oracle_report
 from conftest import OWNER, T0, USER, make_order, make_pool
 
 
+def add(tracker, order):
+    tracker.add(order.timestamp, order.category, order.sender,
+                order.y_base, order.price_base, order.gas_fee_usd)
+
+
 def replayed_to(pool, orders, at):
     """A tracker fed every order with timestamp <= at."""
     tracker = ProfitTracker(pool)
     for order in orders:
         if order.timestamp > at:
             break
-        tracker.add_order(order)
+        add(tracker, order)
     return tracker
 
 
@@ -109,7 +114,7 @@ class TestUnrealizedProfit:
                 early = tracker.report()
                 assert early.unrealized_first_month_usd == \
                     early.unrealized_current_usd
-            tracker.add_order(order)
+            add(tracker, order)
         final = tracker.report()
         assert early is not None
         assert final == profit_report(pool, scenario.orders)

@@ -43,26 +43,20 @@ def report(realized=100.0, unrealized_1m=50.0, impacts=(), owner_orders=10):
 
 class TestHoneypotValidator:
     def test_excess_buy_tax_flags(self):
-        is_honeypot, ok = honeypot_validate(SecurityProfile(buy_tax=0.6), DEFAULT_CONFIG)
-        assert is_honeypot and not ok
+        assert honeypot_validate(SecurityProfile(buy_tax=0.6), DEFAULT_CONFIG)
 
     def test_benign_profile_passes(self):
-        is_honeypot, ok = honeypot_validate(SecurityProfile(), DEFAULT_CONFIG)
-        assert not is_honeypot and ok
+        assert not honeypot_validate(SecurityProfile(), DEFAULT_CONFIG)
 
     def test_cannot_sell_all_flags(self):
-        is_honeypot, _ = honeypot_validate(SecurityProfile(can_sell_all=False),
-                                           DEFAULT_CONFIG)
-        assert is_honeypot
+        assert honeypot_validate(SecurityProfile(can_sell_all=False), DEFAULT_CONFIG)
 
     def test_soft_signals_do_not_flag(self):
-        is_honeypot, ok = honeypot_validate(
+        assert not honeypot_validate(
             SecurityProfile(anti_whale=True, trading_cooldown=True), DEFAULT_CONFIG)
-        assert not is_honeypot and ok
 
     def test_missing_profile_treated_as_pass(self):
-        is_honeypot, ok = honeypot_validate(None, DEFAULT_CONFIG)
-        assert not is_honeypot and ok
+        assert not honeypot_validate(None, DEFAULT_CONFIG)
 
     def test_tax_bounds_validated(self):
         with pytest.raises(ValueError):
