@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union, get_type_hints
 
 from .ledger import Category, DexOrder, LedgerError, PoolRecord
 from .metrics import ProfitReport, ProfitTracker
@@ -58,42 +59,59 @@ _INF = math.inf
 ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
-def pool_to_row(pool: PoolRecord) -> dict:
-    return {
-        "pool_address": pool.pool_address,
-        "base_address": pool.base_address,
-        "paired_address": pool.paired_address,
-        "owner_address": pool.owner_address,
-        "created_time_pool": pool.created_time_pool,
-        "created_time_token": pool.created_time_token,
-        "dex": pool.dex,
-        "name": pool.name,
-        "lpt_burned": pool.lpt_burned,
-        "deployment_gas_usd": pool.deployment_gas_usd,
-    }
+_FLOAT_MAX = sys.float_info.max
+
+# The JSON value each field type of a pool or profile row takes: a test, and
+# what an error line calls it. A number is compared exactly, so an integer
+# beyond the float range fails the test instead of overflowing float().
+_JSON_TYPES = {
+    bool: (lambda value: type(value) is bool, "a boolean"),
+    int: (lambda value: type(value) is int, "an integer"),
+    str: (lambda value: type(value) is str, "a string"),
+    float: (lambda value: (type(value) is float or type(value) is int)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX, "a finite number"),
+}
 
 
-def pool_from_row(row: dict) -> PoolRecord:
-    """A pool row's record: `lpt_burned` must be a JSON boolean and both
-    creation times JSON integers."""
-    lpt_burned = row["lpt_burned"]
-    if type(lpt_burned) is not bool:
-        raise ValueError(f"lpt_burned {lpt_burned!r} is not a boolean")
-    for name in ("created_time_pool", "created_time_token"):
-        if type(row[name]) is not int:
-            raise ValueError(f"{name} {row[name]!r} is not an integer")
-    return PoolRecord(
-        pool_address=row["pool_address"],
-        base_address=row["base_address"],
-        paired_address=row["paired_address"],
-        owner_address=row["owner_address"],
-        created_time_pool=row["created_time_pool"],
-        created_time_token=row["created_time_token"],
-        dex=row.get("dex", "Synthetic"),
-        name=row.get("name", ""),
-        lpt_burned=lpt_burned,
-        deployment_gas_usd=float(row.get("deployment_gas_usd", 0.0)),
-    )
+def _record_fields(cls) -> tuple:
+    """(name, field type, test, what) of every field of `cls`, in declaration
+    order; a field type without a JSON rule raises KeyError."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], *_JSON_TYPES[hints[f.name]])
+                 for f in fields(cls))
+
+
+_RECORD_FIELDS = {cls: _record_fields(cls) for cls in (PoolRecord, SecurityProfile)}
+
+# Pool fields a row may leave out; every other pool field is required, and
+# every profile field takes its benign default.
+_POOL_OPTIONAL = frozenset({"dex", "name", "deployment_gas_usd"})
+_PROFILE_OPTIONAL = frozenset(f.name for f in fields(SecurityProfile))
+
+
+def decode_record(cls, row: dict, optional: frozenset):
+    """The one check of a pool or profile row: each field of `cls` must hold
+    the JSON type its declared type takes (a boolean, an integer that is not
+    a boolean, a string, or a finite number that is not a boolean, read as a
+    float). A field in `optional` may be missing and then takes its default.
+    Raises one of ROW_ERRORS."""
+    values = {}
+    for name, kind, accepts, what in _RECORD_FIELDS[cls]:
+        if name not in row and name in optional:
+            continue
+        value = row[name]
+        if not accepts(value):
+            raise ValueError(f"{name} {value!r} is not {what}")
+        values[name] = float(value) if kind is float else value
+    return cls(**values)
+
+
+def record_to_row(record, **key) -> dict:
+    """A pool or profile row: any key column first (a profile's
+    `token_address`), then the record's fields in declaration order."""
+    for name, *_ in _RECORD_FIELDS[type(record)]:
+        key[name] = getattr(record, name)
+    return key
 
 
 def order_to_row(order: DexOrder) -> dict:
@@ -120,25 +138,28 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
     """The one check of outside order values, for batch and streaming alike.
 
     Every column but the pool address is checked here: an `int` block, a
-    `str` hash, both legs, a finite non-negative price_paired, and recorded
-    balances that are null or parse as floats. Returns every field of the
-    row's `DexOrder`, in `DexOrder` field order, each parsed once: the
-    category is the shared `Category` member, amounts are floats, and a
-    missing price_paired or gas_fee_usd is 0.0. Raises one of ROW_ERRORS."""
+    `str` hash and sender, both legs, a finite non-negative price_paired,
+    and recorded balances that are null or parse as floats. Returns every
+    field of the row's `DexOrder`, in `DexOrder` field order, each parsed
+    once: the category is the shared `Category` member, amounts are floats,
+    and a missing price_paired or gas_fee_usd is 0.0. Raises one of
+    ROW_ERRORS."""
     timestamp = row["timestamp"]
     block = row["block"]
     tx_hash = row["hash"]
+    sender = row["sender"]
     category = row["category"]
     y_paired = float(row["y_paired"])
     y_base = float(row["y_base"])
     price_base = float(row["price_base"])
     gas_fee_usd = float(row.get("gas_fee_usd", 0.0))
     if (type(timestamp) is not int or type(block) is not int
-            or type(tx_hash) is not str or category not in _CATEGORIES
+            or type(tx_hash) is not str or type(sender) is not str
+            or category not in _CATEGORIES
             or not (0.0 <= y_paired < _INF and 0.0 <= y_base < _INF
                     and 0.0 < price_base < _INF and -_INF < gas_fee_usd < _INF)):
-        raise ValueError(_order_fault(timestamp, block, tx_hash, category, y_paired,
-                                      y_base, price_base, gas_fee_usd))
+        raise ValueError(_order_fault(timestamp, block, tx_hash, sender, category,
+                                      y_paired, y_base, price_base, gas_fee_usd))
     price_paired = float(row.get("price_paired", 0.0))
     if not 0.0 <= price_paired < _INF:
         raise ValueError("price_paired must be finite and non-negative")
@@ -149,17 +170,19 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
     if x_base is not None:
         x_base = float(x_base)
     return (block, timestamp, tx_hash, _CATEGORIES[category], row["pool_address"],
-            row["sender"], x_paired, x_base, y_paired, y_base, price_paired,
+            sender, x_paired, x_base, y_paired, y_base, price_paired,
             price_base, gas_fee_usd)
 
 
-def _order_fault(timestamp, block, tx_hash, category, *amounts: float) -> str:
+def _order_fault(timestamp, block, tx_hash, sender, category, *amounts: float) -> str:
     if type(timestamp) is not int:
         return f"timestamp {timestamp!r} is not an integer"
     if type(block) is not int:
         return f"block {block!r} is not an integer"
     if type(tx_hash) is not str:
         return f"hash {tx_hash!r} is not a string"
+    if type(sender) is not str:
+        return f"sender {sender!r} is not a string"
     if category not in _CATEGORIES:
         return f"unknown category {category!r}"
     if not all(map(math.isfinite, amounts)):
@@ -172,29 +195,6 @@ def order_from_row(row: dict) -> DexOrder:
     return DexOrder(*decode_order(row))
 
 
-# (field name, whether it is a flag) of every SecurityProfile field.
-_PROFILE_FIELDS = tuple((f.name, type(f.default) is bool) for f in fields(SecurityProfile))
-
-
-def profile_to_row(token_address: str, profile: SecurityProfile) -> dict:
-    row = {"token_address": token_address}
-    for name, _ in _PROFILE_FIELDS:
-        row[name] = getattr(profile, name)
-    return row
-
-
-def profile_from_row(row: dict) -> Tuple[str, SecurityProfile]:
-    """A missing field takes the benign default; a flag must be a JSON boolean."""
-    kwargs = {}
-    for name, is_flag in _PROFILE_FIELDS:
-        if name in row:
-            value = row[name]
-            if is_flag and type(value) is not bool:
-                raise ValueError(f"{name} {value!r} is not a boolean")
-            kwargs[name] = value
-    return row["token_address"], SecurityProfile(**kwargs)
-
-
 def dump_row(row: dict) -> str:
     """Canonical one-line serialization used by every JSONL writer."""
     return json.dumps(row, separators=(",", ":"))
@@ -204,44 +204,37 @@ def dump_row(row: dict) -> str:
 # Writers
 # ---------------------------------------------------------------------------
 
-def anonymize_row(row: dict, address_keys: Tuple[str, ...]) -> dict:
-    for key in address_keys:
-        value = row.get(key)
-        if isinstance(value, str):
-            row[key] = anonymize_address(value)
-    return row
+def _write_rows(rows: Iterable[dict], path: PathLike, address_keys: Tuple[str, ...],
+                anonymize: bool, append: bool = False) -> None:
+    """The one JSONL writer loop; with `anonymize`, each of `address_keys`
+    is shortened by `anonymize_address`."""
+    if not anonymize:
+        address_keys = ()
+    with open(path, "a" if append else "w") as handle:
+        for row in rows:
+            for key in address_keys:
+                row[key] = anonymize_address(row[key])
+            handle.write(dump_row(row) + "\n")
 
 
 def write_pools_jsonl(pools: Iterable[PoolRecord], path: PathLike,
                       anonymize: bool = False) -> None:
-    keys = ("pool_address", "base_address", "paired_address", "owner_address")
-    with open(path, "w") as handle:
-        for pool in pools:
-            row = pool_to_row(pool)
-            if anonymize:
-                row = anonymize_row(row, keys)
-            handle.write(dump_row(row) + "\n")
+    _write_rows(map(record_to_row, pools), path,
+                ("pool_address", "base_address", "paired_address", "owner_address"),
+                anonymize)
 
 
 def write_orders_jsonl(orders: Iterable[DexOrder], path: PathLike,
                        anonymize: bool = False, append: bool = False) -> None:
-    keys = ("hash", "pool_address", "sender")
-    with open(path, "a" if append else "w") as handle:
-        for order in orders:
-            row = order_to_row(order)
-            if anonymize:
-                row = anonymize_row(row, keys)
-            handle.write(dump_row(row) + "\n")
+    _write_rows(map(order_to_row, orders), path, ("hash", "pool_address", "sender"),
+                anonymize, append)
 
 
 def write_profiles_jsonl(profiles: Dict[str, SecurityProfile], path: PathLike,
                          anonymize: bool = False) -> None:
-    with open(path, "w") as handle:
-        for token_address in profiles:
-            row = profile_to_row(token_address, profiles[token_address])
-            if anonymize:
-                row = anonymize_row(row, ("token_address",))
-            handle.write(dump_row(row) + "\n")
+    _write_rows((record_to_row(profile, token_address=token)
+                 for token, profile in profiles.items()),
+                path, ("token_address",), anonymize)
 
 
 # ---------------------------------------------------------------------------
@@ -331,40 +324,39 @@ def ledger_fault(path: PathLike, lineno: int, exc: LedgerError) -> SchemaError:
     return SchemaError(path, lineno, f"{type(exc).__name__}: {exc}")
 
 
-def read_pools(path: PathLike) -> Dict[str, PoolRecord]:
-    """Pool records by address, in file order: the one pool-file reader.
-    A pool address may appear on one row only."""
-    pools: Dict[str, PoolRecord] = {}
+def _read_keyed(path: PathLike, cls, key: str, optional: frozenset,
+                what: str) -> dict:
+    """Records by their key column, in file order: the one pool and profile
+    reader. The key must be a string and may appear on one row only."""
+    records = {}
     for lineno, row in iter_jsonl(path):
         try:
-            pool = pool_from_row(row)
-            if pool.pool_address in pools:
-                raise ValueError(f"pool_address {pool.pool_address!r} repeats an "
-                                 "earlier row")
+            address = row[key]
+            if type(address) is not str:
+                raise ValueError(f"{key} {address!r} is not a string")
+            if address in records:
+                raise ValueError(f"{key} {address!r} repeats an earlier row")
+            records[address] = decode_record(cls, row, optional)
         except ROW_ERRORS as exc:
-            raise SchemaError(path, lineno, f"bad pool row: {exc}") from exc
-        pools[pool.pool_address] = pool
+            raise SchemaError(path, lineno, f"bad {what} row: {exc}") from exc
+    return records
+
+
+def read_pools(path: PathLike) -> Dict[str, PoolRecord]:
+    """Pool records by address, in file order."""
+    pools = _read_keyed(path, PoolRecord, "pool_address", _POOL_OPTIONAL, "pool")
     if not pools:
         raise EmptyDataset(f"no usable pools in {path}")
     return pools
 
 
 def read_profiles(path: Optional[PathLike]) -> Dict[str, SecurityProfile]:
-    """Security profiles by token address: the one profile-file reader.
-    Without a file every pool's profile is unknown. A token address may
-    appear on one row only."""
-    profiles: Dict[str, SecurityProfile] = {}
-    if path is not None:
-        for lineno, row in iter_jsonl(path):
-            try:
-                token, profile = profile_from_row(row)
-                if token in profiles:
-                    raise ValueError(f"token_address {token!r} repeats an "
-                                     "earlier row")
-                profiles[token] = profile
-            except ROW_ERRORS as exc:
-                raise SchemaError(path, lineno, f"bad profile row: {exc}") from exc
-    return profiles
+    """Security profiles by token address. Without a file every pool's
+    profile is unknown."""
+    if path is None:
+        return {}
+    return _read_keyed(path, SecurityProfile, "token_address", _PROFILE_OPTIONAL,
+                       "profile")
 
 
 def ingest(pool_file: PathLike, orders_file: PathLike,

@@ -323,6 +323,8 @@ class TestBadOrderRows:
                      "bad order row: 'hash'", id="no-hash"),
         pytest.param(lambda row: {**row, "hash": 5},
                      "bad order row: hash 5 is not a string", id="integer-hash"),
+        pytest.param(lambda row: {**row, "sender": 5},
+                     "bad order row: sender 5 is not a string", id="non-string-sender"),
         pytest.param(lambda row: {k: v for k, v in row.items() if k != "block"},
                      "bad order row: 'block'", id="no-block"),
         pytest.param(lambda row: {**row, "block": row["block"] + 0.5},
@@ -369,18 +371,43 @@ class TestBadPoolAndProfileRows:
         pytest.param("profiles.jsonl", "transfer_pausable", 0,
                      "bad profile row: transfer_pausable 0 is not a boolean",
                      id="int-transfer_pausable"),
+        pytest.param("profiles.jsonl", "buy_tax", True,
+                     "bad profile row: buy_tax True is not a finite number",
+                     id="boolean-buy_tax"),
+        pytest.param("profiles.jsonl", "sell_tax", "0.9",
+                     "bad profile row: sell_tax '0.9' is not a finite number",
+                     id="string-sell_tax"),
+        pytest.param("pools.jsonl", "deployment_gas_usd", "12",
+                     "bad pool row: deployment_gas_usd '12' is not a finite number",
+                     id="string-deployment_gas_usd"),
+        pytest.param("pools.jsonl", "deployment_gas_usd", True,
+                     "bad pool row: deployment_gas_usd True is not a finite number",
+                     id="boolean-deployment_gas_usd"),
+        pytest.param("pools.jsonl", "deployment_gas_usd", "1e400",
+                     "bad pool row: deployment_gas_usd inf is not a finite number",
+                     id="overflowing-deployment_gas_usd"),
+        pytest.param("pools.jsonl", "owner_address", None,
+                     "bad pool row: owner_address None is not a string",
+                     id="null-owner_address"),
+        pytest.param("pools.jsonl", "dex", 7, "bad pool row: dex 7 is not a string",
+                     id="integer-dex"),
     ])
     @pytest.mark.parametrize("command", ["detect", "features", "trend"])
     def test_flag_must_be_json_boolean(self, corpus, tmp_path, capsys, command,
                                        name, field, value, message):
-        """A flag that is not a JSON boolean is a bad row, not a truthy
-        string that silently changes verdicts."""
+        """A flag that is not a JSON boolean, or any other field that is not
+        of its JSON type, is a bad row, not a value that silently changes
+        verdicts. The value "1e400" is written as that bare JSON number,
+        which reads as infinity."""
         def set_flag(rows):
             rows[2][field] = value
             return 3
 
         bad = tmp_path / "bad"
         lineno = mutated_corpus(corpus, bad, set_flag, name)
+        if value == "1e400":
+            path = bad / name
+            path.write_text(path.read_text().replace('"1e400"', "1e400"))
         assert run_on(command, bad, tmp_path) == 2
         assert capsys.readouterr().err == (
             f'error code=2 kind=SchemaError msg="{bad / name} line {lineno}: {message}"\n')
@@ -407,10 +434,12 @@ class TestBadPoolAndProfileRows:
             f'line {lineno}: bad profile row: taxes must be fractions in [0, 1]"\n')
 
     @pytest.mark.parametrize("value,message", [
-        pytest.param([1], "bad profile row: unhashable type: 'list'",
+        pytest.param([1], "bad profile row: token_address [1] is not a string",
                      id="array-token_address"),
         pytest.param(None, "bad profile row: token_address {token!r} repeats an "
                      "earlier row", id="repeated-token_address"),
+        pytest.param(5, "bad profile row: token_address 5 is not a string",
+                     id="integer-token_address"),
     ])
     @pytest.mark.parametrize("command", ["detect", "features", "trend"])
     def test_profile_token_address(self, corpus, tmp_path, capsys, command,

@@ -3,6 +3,7 @@
 import json
 import tempfile
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,16 @@ from slidscan.dataio import (
     order_from_row,
     order_to_row,
     read_pools,
+    read_profiles,
+    record_to_row,
     write_orders_jsonl,
     write_pools_jsonl,
     write_profiles_jsonl,
 )
-from slidscan.ledger import Category
+from slidscan.ledger import Category, PoolRecord
 from slidscan.metrics import ProfitTracker
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
+from slidscan.validators import SecurityProfile
 
 from conftest import make_order, make_pool
 
@@ -169,6 +173,26 @@ class TestIngestContracts:
         (tmp_path / "pools.jsonl").write_text("")
         with pytest.raises(EmptyDataset):
             read_pools(tmp_path / "pools.jsonl")
+
+    @pytest.mark.parametrize("read,record,name", [
+        pytest.param(read_pools, make_pool(), f.name, id=f"pool-{f.name}")
+        for f in fields(PoolRecord)] + [
+        pytest.param(read_profiles, SecurityProfile(), f.name, id=f"profile-{f.name}")
+        for f in fields(SecurityProfile)])
+    def test_field_of_wrong_json_type_is_schema_error(self, tmp_path, read, record,
+                                                      name):
+        """Every pool and profile field rejects a value of another JSON
+        type: a string field an integer, any other field its value spelled
+        as a JSON string."""
+        right = getattr(record, name)
+        wrong = 7 if isinstance(right, str) else json.dumps(right)
+        key = {} if read is read_pools else {"token_address": "0xtoken"}
+        row = {**record_to_row(record, **key), name: wrong}
+        (tmp_path / "rows.jsonl").write_text(dump_row(row) + "\n")
+        with pytest.raises(SchemaError) as err:
+            read(tmp_path / "rows.jsonl")
+        assert err.value.lineno == 1
+        assert f" row: {name} {wrong!r} is not " in str(err.value)
 
 
 class TestAnonymize:
