@@ -25,7 +25,7 @@ from .validators import (
     profit_validate,
     rugpull_detect,
 )
-from .features import FEATURE_NAMES, FeatureVector, extract_features
+from .features import FEATURE_NAMES, extract_with_report
 from .synth import (
     GeneratedScenario,
     InfeasibleConfig,

@@ -22,13 +22,15 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from . import analysis, dataio, earlywarn, features, pipeline, synth
 from .config import ConfigError, load_heuristic_config, parse_kv_file
 from .dataio import EmptyDataset, SchemaError
 from .earlywarn import ClassifierKind, DEFAULT_D_LIST, SingleClassInput
 from .ledger import LedgerError
 from .models import ScaleOverflow
-from .synth import InfeasibleConfig
+from .synth import InfeasibleConfig, ScenarioKind
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label
 
 
@@ -134,15 +136,27 @@ def cmd_detect(args) -> int:
 
 
 def _load_labels_csv(path) -> Dict[str, bool]:
-    slid_kinds = {"SLID", "SlidSlow", "SlidMultiAddress"}
+    """SLID or not per pool, from a `generate` labels.csv: the header
+    `pool_address,true_label`, then one row per pool whose label is a
+    ScenarioKind value. Anything else raises SchemaError with its line."""
+    slid_kinds = {ScenarioKind.SLID, ScenarioKind.SLID_SLOW,
+                  ScenarioKind.SLID_MULTI_ADDRESS}
     labels: Dict[str, bool] = {}
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if "pool_address" not in (reader.fieldnames or ()):
-            raise SchemaError(path, 1, "labels CSV has no pool_address column")
+        reader = csv.reader(handle)
+        if next(reader, None) != ["pool_address", "true_label"]:
+            raise SchemaError(path, 1, "labels CSV header is not pool_address,true_label")
         for row in reader:
-            value = row.get("true_label") or row.get("label") or ""
-            labels[row["pool_address"]] = value in slid_kinds or value == "1"
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"{len(row)} columns, expected 2")
+                address, value = row
+                if address in labels:
+                    raise ValueError(f"pool_address {address!r} repeats an earlier row")
+                labels[address] = ScenarioKind(value) in slid_kinds
+            except ValueError as exc:
+                raise SchemaError(path, reader.line_num,
+                                  f"bad labels row: {exc}") from exc
     return labels
 
 
@@ -162,22 +176,23 @@ def cmd_features(args) -> int:
     else:
         analysis.enrich(dataset, cfg)
         label_map = dataset.slid_labels()
-    vectors = []
-    for address, pool in dataset.pools.items():
-        vectors.append(features.extract_features(
-            pool, dataset.orders[address], args.window,
-            label=label_map.get(address, False)))
-    features.write_features_csv(vectors, args.out, anonymize=args.anonymize)
-    print(f"features: {len(vectors)} pools, {_orders_summary(dataset)} at window "
+    addresses = list(dataset.pools)
+    X = np.zeros((len(addresses), features.FEATURE_COUNT))
+    for i, (address, pool) in enumerate(dataset.pools.items()):
+        [(X[i], _)] = features.extract_with_report(pool, dataset.orders[address],
+                                                   (args.window,))
+    labels = [label_map.get(address, False) for address in addresses]
+    features.write_features_csv(addresses, args.window, labels, X, args.out,
+                                anonymize=args.anonymize)
+    print(f"features: {len(addresses)} pools, {_orders_summary(dataset)} at window "
           f"d={args.window} -> {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    vectors = features.read_features_csv(args.features)
-    if not vectors:
+    X, y = features.read_features_csv(args.features)
+    if not len(y):
         raise SingleClassInput("empty training matrix")
-    X, y = features.feature_matrix(vectors)
     kind = ClassifierKind(args.model)
     grid = earlywarn.DEFAULT_HYPER_GRID[kind] if args.grid else None
     try:
@@ -187,7 +202,7 @@ def cmd_train(args) -> int:
         raise SchemaError(args.features, 1, f"feature column "
                           f"{features.FEATURE_NAMES[exc.column]}: {exc.reason}") from exc
     earlywarn.save_model(model, args.out)
-    print(f"trained {kind.value} on {len(vectors)} rows "
+    print(f"trained {kind.value} on {len(y)} rows "
           f"(hyperparameters {model.hyperparameters}) -> {args.out}")
     return 0
 
@@ -204,10 +219,8 @@ def cmd_sweep(args) -> int:
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(*_corpus_files(args.corpus))
     analysis.enrich(dataset, cfg)
-    grid = ({kind: earlywarn.DEFAULT_HYPER_GRID[kind] for kind in ClassifierKind}
-            if args.grid else None)
     windows = earlywarn.prepare_windows(dataset, args.d_list, cfg)
-    results = earlywarn.sweep(windows, args.d_list, seed=args.seed, hyper_grid=grid)
+    results = earlywarn.sweep(windows, args.d_list, seed=args.seed)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["detector", "d", "accuracy", "precision", "recall",
@@ -296,7 +309,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d-list", type=_d_list,
                    default=",".join(str(d) for d in DEFAULT_D_LIST))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", action="store_true")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -137,7 +137,9 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
                                      float, float, float, float, float]:
     """The one check of outside order values, for batch and streaming alike.
 
-    Every column but the pool address is checked here: an `int` block, a
+    Every column but the pool address is checked here (a known pool's
+    address is a string; `ingest` and `pipeline.stream_detect` check an
+    address their pool table does not hold): an `int` block, a
     `str` hash and sender, both legs, a finite non-negative price_paired,
     and recorded balances that are null or parse as floats. Returns every
     field of the row's `DexOrder`, in `DexOrder` field order, each parsed
@@ -380,8 +382,14 @@ def ingest(pool_file: PathLike, orders_file: PathLike,
     skipped = 0
     for lineno, row in iter_jsonl(orders_file):
         try:
-            book = books.get(row["pool_address"])
+            address = row["pool_address"]
+            try:
+                book = books.get(address)
+            except TypeError:    # an unhashable address: an array or an object
+                book = None
             if book is None:
+                if type(address) is not str:
+                    raise ValueError(f"pool_address {address!r} is not a string")
                 skipped += 1
                 continue
             order = order_from_row(row)

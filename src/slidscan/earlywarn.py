@@ -21,11 +21,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .features import (
-    FEATURE_NAMES,
-    FeatureVector,
-    extract_with_report,
-)
+from .features import FEATURE_COUNT, FEATURE_NAMES, extract_with_report
 from .dataio import Dataset
 from .models import balanced_class_weights, fit_forest, fit_logistic
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label, classify_pool
@@ -256,9 +252,10 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 @dataclass
 class WindowedCorpus:
     """Features and truncated-window heuristic calls for every window,
-    from one replay per pool."""
+    from one replay per pool. Row i of X_by_d[d] (pools x 57) and entry i
+    of heuristic_by_d[d] and labels belong to pool_addresses[i]."""
 
-    vectors_by_d: Dict[int, List[FeatureVector]]
+    X_by_d: Dict[int, np.ndarray]
     heuristic_by_d: Dict[int, np.ndarray]
     labels: np.ndarray
     pool_addresses: List[str]
@@ -285,17 +282,16 @@ def prepare_windows(dataset: Dataset, d_list: Sequence[int],
         raise SingleClassInput(
             "a held-out split needs at least 2 pools in each verdict class, got "
             f"{positives} SLID and {others} other")
-    vectors_by_d: Dict[int, List[FeatureVector]] = {d: [] for d in d_list}
+    X_by_d = {d: np.zeros((len(addresses), FEATURE_COUNT)) for d in d_list}
     heuristic_by_d = {d: np.zeros(len(addresses), dtype=bool) for d in d_list}
     for i, (address, pool) in enumerate(dataset.pools.items()):
         profile = dataset.profile_for(pool)
-        windows = extract_with_report(pool, dataset.orders[address], d_list,
-                                      label=bool(labels[i]))
-        for d, (vector, report) in zip(d_list, windows):
-            vectors_by_d[d].append(vector)
+        windows = extract_with_report(pool, dataset.orders[address], d_list)
+        for d, (values, report) in zip(d_list, windows):
+            X_by_d[d][i] = values
             verdict = classify_pool(pool, profile, report, cfg)
             heuristic_by_d[d][i] = verdict.label == Label.SLID
-    return WindowedCorpus(vectors_by_d, heuristic_by_d, labels, addresses)
+    return WindowedCorpus(X_by_d, heuristic_by_d, labels, addresses)
 
 
 HEURISTIC_DETECTOR = "Heuristic"
@@ -306,8 +302,8 @@ TEST_FRACTION = 0.2
 PLATEAU_FRACTION = 0.95
 
 
-def sweep(windows: WindowedCorpus, d_list: Sequence[int], seed: int = 0,
-          hyper_grid: Optional[Dict[str, Dict[str, list]]] = None) -> List[EvalMetrics]:
+def sweep(windows: WindowedCorpus, d_list: Sequence[int],
+          seed: int = 0) -> List[EvalMetrics]:
     """Evaluate every detector at every window of `d_list` on a held-out
     stratified split (TEST_FRACTION of each class) of the pools that
     `prepare_windows` extracted `windows` from.
@@ -320,16 +316,12 @@ def sweep(windows: WindowedCorpus, d_list: Sequence[int], seed: int = 0,
                                            TEST_FRACTION, seed)
     results: List[EvalMetrics] = []
     for d in d_list:
-        vectors = windows.vectors_by_d[d]
-        X = np.stack([v.values for v in vectors])
+        X = windows.X_by_d[d]
         for detector in DETECTORS:
             if detector == HEURISTIC_DETECTOR:
                 pred = windows.heuristic_by_d[d][test_idx]
             else:
-                kind = ClassifierKind(detector)
-                grid = hyper_grid.get(kind) if hyper_grid else None
-                model = train(X[train_idx], labels[train_idx], kind, seed=seed,
-                              hyper_grid=grid)
+                model = train(X[train_idx], labels[train_idx], detector, seed=seed)
                 pred = model.scores(X[test_idx]) >= model.threshold
             tp, fp, tn, fn = confusion_counts(labels[test_idx], pred)
             results.append(metrics_from_confusion(tp, fp, tn, fn, d, detector))

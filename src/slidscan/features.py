@@ -13,15 +13,14 @@ covers four groups:
        their six-plus-six pairwise ratios
 
 Ratios with zero denominators never produce non-finite values: 0/0 becomes 0
-and x/0 is capped at RATIO_CAP, in both cases with the per-feature missing
-flag set. Day buckets are 86,400-second windows anchored at pool deployment.
+and x/0 is capped at RATIO_CAP. Day buckets are 86,400-second windows
+anchored at pool deployment.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,58 +71,33 @@ assert FEATURE_COUNT == 57
 _INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
-@dataclass
-class FeatureVector:
-    """One pool's features over a d-day window, in canonical order."""
-
-    pool_address: str
-    window_days: int
-    values: np.ndarray             # float64, shape (57,)
-    missing: np.ndarray            # bool, shape (57,)
-    label: Optional[bool] = None
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[_INDEX[name]])
-
-
 def _set(values: np.ndarray, name: str, value: float) -> None:
     values[_INDEX[name]] = value
 
 
-def _set_ratio(values: np.ndarray, missing: np.ndarray, name: str,
-               num: float, den: float) -> None:
-    i = _INDEX[name]
+def _ratio(num: float, den: float) -> float:
+    """num / den; 0/0 is 0 and x/0 is RATIO_CAP with the sign of x."""
     if den == 0.0:
-        missing[i] = True
-        values[i] = 0.0 if num == 0.0 else math.copysign(RATIO_CAP, num)
-    else:
-        values[i] = num / den
-
-
-def extract_features(pool: PoolRecord, orders: Sequence[DexOrder], d: int,
-                     label: Optional[bool] = None) -> FeatureVector:
-    """Feature vector from the pool's orders within d days of deployment.
-
-    `orders` is the pool's stream in execution order, timestamps never
-    decreasing; orders at or beyond the window end are ignored, so passing
-    the full history or a pre-truncated prefix is equivalent.
-    """
-    [(vector, _)] = extract_with_report(pool, orders, (d,), label)
-    return vector
+        return 0.0 if num == 0.0 else math.copysign(RATIO_CAP, num)
+    return num / den
 
 
 def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
-                        d_list: Sequence[int], label: Optional[bool] = None
-                        ) -> List[Tuple[FeatureVector, ProfitReport]]:
-    """extract_features and the windowed profit report, for every d in d_list.
+                        d_list: Sequence[int]
+                        ) -> List[Tuple[np.ndarray, ProfitReport]]:
+    """The 57 feature values and the profit report of the pool's orders
+    within d days of deployment, for every d in d_list.
 
-    One replay of the orders in the order given (execution order, as
-    `dataio.ingest` keeps it), up to the end of the largest window, serves
+    `orders` is the pool's stream in execution order (as `dataio.ingest`
+    keeps it), timestamps never decreasing; orders at or beyond a window's
+    end are outside it, so the full history and a pre-truncated prefix give
+    the same window. One replay, up to the end of the largest window, serves
     every window: when the replay reaches a window's end, that window's
-    vector and report are read from the running state. Returns one
-    (FeatureVector, ProfitReport) pair per entry of `d_list`, in `d_list`
-    order; a repeated d gets the same pair. A window with no orders is not an
-    error: it yields the all-zero vector with every missing flag set.
+    values and report are read from the running state. Returns one
+    (values, ProfitReport) pair per entry of `d_list`, in `d_list` order,
+    where values is a float64 array of shape (57,) in FEATURE_NAMES order; a
+    repeated d gets the same pair. A window with no orders is not an error:
+    its values are all zero.
     """
     if any(d < 1 for d in d_list):
         raise ValueError("window must be at least one day")
@@ -141,7 +115,7 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
     pval_max = -math.inf
     last_ts: Optional[int] = None
 
-    by_d: Dict[int, Tuple[FeatureVector, ProfitReport]] = {}
+    by_d: Dict[int, Tuple[np.ndarray, ProfitReport]] = {}
     stream = iter(orders)
     order = next(stream, None)
     for d in sorted(set(d_list)):
@@ -165,26 +139,23 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
             last_ts = order.timestamp
             order = next(stream, None)
         report = tracker.report()
-        vector = _window_vector(pool, d, label, report, counts,
-                                len(all_users), day_users, day_volume,
-                                day_close, pval_min, pval_max, last_ts)
-        by_d[d] = (vector, report)
+        values = _window_values(pool, d, report, counts, len(all_users),
+                                day_users, day_volume, day_close, pval_min,
+                                pval_max, last_ts)
+        by_d[d] = (values, report)
     return [by_d[d] for d in d_list]
 
 
-def _window_vector(pool: PoolRecord, d: int,
-                   label: Optional[bool], report: ProfitReport,
+def _window_values(pool: PoolRecord, d: int, report: ProfitReport,
                    counts: Dict[tuple, int], user_count: int,
                    day_users: Dict[int, set], day_volume: Dict[int, float],
                    day_close: Dict[int, float], pval_min: float,
-                   pval_max: float, last_ts: Optional[int]) -> FeatureVector:
-    """One window's vector from the replay's running state, which it only
+                   pval_max: float, last_ts: Optional[int]) -> np.ndarray:
+    """One window's values from the replay's running state, which it only
     reads: the replay goes on to later windows after it."""
     values = np.zeros(FEATURE_COUNT, dtype=np.float64)
-    missing = np.zeros(FEATURE_COUNT, dtype=bool)
     if last_ts is None:
-        missing[:] = True
-        return FeatureVector(pool.pool_address, d, values, missing, label)
+        return values
 
     _set(values, "owner_dep", counts[("owner", Category.DEPOSIT)])
     _set(values, "owner_with", counts[("owner", Category.WITHDRAW)])
@@ -207,12 +178,12 @@ def _window_vector(pool: PoolRecord, d: int,
     _set(values, "user_count_high", u_high)
     _set(values, "user_count_last", u_last)
     _set(values, "user_count_low", u_low)
-    _set_ratio(values, missing, "r_user_first_on_high", u_first, u_high)
-    _set_ratio(values, missing, "r_user_last_on_low", u_last, u_low)
-    _set_ratio(values, missing, "r_user_first_on_low", u_first, u_low)
-    _set_ratio(values, missing, "r_user_first_on_last", u_first, u_last)
-    _set_ratio(values, missing, "r_user_last_on_high", u_last, u_high)
-    _set_ratio(values, missing, "r_user_low_on_high", u_low, u_high)
+    _set(values, "r_user_first_on_high", _ratio(u_first, u_high))
+    _set(values, "r_user_last_on_low", _ratio(u_last, u_low))
+    _set(values, "r_user_first_on_low", _ratio(u_first, u_low))
+    _set(values, "r_user_first_on_last", _ratio(u_first, u_last))
+    _set(values, "r_user_last_on_high", _ratio(u_last, u_high))
+    _set(values, "r_user_low_on_high", _ratio(u_low, u_high))
 
     invested = report.invested_usd
     realized = report.returned_usd
@@ -222,24 +193,20 @@ def _window_vector(pool: PoolRecord, d: int,
     _set(values, "owner_realized", realized)
     _set(values, "owner_unrealized", unrealized)
     _set(values, "owner_total_pnl", total_pnl)
-    _set_ratio(values, missing, "r_owner_total_on_invested", total_pnl, invested)
-    _set_ratio(values, missing, "r_owner_realized_on_invested", realized, invested)
-    _set_ratio(values, missing, "r_owner_roi", realized - invested, invested)
-    _set_ratio(values, missing, "r_owner_unrealized_on_realized", unrealized, realized)
-    _set_ratio(values, missing, "r_owner_unrealized_on_invested", unrealized, invested)
+    _set(values, "r_owner_total_on_invested", _ratio(total_pnl, invested))
+    _set(values, "r_owner_realized_on_invested", _ratio(realized, invested))
+    _set(values, "r_owner_roi", _ratio(realized - invested, invested))
+    _set(values, "r_owner_unrealized_on_realized", _ratio(unrealized, realized))
+    _set(values, "r_owner_unrealized_on_invested", _ratio(unrealized, invested))
     _set(values, "owner_taking_count", report.profit_taking_count)
 
     i_min, i_max, i_avg = report.min_impact, report.max_impact, report.mean_impact
-    if report.profit_taking_count == report.undefined_impacts:
-        missing[_INDEX["impact_min"]] = True
-        missing[_INDEX["impact_max"]] = True
-        missing[_INDEX["impact_avg"]] = True
     _set(values, "impact_min", i_min)
     _set(values, "impact_max", i_max)
     _set(values, "impact_avg", i_avg)
-    _set_ratio(values, missing, "r_impact_min_on_avg", i_min, i_avg)
-    _set_ratio(values, missing, "r_impact_max_on_avg", i_max, i_avg)
-    _set_ratio(values, missing, "r_impact_min_on_max", i_min, i_max)
+    _set(values, "r_impact_min_on_avg", _ratio(i_min, i_avg))
+    _set(values, "r_impact_max_on_avg", _ratio(i_max, i_avg))
+    _set(values, "r_impact_min_on_max", _ratio(i_min, i_max))
 
     lifetime_days = (last_ts - pool.created_time_pool) // SECONDS_PER_DAY + 1
     _set(values, "age_days", min(d, lifetime_days))
@@ -263,73 +230,67 @@ def _window_vector(pool: PoolRecord, d: int,
     _set(values, "pval_min", pval_min)
     _set(values, "pval_max", pval_max)
 
-    _set_ratio(values, missing, "r_vol_first_on_last", v_first, v_last)
-    _set_ratio(values, missing, "r_vol_first_on_min", v_first, v_min)
-    _set_ratio(values, missing, "r_vol_first_on_max", v_first, v_max)
-    _set_ratio(values, missing, "r_vol_last_on_min", v_last, v_min)
-    _set_ratio(values, missing, "r_vol_last_on_max", v_last, v_max)
-    _set_ratio(values, missing, "r_vol_min_on_max", v_min, v_max)
-    _set_ratio(values, missing, "r_pval_first_on_last", p_first, p_last)
-    _set_ratio(values, missing, "r_pval_first_on_min", p_first, pval_min)
-    _set_ratio(values, missing, "r_pval_first_on_max", p_first, pval_max)
-    _set_ratio(values, missing, "r_pval_last_on_min", p_last, pval_min)
-    _set_ratio(values, missing, "r_pval_last_on_max", p_last, pval_max)
-    _set_ratio(values, missing, "r_pval_min_on_max", pval_min, pval_max)
+    _set(values, "r_vol_first_on_last", _ratio(v_first, v_last))
+    _set(values, "r_vol_first_on_min", _ratio(v_first, v_min))
+    _set(values, "r_vol_first_on_max", _ratio(v_first, v_max))
+    _set(values, "r_vol_last_on_min", _ratio(v_last, v_min))
+    _set(values, "r_vol_last_on_max", _ratio(v_last, v_max))
+    _set(values, "r_vol_min_on_max", _ratio(v_min, v_max))
+    _set(values, "r_pval_first_on_last", _ratio(p_first, p_last))
+    _set(values, "r_pval_first_on_min", _ratio(p_first, pval_min))
+    _set(values, "r_pval_first_on_max", _ratio(p_first, pval_max))
+    _set(values, "r_pval_last_on_min", _ratio(p_last, pval_min))
+    _set(values, "r_pval_last_on_max", _ratio(p_last, pval_max))
+    _set(values, "r_pval_min_on_max", _ratio(pval_min, pval_max))
 
-    return FeatureVector(pool.pool_address, d, values, missing, label)
+    return values
 
 
 # ---------------------------------------------------------------------------
-# Matrix helpers and CSV export
+# CSV export
 # ---------------------------------------------------------------------------
 
-def feature_matrix(vectors: Sequence[FeatureVector]):
-    """Stack vectors into (X, y) arrays; vectors must carry labels."""
-    X = np.stack([v.values for v in vectors])
-    y = np.array([1 if v.label else 0 for v in vectors], dtype=np.int64)
-    return X, y
+_CSV_HEADER = ["pool_address", "window_days", "label"] + list(FEATURE_NAMES)
 
 
-def write_features_csv(vectors: Sequence[FeatureVector],
-                       path: Union[str, Path],
-                       anonymize: bool = False) -> None:
-    rows = sorted(vectors, key=lambda v: v.pool_address)
+def write_features_csv(addresses: Sequence[str], window_days: int,
+                       labels: Sequence[bool], X: np.ndarray,
+                       path: Union[str, Path], anonymize: bool = False) -> None:
+    """One row per pool, by ascending address: row i of X holds the
+    `window_days`-day features of addresses[i], labelled labels[i]."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(("pool_address", "window_days", "label") + FEATURE_NAMES)
-        for vec in rows:
-            address = anonymize_address(vec.pool_address) if anonymize else vec.pool_address
-            writer.writerow(
-                [address, vec.window_days, int(bool(vec.label))]
-                + [repr(float(v)) for v in vec.values])
+        writer.writerow(_CSV_HEADER)
+        for i in sorted(range(len(addresses)), key=addresses.__getitem__):
+            address = anonymize_address(addresses[i]) if anonymize else addresses[i]
+            writer.writerow([address, window_days, int(bool(labels[i]))]
+                            + [repr(float(v)) for v in X[i]])
 
 
-def read_features_csv(path: Union[str, Path]) -> List[FeatureVector]:
-    """Read a write_features_csv export; a wrong header, a malformed row or a
-    non-finite value raises SchemaError with its line number."""
-    vectors: List[FeatureVector] = []
-    expected = ["pool_address", "window_days", "label"] + list(FEATURE_NAMES)
+def read_features_csv(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
+    """The (X, y) of a write_features_csv export: X float64 of shape
+    (rows, 57), y 0/1 int64. A wrong header, a malformed row (column count,
+    a window or label that is not an integer) or a non-finite value raises
+    SchemaError with its line number."""
+    rows: List[List[float]] = []
+    labels: List[int] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        if next(reader, None) != expected:
+        if next(reader, None) != _CSV_HEADER:
             raise SchemaError(path, 1, "unexpected feature CSV header")
         for row in reader:
             try:
-                if len(row) != len(expected):
-                    raise ValueError(f"{len(row)} columns, expected {len(expected)}")
-                values = np.array([float(v) for v in row[3:]], dtype=np.float64)
-                bad = np.flatnonzero(~np.isfinite(values))
-                if len(bad):
-                    i = bad[0]
-                    raise ValueError(f"non-finite {FEATURE_NAMES[i]} {row[3 + i]!r}")
-                vectors.append(FeatureVector(
-                    pool_address=row[0],
-                    window_days=int(row[1]),
-                    values=values,
-                    missing=np.zeros(FEATURE_COUNT, dtype=bool),
-                    label=bool(int(row[2])),
-                ))
+                if len(row) != len(_CSV_HEADER):
+                    raise ValueError(f"{len(row)} columns, expected {len(_CSV_HEADER)}")
+                values = [float(v) for v in row[3:]]
+                for i, value in enumerate(values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite {FEATURE_NAMES[i]} {row[3 + i]!r}")
+                int(row[1])    # the window must be an integer
+                labels.append(1 if int(row[2]) else 0)
             except ROW_ERRORS as exc:
                 raise SchemaError(path, reader.line_num,
                                   f"bad feature row: {exc}") from exc
-    return vectors
+            rows.append(values)
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), FEATURE_COUNT)
+    return X, np.array(labels, dtype=np.int64)

@@ -53,8 +53,14 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
     for lineno, row in iter_jsonl(orders_file):
         orders_read += 1
         try:
-            tracker = get_tracker(row["pool_address"])
+            address = row["pool_address"]
+            try:
+                tracker = get_tracker(address)
+            except TypeError:    # an unhashable address: an array or an object
+                tracker = None
             if tracker is None:
+                if type(address) is not str:
+                    raise ValueError(f"pool_address {address!r} is not a string")
                 skipped += 1
                 continue
             (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,

@@ -310,7 +310,7 @@ def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
         from slidscan.earlywarn import stratified_split, train
         labels = windows.labels
         train_idx, test_idx = stratified_split(labels.astype(np.int64), 0.2, seed)
-        X = np.stack([v.values for v in windows.vectors_by_d[57]])
+        X = windows.X_by_d[57]
         model = train(X[train_idx], labels[train_idx],
                       ClassifierKind.RANDOM_FOREST, seed=seed)
         pred = model.scores(X[test_idx]) >= model.threshold

@@ -319,6 +319,12 @@ class TestBadOrderRows:
         pytest.param(lambda row: 5, "row is not a JSON object", id="bare-number"),
         pytest.param(lambda row: {k: v for k, v in row.items() if k != "pool_address"},
                      "bad order row: 'pool_address'", id="no-pool-address"),
+        pytest.param(lambda row: {**row, "pool_address": 5},
+                     "bad order row: pool_address 5 is not a string",
+                     id="integer-pool_address"),
+        pytest.param(lambda row: {**row, "pool_address": [1]},
+                     "bad order row: pool_address [1] is not a string",
+                     id="array-pool_address"),
         pytest.param(lambda row: {k: v for k, v in row.items() if k != "hash"},
                      "bad order row: 'hash'", id="no-hash"),
         pytest.param(lambda row: {**row, "hash": 5},
@@ -686,6 +692,51 @@ def _labels_csv_without_pool_column(corpus, tmp_path):
             "--window", "57"], f"{path} line 1:"
 
 
+def _edited_labels_csv(corpus, tmp_path, edit):
+    """features over the corpus with its labels.csv lines passed through
+    `edit`, which returns the 1-based line it spoils."""
+    path = tmp_path / "labels.csv"
+    lines = (corpus / "labels.csv").read_text().splitlines()
+    lineno = edit(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    return ["features", "--pools", str(corpus / "pools.jsonl"),
+            "--orders", str(corpus / "orders.jsonl"), "--labels", str(path),
+            "--window", "57"], f"{path} line {lineno}:"
+
+
+def _labels_csv_with_other_label_column(corpus, tmp_path):
+    def rename_column(lines):
+        lines[0] = "pool_address,kind"
+        return 1
+    return _edited_labels_csv(corpus, tmp_path, rename_column)
+
+
+def _verdicts_csv_as_labels(corpus, tmp_path):
+    verdicts = tmp_path / "verdicts.csv"
+    assert run_on("detect", corpus, tmp_path) == 0
+    (tmp_path / "out.csv").rename(verdicts)
+    return (["features", "--pools", str(corpus / "pools.jsonl"),
+             "--orders", str(corpus / "orders.jsonl"), "--labels", str(verdicts),
+             "--window", "57"], f"{verdicts} line 1:")
+
+
+def _labels_csv_row_with(value):
+    def build(corpus, tmp_path):
+        def spoil_third_line(lines):
+            lines[2] = lines[2].split(",")[0] + "," + value
+            return 3
+        return _edited_labels_csv(corpus, tmp_path, spoil_third_line)
+    build.__name__ = f"_labels_csv_with_label_{value or 'empty'}"
+    return build
+
+
+def _labels_csv_with_repeated_pool(corpus, tmp_path):
+    def repeat_first_row(lines):
+        lines.append(lines[1])
+        return len(lines)
+    return _edited_labels_csv(corpus, tmp_path, repeat_first_row)
+
+
 def _single_class_features_csv(corpus, tmp_path):
     path = tmp_path / "features.csv"
     header = ["pool_address", "window_days", "label", *FEATURE_NAMES]
@@ -724,6 +775,10 @@ def _corpus_with_one_slid_verdict(corpus, tmp_path):
 def _unknown_label_filter(corpus, tmp_path):
     return ["report", "--kind", "profit", "--corpus", str(corpus),
             "--labels-filter", "Bogus"], None
+
+
+def _sweep_with_grid(corpus, tmp_path):
+    return ["sweep", "--corpus", str(corpus), "--grid"], None
 
 
 def _corpus_config(tmp_path, text):
@@ -777,11 +832,18 @@ class TestUnusableInputs:
         (_features_csv_with_overflow_for_logistic, 2, "SchemaError"),
         (_features_csv_with_inf_for_forest, 2, "SchemaError"),
         (_labels_csv_without_pool_column, 2, "SchemaError"),
+        (_labels_csv_with_other_label_column, 2, "SchemaError"),
+        (_verdicts_csv_as_labels, 2, "SchemaError"),
+        (_labels_csv_row_with("slid"), 2, "SchemaError"),
+        (_labels_csv_row_with("1"), 2, "SchemaError"),
+        (_labels_csv_row_with(""), 2, "SchemaError"),
+        (_labels_csv_with_repeated_pool, 2, "SchemaError"),
         (_single_class_features_csv, 3, "SingleClassInput"),
         (_header_only_features_csv, 3, "SingleClassInput"),
         (_corpus_without_slid_verdict, 3, "SingleClassInput"),
         (_corpus_with_one_slid_verdict, 3, "SingleClassInput"),
         (_unknown_label_filter, 4, "UsageError"),
+        (_sweep_with_grid, 4, "UsageError"),
         (_corpus_config_with_bad_float, 4, "ConfigError"),
         (_corpus_config_with_bad_count, 4, "ConfigError"),
         (_corpus_config_with_bad_seed, 4, "ConfigError"),

@@ -21,7 +21,7 @@ from slidscan.earlywarn import (
     train,
     window_speedup,
 )
-from slidscan.features import FEATURE_COUNT, FeatureVector, feature_matrix
+from slidscan.features import FEATURE_COUNT, extract_with_report
 from slidscan.models import fit_logistic
 from slidscan.synth import ScenarioKind, build_corpus
 
@@ -38,13 +38,10 @@ def toy_separable(n=60, noise=0.0, seed=0):
     return X, y
 
 
-def as_vectors(X, y):
-    return [FeatureVector(pool_address=f"0x{i:040x}", window_days=57,
-                          values=np.pad(np.asarray(row, dtype=np.float64),
-                                        (0, FEATURE_COUNT - len(row))),
-                          missing=np.zeros(FEATURE_COUNT, dtype=bool),
-                          label=bool(label))
-            for i, (row, label) in enumerate(zip(X, y))]
+def widen(X):
+    """X zero-padded on the right to the full 57 feature columns."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.pad(X, ((0, 0), (0, FEATURE_COUNT - X.shape[1])))
 
 
 class TestTrain:
@@ -96,10 +93,8 @@ class TestTrain:
 class TestPredict:
     def test_separable_regions_and_determinism(self):
         X, y = toy_separable()
-        model = train(*feature_matrix(as_vectors(X, y)), ClassifierKind.RANDOM_FOREST,
-                      seed=2)
-        probe = np.stack([v.values for v in as_vectors(
-            np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]]), [1, 0])])
+        model = train(widen(X), y, ClassifierKind.RANDOM_FOREST, seed=2)
+        probe = widen([[1.0, 0, 0, 0], [0.0, 0, 0, 0]])
         score_pos, score_neg = model.scores(probe)
         assert model.threshold == 0.5
         assert score_pos > 0.5
@@ -238,6 +233,21 @@ class TestSweep:
         assert len(first) == len(d_list) * 3
         detectors = {m.detector for m in first}
         assert detectors == {"Heuristic", "RandomForest", "LogisticRegression"}
+
+    def test_window_rows_follow_pool_addresses(self, small_dataset):
+        """Row i of every window's matrix is the extraction of pool i."""
+        d_list = (120, 57, 7)
+        windows = prepare_windows(small_dataset, d_list)
+        assert windows.pool_addresses == list(small_dataset.pools)
+        for d in d_list:
+            X = windows.X_by_d[d]
+            assert X.shape == (len(small_dataset.pools), FEATURE_COUNT)
+            assert X.dtype == np.float64
+            for i, address in enumerate(windows.pool_addresses):
+                pool = small_dataset.pools[address]
+                [(values, _)] = extract_with_report(
+                    pool, small_dataset.orders[address], (d,))
+                assert np.array_equal(X[i], values), (d, address)
 
     def test_heuristic_recall_degrades_at_small_windows(self, small_dataset):
         windows = prepare_windows(small_dataset, (300, 57))

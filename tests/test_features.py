@@ -15,9 +15,7 @@ from slidscan.features import (
     PF_NAMES,
     RATIO_CAP,
     UAF_NAMES,
-    extract_features,
     extract_with_report,
-    feature_matrix,
     read_features_csv,
     write_features_csv,
 )
@@ -35,8 +33,15 @@ COUNT_FEATURES = list(OAF_NAMES) + [
     "owner_taking_count"]
 
 
-def is_missing(vec, name):
-    return bool(vec.missing[FEATURE_NAMES.index(name)])
+def window(pool, orders, d):
+    """The pool's 57 feature values over its first d days."""
+    [(values, _)] = extract_with_report(pool, orders, (d,))
+    return values
+
+
+def named(pool, orders, d):
+    """The same values by feature name."""
+    return dict(zip(FEATURE_NAMES, window(pool, orders, d)))
 
 
 class TestSchema:
@@ -69,26 +74,25 @@ class TestSchema:
 
     def test_vector_shape_and_names_stable(self, pool):
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0)]
-        vec = extract_features(pool, orders, 7)
-        assert vec.values.shape == (57,)
-        assert vec.missing.shape == (57,)
-        assert vec["owner_dep"] == 1.0
+        values = window(pool, orders, 7)
+        assert values.shape == (57,)
+        assert values.dtype == np.float64
+        assert values[FEATURE_NAMES.index("owner_dep")] == 1.0
 
 
 class TestExtraction:
-    def test_empty_history_yields_zero_vector_with_missing_flags(self, pool):
-        vec = extract_features(pool, [], 30)
-        assert np.all(vec.values == 0.0)
-        assert np.all(vec.missing)
+    def test_empty_history_yields_zero_vector(self, pool):
+        values = window(pool, [], 30)
+        assert values.shape == (57,)
+        assert np.all(values == 0.0)
 
-    def test_zero_user_window_has_zero_uaf_with_missing_ratios(self, pool):
+    def test_zero_user_window_has_zero_uaf_and_zero_ratios(self, pool):
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0),
                   make_order("Buy", 5.0, 1.0, ts=T0 + 60)]
-        vec = extract_features(pool, orders, 30)
+        vec = named(pool, orders, 30)
         for name in ("user_dep", "user_with", "user_buy", "user_sell",
                      "user_count", "user_count_first", "user_count_high"):
             assert vec[name] == 0.0
-        assert is_missing(vec, "r_user_first_on_high")
         assert vec["r_user_first_on_high"] == 0.0
 
     def test_owner_activity_counts_over_seventy_days(self, pool):
@@ -104,7 +108,7 @@ class TestExtraction:
             ts += 20_000
         # all inside 70 days: 275 orders * 20 ks = 63.7 d
         assert ts - T0 < 70 * SECONDS_PER_DAY
-        vec = extract_features(pool, orders, 70)
+        vec = named(pool, orders, 70)
         assert vec["owner_dep"] == 1.0
         assert vec["owner_with"] == 0.0
         assert vec["owner_buy"] == 139.0
@@ -118,7 +122,7 @@ class TestExtraction:
                                      ts=T0 + 100 + i))
         orders.append(make_order("Buy", 1.0, 0.1, sender="0xu0",
                                  ts=T0 + SECONDS_PER_DAY + 100))
-        vec = extract_features(pool, orders, 10)
+        vec = named(pool, orders, 10)
         assert vec["user_count_first"] == 3.0
         assert vec["user_count_high"] == 3.0
         assert vec["r_user_first_on_high"] == 1.0
@@ -126,11 +130,10 @@ class TestExtraction:
     def test_ratio_conventions(self, pool):
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0),
                   make_order("Sell", 10.0, 1.0, ts=T0 + 60)]
-        vec = extract_features(pool, orders, 5)
+        vec = named(pool, orders, 5)
         # owner_realized > 0 but owner never bought beyond the deposit:
         # r_owner_unrealized_on_realized is finite, r_user ratios are 0/0.
         assert vec["r_user_first_on_high"] == 0.0
-        assert is_missing(vec, "r_user_first_on_high")
 
     def test_capped_ratio_on_zero_denominator(self, pool):
         # vol_first > 0, vol on the last (different) day is 0 only if no
@@ -139,20 +142,19 @@ class TestExtraction:
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0),
                   make_order("Buy", 1.0, 0.1, sender=USER, ts=T0 + 50),
                   make_order("Buy", 1.0, 0.1, ts=T0 + SECONDS_PER_DAY + 50)]
-        vec = extract_features(pool, orders, 10)
+        vec = named(pool, orders, 10)
         # last active day has only an owner order: user_count_last = 0,
-        # user_count_low = 0 -> first/low is 1/0 -> capped and flagged.
+        # user_count_low = 0 -> first/low is 1/0 -> capped.
         assert vec["user_count_low"] == 0.0
         assert vec["r_user_first_on_low"] == RATIO_CAP
-        assert is_missing(vec, "r_user_first_on_low")
 
     def test_age_and_alive(self, pool):
         orders = [make_order("Deposit", 100.0, 10.0, ts=T0),
                   make_order("Buy", 1.0, 0.1, ts=T0 + 3 * SECONDS_PER_DAY)]
-        vec = extract_features(pool, orders, 90)
+        vec = named(pool, orders, 90)
         assert vec["age_days"] == 4.0          # activity spans days 0..3
         assert vec["is_alive"] == 0.0          # silent for 87 of 90 days
-        vec_short = extract_features(pool, orders, 10)
+        vec_short = named(pool, orders, 10)
         assert vec_short["age_days"] == 4.0
         assert vec_short["is_alive"] == 1.0    # last order within the horizon
 
@@ -166,7 +168,7 @@ class TestWindowSemantics:
         pool, orders = self._scenario_orders()
         previous = None
         for d in (7, 30, 60, 90, 120):
-            vec = extract_features(pool, orders, d)
+            vec = named(pool, orders, d)
             current = {name: vec[name] for name in COUNT_FEATURES}
             if previous is not None:
                 for name in COUNT_FEATURES:
@@ -178,25 +180,18 @@ class TestWindowSemantics:
         d = 40
         cutoff = pool.created_time_pool + d * SECONDS_PER_DAY
         prefix = [o for o in orders if o.timestamp < cutoff]
-        full = extract_features(pool, orders, d)
-        pref = extract_features(pool, prefix, d)
-        assert np.array_equal(full.values, pref.values)
-        assert np.array_equal(full.missing, pref.missing)
+        assert np.array_equal(window(pool, orders, d), window(pool, prefix, d))
 
     def test_determinism(self):
         pool, orders = self._scenario_orders(seed=4)
-        a = extract_features(pool, orders, 57)
-        b = extract_features(pool, orders, 57)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(window(pool, orders, 57), window(pool, orders, 57))
 
     def test_sorted_input_required_not_reordered(self):
         """Extraction is a pure function of the sorted stream: feeding the
         same orders already sorted by the stable key gives identical output."""
         pool, orders = self._scenario_orders(seed=8)
         resorted = sorted(orders, key=lambda o: (o.timestamp, o.block, o.hash))
-        a = extract_features(pool, orders, 57)
-        b = extract_features(pool, resorted, 57)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(window(pool, orders, 57), window(pool, resorted, 57))
 
 
 class TestOneReplayManyWindows:
@@ -228,29 +223,26 @@ class TestOneReplayManyWindows:
     def test_matches_one_replay_per_window(self):
         empty_windows = 0
         for pool, orders in self._pools():
-            windows = extract_with_report(pool, orders, self.D_LIST, label=True)
+            windows = extract_with_report(pool, orders, self.D_LIST)
             assert len(windows) == len(self.D_LIST)
-            for d, (vector, report) in zip(self.D_LIST, windows):
-                [(alone, alone_report)] = extract_with_report(
-                    pool, orders, (d,), label=True)
-                assert vector.window_days == d
-                assert vector.label is True
-                assert np.array_equal(vector.values, alone.values), d
-                assert np.array_equal(vector.missing, alone.missing), d
+            for d, (values, report) in zip(self.D_LIST, windows):
+                [(alone, alone_report)] = extract_with_report(pool, orders, (d,))
+                assert values.shape == (57,)
+                assert np.array_equal(values, alone), d
                 assert report == alone_report, d
                 end = pool.created_time_pool + d * SECONDS_PER_DAY
                 prefix = [o for o in orders if o.timestamp < end]
                 assert report == profit_report(pool, prefix), d
                 if not prefix:
                     empty_windows += 1
-                    assert np.all(vector.missing)
+                    assert np.all(values == 0.0)
         assert empty_windows > 0
 
     def test_count_features_monotone_across_windows(self):
         for pool, orders in self._pools():
             windows = extract_with_report(pool, orders, self.D_LIST)
-            by_d = sorted((vector for vector, _ in windows),
-                          key=lambda vector: vector.window_days)
+            by_d = [dict(zip(FEATURE_NAMES, values)) for _, (values, _) in
+                    sorted(zip(self.D_LIST, windows), key=lambda pair: pair[0])]
             for shorter, longer in zip(by_d, by_d[1:]):
                 for name in COUNT_FEATURES:
                     assert longer[name] >= shorter[name], name
@@ -261,21 +253,17 @@ class TestOneReplayManyWindows:
 
 
 class TestCsvRoundTrip:
-    def test_write_read_matrix(self, tmp_path, pool):
+    def test_write_read_matrix(self, tmp_path):
+        """Rows are written by ascending address and read back as (X, y),
+        every value exact."""
         scenario = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=3))
-        vec = extract_features(scenario.pool, scenario.orders, 57, label=True)
-        other = extract_features(scenario.pool, scenario.orders, 30, label=False)
-        other.pool_address = "0x" + "f" * 40
+        X = np.stack([window(scenario.pool, scenario.orders, d) for d in (57, 30)])
+        low, high = "0x" + "a" * 40, "0x" + "f" * 40
         path = tmp_path / "features.csv"
-        write_features_csv([vec, other], path)
-        loaded = read_features_csv(path)
-        assert len(loaded) == 2
-        by_addr = {v.pool_address: v for v in loaded}
-        reread = by_addr[vec.pool_address]
-        assert np.array_equal(reread.values, vec.values)
-        assert reread.label is True
-        assert reread.window_days == 57
-
-        X, y = feature_matrix(loaded)
-        assert X.shape == (2, 57)
-        assert set(y.tolist()) == {0, 1}
+        write_features_csv([high, low], 57, [False, True], X, path)
+        loaded, y = read_features_csv(path)
+        assert loaded.shape == (2, 57)
+        assert np.array_equal(loaded, X[::-1])
+        assert y.tolist() == [1, 0]
+        rows = [line.split(",")[:3] for line in path.read_text().splitlines()[1:]]
+        assert rows == [[low, "57", "1"], [high, "57", "0"]]
