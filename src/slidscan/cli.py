@@ -135,10 +135,11 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _load_labels_csv(path) -> Dict[str, bool]:
-    """SLID or not per pool, from a `generate` labels.csv: the header
-    `pool_address,true_label`, then one row per pool whose label is a
-    ScenarioKind value. Anything else raises SchemaError with its line."""
+def _load_labels_csv(path, addresses: List[str]) -> List[bool]:
+    """SLID or not for each of `addresses`, from a `generate` labels.csv: the
+    header `pool_address,true_label`, then one row per pool whose label is a
+    ScenarioKind value. Anything else raises SchemaError with its line, and so
+    does a file without a row for one of `addresses`, naming the first."""
     slid_kinds = {ScenarioKind.SLID, ScenarioKind.SLID_SLOW,
                   ScenarioKind.SLID_MULTI_ADDRESS}
     labels: Dict[str, bool] = {}
@@ -157,7 +158,11 @@ def _load_labels_csv(path) -> Dict[str, bool]:
             except ValueError as exc:
                 raise SchemaError(path, reader.line_num,
                                   f"bad labels row: {exc}") from exc
-    return labels
+    for address in addresses:
+        if address not in labels:
+            raise SchemaError(path, reader.line_num, "labels file ends without a "
+                              f"row for pool_address {address!r}")
+    return [labels[address] for address in addresses]
 
 
 def _orders_summary(dataset: dataio.Dataset) -> str:
@@ -171,17 +176,17 @@ def _orders_summary(dataset: dataio.Dataset) -> str:
 def cmd_features(args) -> int:
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(args.pools, args.orders, profiles_file=args.profiles)
+    addresses = list(dataset.pools)
     if args.labels:
-        label_map = _load_labels_csv(args.labels)
+        labels = _load_labels_csv(args.labels, addresses)
     else:
         analysis.enrich(dataset, cfg)
-        label_map = dataset.slid_labels()
-    addresses = list(dataset.pools)
+        slid = dataset.slid_labels()
+        labels = [slid[address] for address in addresses]
     X = np.zeros((len(addresses), features.FEATURE_COUNT))
     for i, (address, pool) in enumerate(dataset.pools.items()):
         [(X[i], _)] = features.extract_with_report(pool, dataset.orders[address],
                                                    (args.window,))
-    labels = [label_map.get(address, False) for address in addresses]
     features.write_features_csv(addresses, args.window, labels, X, args.out,
                                 anonymize=args.anonymize)
     print(f"features: {len(addresses)} pools, {_orders_summary(dataset)} at window "

@@ -4,7 +4,11 @@ Three row formats, one JSON object per line, field names matching the domain
 types: pool records, DEX orders, and token security profiles. Token amounts
 travel as decimal strings (lossless float round-trip via repr); USD prices
 and fees are plain JSON numbers. Writers emit keys in a fixed order with
-compact separators so generate -> ingest -> re-emit is byte-identical.
+compact separators so generate -> ingest -> re-emit is byte-identical: pool
+and profile rows through `dump_row`, order rows through `write_orders_jsonl`,
+whose one format string per order writes the bytes `dump_row(order_to_row(o))`
+would (it falls back to exactly that for an order the format string cannot
+take).
 """
 
 from __future__ import annotations
@@ -198,8 +202,58 @@ def order_from_row(row: dict) -> DexOrder:
 
 
 def dump_row(row: dict) -> str:
-    """Canonical one-line serialization used by every JSONL writer."""
+    """Canonical one-line serialization of a pool or profile row, and the
+    reference encoding of an order row: `write_orders_jsonl` writes each
+    order as `dump_row(order_to_row(order))` would."""
     return json.dumps(row, separators=(",", ":"))
+
+
+# The string encoder of `json.dumps`: any string, escapes included, is quoted
+# as `dump_row` quotes it.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _order_line(order: DexOrder, anonymize: bool) -> str:
+    """One order's JSONL line, with its newline: the bytes of
+    `dump_row(order_to_row(order))`, from one f-string. Strings are quoted by
+    `json.dumps`' own encoder and a float is written by `repr`, as
+    `json.dumps` writes a finite float. An order whose numbers are not exact
+    ints (block, timestamp), floats (the legs, the prices, the fee) or None
+    (a recorded balance), or whose price or fee is not finite, is written by
+    `dump_row` itself, and so is one with a field `_quote` cannot take."""
+    tx_hash, pool_address, sender = order.hash, order.pool_address, order.sender
+    if anonymize:
+        tx_hash = anonymize_address(tx_hash)
+        pool_address = anonymize_address(pool_address)
+        sender = anonymize_address(sender)
+    block, timestamp = order.block, order.timestamp
+    x_paired, x_base, y_paired, y_base = (order.x_paired, order.x_base,
+                                          order.y_paired, order.y_base)
+    price_paired, price_base, gas = (order.price_paired, order.price_base,
+                                     order.gas_fee_usd)
+    if (type(block) is int and type(timestamp) is int
+            and type(y_paired) is float and type(y_base) is float
+            and type(price_paired) is float and type(price_base) is float
+            and type(gas) is float
+            and (x_paired is None or type(x_paired) is float)
+            and (x_base is None or type(x_base) is float)
+            # One sum: a nan or an infinity in any term leaves it non-finite.
+            and -_INF < price_paired + price_base + gas < _INF):
+        try:
+            x_paired = "null" if x_paired is None else f'"{x_paired!r}"'
+            x_base = "null" if x_base is None else f'"{x_base!r}"'
+            return (f'{{"block":{block},"timestamp":{timestamp},'
+                    f'"hash":{_quote(tx_hash)},"category":{_quote(order.category)},'
+                    f'"pool_address":{_quote(pool_address)},"sender":{_quote(sender)},'
+                    f'"x_paired":{x_paired},"x_base":{x_base},'
+                    f'"y_paired":"{y_paired!r}","y_base":"{y_base!r}",'
+                    f'"price_paired":{price_paired!r},"price_base":{price_base!r},'
+                    f'"gas_fee_usd":{gas!r}}}\n')
+        except TypeError:    # a string field that holds no string
+            pass
+    row = order_to_row(order)
+    row.update(hash=tx_hash, pool_address=pool_address, sender=sender)
+    return dump_row(row) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +261,12 @@ def dump_row(row: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _write_rows(rows: Iterable[dict], path: PathLike, address_keys: Tuple[str, ...],
-                anonymize: bool, append: bool = False) -> None:
-    """The one JSONL writer loop; with `anonymize`, each of `address_keys`
+                anonymize: bool) -> None:
+    """The pool and profile writer; with `anonymize`, each of `address_keys`
     is shortened by `anonymize_address`."""
     if not anonymize:
         address_keys = ()
-    with open(path, "a" if append else "w") as handle:
+    with open(path, "w") as handle:
         for row in rows:
             for key in address_keys:
                 row[key] = anonymize_address(row[key])
@@ -228,8 +282,10 @@ def write_pools_jsonl(pools: Iterable[PoolRecord], path: PathLike,
 
 def write_orders_jsonl(orders: Iterable[DexOrder], path: PathLike,
                        anonymize: bool = False, append: bool = False) -> None:
-    _write_rows(map(order_to_row, orders), path, ("hash", "pool_address", "sender"),
-                anonymize, append)
+    """One `_order_line` per order; with `anonymize`, the hash, pool address
+    and sender are shortened by `anonymize_address`."""
+    with open(path, "a" if append else "w") as handle:
+        handle.writelines(_order_line(order, anonymize) for order in orders)
 
 
 def write_profiles_jsonl(profiles: Dict[str, SecurityProfile], path: PathLike,

@@ -270,10 +270,12 @@ def write_features_csv(addresses: Sequence[str], window_days: int,
 def read_features_csv(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
     """The (X, y) of a write_features_csv export: X float64 of shape
     (rows, 57), y 0/1 int64. A wrong header, a malformed row (column count,
-    a window or label that is not an integer) or a non-finite value raises
-    SchemaError with its line number."""
+    a window that is not an integer or differs from the first row's, a label
+    that is not `0` or `1`) or a non-finite value raises SchemaError with its
+    line number."""
     rows: List[List[float]] = []
     labels: List[int] = []
+    window_days = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         if next(reader, None) != _CSV_HEADER:
@@ -286,8 +288,15 @@ def read_features_csv(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
                 for i, value in enumerate(values):
                     if not math.isfinite(value):
                         raise ValueError(f"non-finite {FEATURE_NAMES[i]} {row[3 + i]!r}")
-                int(row[1])    # the window must be an integer
-                labels.append(1 if int(row[2]) else 0)
+                window = int(row[1])
+                if window_days is None:
+                    window_days = window
+                elif window != window_days:
+                    raise ValueError(f"window_days {row[1]!r} differs from the first "
+                                     f"row's {window_days}")
+                if row[2] not in ("0", "1"):
+                    raise ValueError(f"label {row[2]!r} is not 0 or 1")
+                labels.append(int(row[2]))
             except ROW_ERRORS as exc:
                 raise SchemaError(path, reader.line_num,
                                   f"bad feature row: {exc}") from exc

@@ -129,19 +129,23 @@ class GeneratedScenario:
 # Pool simulation state
 # ---------------------------------------------------------------------------
 
+def _addresses(rng: np.random.Generator, n: int) -> List[str]:
+    """n >= 1 addresses, each what `"0x" + rng.bytes(20).hex()` draws.
+    Twenty bytes are five whole uint32 draws, so one batched call gives the
+    bytes n calls give and leaves the generator in the same state
+    (tests/test_synth.py checks this on the installed numpy)."""
+    raw = rng.bytes(20 * n).hex()
+    return ["0x" + raw[i:i + 40] for i in range(0, 40 * n, 40)]
+
+
 class _PoolSim:
     """Evolving reserves plus flow-value bookkeeping for one scenario."""
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         self.rng = rng
         self.orders: List[DexOrder] = []
-        self.hash_counter = 0
-        self.pool_address = "0x" + rng.bytes(20).hex()
-        self.base_address = "0x" + rng.bytes(20).hex()
-        self.paired_address = "0x" + rng.bytes(20).hex()
-        self.owner = "0x" + rng.bytes(20).hex()
-        self.investors = ["0x" + rng.bytes(20).hex()
-                          for _ in range(max(1, cfg.investor_count))]
+        (self.pool_address, self.base_address, self.paired_address, self.owner,
+         *self.investors) = _addresses(rng, 4 + max(1, cfg.investor_count))
         self.t0 = _EPOCH + int(rng.integers(0, 730)) * SECONDS_PER_DAY
         self.last_ts = self.t0 - 1
         self.rp = 0.0            # paired reserve
@@ -155,22 +159,16 @@ class _PoolSim:
         self.owner_gas = 0.0
         self._investor_cursor = 0
 
-    def _next_hash(self) -> str:
-        self.hash_counter += 1
-        return f"0x{self.hash_counter:064x}"
-
-    def _stamp(self, ts: int) -> int:
-        ts = max(int(ts), self.last_ts + 1)
-        self.last_ts = ts
-        return ts
-
     def _emit(self, ts: int, category: Category, sender: str, y_paired: float,
               y_base: float, gas: float = 0.0) -> None:
-        ts = self._stamp(ts)
+        """Append an order; its timestamp is moved past the previous order's
+        and its hash numbers the pool's orders from 1."""
+        ts = max(int(ts), self.last_ts + 1)
+        self.last_ts = ts
         self.orders.append(DexOrder(
             block=ts // 12,
             timestamp=ts,
-            hash=self._next_hash(),
+            hash=f"0x{len(self.orders) + 1:064x}",
             category=category,
             pool_address=self.pool_address,
             sender=sender,
@@ -292,6 +290,27 @@ class _PoolSim:
 
 _ARRIVE, _SELLBACK, _NOISE, _EARLY_SELL, _DRAIN, _RUG, _PUMP = range(7)
 
+# One batched `rng.integers` call costs about as much as two or three scalar
+# ones, so a day takes it only when it needs at least this many seconds.
+_BATCH_DRAWS = 4
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """`float(rng.uniform(lo, hi))` by numpy's own formula on one
+    `rng.random()` draw: the same value and generator state, at a third of
+    the cost (tests/test_synth.py checks this on the installed numpy)."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _intraday_seconds(rng: np.random.Generator, n: int) -> List[int]:
+    """n intra-day seconds, each what `int(rng.integers(60, SECONDS_PER_DAY
+    - 120))` draws. On a busy day one batched call gives the values n scalar
+    calls give and leaves the generator in the same state
+    (tests/test_synth.py checks this on the installed numpy)."""
+    if n >= _BATCH_DRAWS:
+        return rng.integers(60, SECONDS_PER_DAY - 120, size=n).tolist()
+    return [int(rng.integers(60, SECONDS_PER_DAY - 120)) for _ in range(n)]
+
 
 @dataclass
 class _Campaign:
@@ -325,7 +344,7 @@ def _drain_days(rng: np.random.Generator, count: int, start_day: int,
 
 def _execute_drain(sim: _PoolSim, rng: np.random.Generator, ts: int,
                    campaign: _Campaign, gas: float) -> None:
-    impact = float(rng.uniform(campaign.lo, campaign.hi))
+    impact = _uniform(rng, campaign.lo, campaign.hi)
     remaining = (campaign.target_profit + sim.owner_invested + sim.owner_gas
                  - campaign.returned)
     if campaign.n_left > 0:
@@ -375,15 +394,17 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
         seq = 0
 
         arrivals = int(rng.poisson(arrival_rate_for_day(day)))
-        for _ in range(arrivals):
-            agenda.append((int(rng.integers(60, SECONDS_PER_DAY - 120)), seq, _ARRIVE, None))
+        sellers = backlog.pop(day, [])
+        seconds = _intraday_seconds(rng, arrivals + len(sellers))
+        for sec in seconds[:arrivals]:
+            agenda.append((sec, seq, _ARRIVE, None))
             seq += 1
-        for investor in backlog.pop(day, []):
-            agenda.append((int(rng.integers(60, SECONDS_PER_DAY - 120)), seq, _SELLBACK, investor))
+        for sec, investor in zip(seconds[arrivals:], sellers):
+            agenda.append((sec, seq, _SELLBACK, investor))
             seq += 1
         if day <= noise_end_day and noise_rate > 0:
-            for _ in range(int(rng.poisson(noise_rate))):
-                agenda.append((int(rng.integers(60, SECONDS_PER_DAY - 120)), seq, _NOISE, None))
+            for sec in _intraday_seconds(rng, int(rng.poisson(noise_rate))):
+                agenda.append((sec, seq, _NOISE, None))
                 seq += 1
         if early_sell_days:
             for sec in early_sell_days.get(day, []):
@@ -400,7 +421,7 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
             agenda.append((SECONDS_PER_DAY - 300, seq, _PUMP, pump[1]))
             seq += 1
 
-        agenda.sort(key=lambda item: (item[0], item[1]))
+        agenda.sort()    # by (second, seq); no two items share a seq
         for sec, _, kind, payload in agenda:
             ts = day_ts + sec
             if kind == _ARRIVE:
@@ -423,27 +444,27 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                 if holding > 0 and sim.rp > 0:
                     # A single dump is capped relative to the paired reserve;
                     # bigger exits would eat their own slippage anyway.
-                    amount = min(holding * float(rng.uniform(0.1, 1.0)),
+                    amount = min(holding * _uniform(rng, 0.1, 1.0),
                                  sim.rp * 0.25)
                     sim.sell(ts, payload, amount)
             elif kind == _NOISE:
-                size = min(sim.flow_value * float(rng.uniform(0.001, 0.005)),
+                size = min(sim.flow_value * _uniform(rng, 0.001, 0.005),
                            _INITIAL_DEPOSIT_USD * 0.01)
                 if size > 0.01:
                     sim.buy(ts, sim.owner, size, gas=gas)
             elif kind == _EARLY_SELL:
                 sim.sell_for_value(ts, sim.owner,
-                                   sim.flow_value * float(rng.uniform(0.004, 0.02)),
+                                   sim.flow_value * _uniform(rng, 0.004, 0.02),
                                    gas=gas)
             elif kind == _DRAIN:
                 _execute_drain(sim, rng, ts, campaign, gas)
             elif kind == _RUG:
-                wave = float(rng.uniform(1.5, 3.0)) * _INITIAL_DEPOSIT_USD
+                wave = _uniform(rng, 1.5, 3.0) * _INITIAL_DEPOSIT_USD
                 sim.ensure_value(ts - 1200, _INITIAL_DEPOSIT_USD + wave)
                 for _ in range(int(rng.integers(1, 4))):
                     sim.sell_for_value(
                         ts - int(rng.integers(200, 1100)), sim.owner,
-                        sim.flow_value * float(rng.uniform(0.02, 0.15)), gas=gas)
+                        sim.flow_value * _uniform(rng, 0.02, 0.15), gas=gas)
                 sim.withdraw(ts, sim.owner, payload * sim.flow_value, gas=gas)
             elif kind == _PUMP:
                 share = max(sim.owner_share, 1e-6)
@@ -453,8 +474,8 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
 def _benign_profile(rng: np.random.Generator) -> SecurityProfile:
     # Soft signals (anti-whale, cooldown) appear in legitimate tokens too.
     return SecurityProfile(
-        buy_tax=float(rng.uniform(0.0, 0.05)),
-        sell_tax=float(rng.uniform(0.0, 0.05)),
+        buy_tax=_uniform(rng, 0.0, 0.05),
+        sell_tax=_uniform(rng, 0.0, 0.05),
         anti_whale=bool(rng.random() < 0.2),
         trading_cooldown=bool(rng.random() < 0.1),
     )
@@ -474,7 +495,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     """Build one labeled scenario; same config (incl. seed) => identical output."""
     rng = np.random.default_rng(cfg.seed)
     sim = _PoolSim(cfg, rng)
-    deployment_gas = float(rng.uniform(80, 400))
+    deployment_gas = _uniform(rng, 80.0, 400.0)
     name = f"TOK{int(rng.integers(100, 999))}"
     gas = _GAS_PER_ORDER_USD
     kind = cfg.kind
@@ -517,7 +538,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
         profile = SecurityProfile(**trigger)
         metadata["trigger"] = dict(trigger)
         campaign = _Campaign(
-            target_profit=float(rng.uniform(2.0, 4.0)) * invested,
+            target_profit=_uniform(rng, 2.0, 4.0) * invested,
             n_left=int(rng.integers(8, 30)), lo=0.05, hi=0.40)
         drains = _drain_days(rng, campaign.n_left, 1, min(45, cfg.lifetime_days))
         _run_timeline(
@@ -539,8 +560,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
 
     senders = None
     if kind == ScenarioKind.SLID_MULTI_ADDRESS:
-        senders = ["0x" + rng.bytes(20).hex()
-                   for _ in range(_MULTI_ADDRESS_COUNT)]
+        senders = _addresses(rng, _MULTI_ADDRESS_COUNT)
         metadata["linked_addresses"] = list(senders)
 
     early: Optional[Dict[int, List[int]]] = None

@@ -659,6 +659,20 @@ def _features_csv_with_value(tmp_path, value):
     return path
 
 
+def _features_csv_with_line_3(window, label):
+    """Two labelled rows at window 57; line 3 has `window` and `label`."""
+    def build(corpus, tmp_path):
+        path = tmp_path / "features.csv"
+        header = ["pool_address", "window_days", "label", *FEATURE_NAMES]
+        ones = ["1.0"] * len(FEATURE_NAMES)
+        path.write_text("".join(",".join(row) + "\n" for row in (
+            header, ["0xa", "57", "0", *ones], ["0xb", window, label, *ones])))
+        return (["train", "--features", str(path), "--model", "RandomForest"],
+                f"{path} line 3:")
+    build.__name__ = f"_features_csv_with_window_{window}_label_{label}"
+    return build
+
+
 def _features_csv_with_nan_for_logistic(corpus, tmp_path):
     path = _features_csv_with_value(tmp_path, "nan")
     return (["train", "--features", str(path), "--model", "LogisticRegression"],
@@ -727,6 +741,28 @@ def _labels_csv_row_with(value):
             return 3
         return _edited_labels_csv(corpus, tmp_path, spoil_third_line)
     build.__name__ = f"_labels_csv_with_label_{value or 'empty'}"
+    return build
+
+
+def _labels_csv_without_pool(drop_line):
+    """features with a labels.csv whose line `drop_line` (1-based) is cut,
+    or, with 0, whose rows all name other pools."""
+    def build(corpus, tmp_path):
+        missing = []
+
+        def drop(lines):
+            if drop_line:
+                missing.append(lines.pop(drop_line - 1).split(",")[0])
+            else:
+                first_pool = (corpus / "pools.jsonl").read_text().splitlines()[0]
+                missing.append(json.loads(first_pool)["pool_address"])
+                lines[1:] = [f"0x{i:040x},SLID" for i in range(3)]
+            return len(lines)
+        argv, location = _edited_labels_csv(corpus, tmp_path, drop)
+        return argv, (f"{location} labels file ends without a row for "
+                      f"pool_address {missing[0]!r}")
+    build.__name__ = (f"_labels_csv_without_line_{drop_line}" if drop_line
+                      else "_labels_csv_for_other_pools")
     return build
 
 
@@ -831,6 +867,9 @@ class TestUnusableInputs:
         (_features_csv_with_nan_for_logistic, 2, "SchemaError"),
         (_features_csv_with_overflow_for_logistic, 2, "SchemaError"),
         (_features_csv_with_inf_for_forest, 2, "SchemaError"),
+        (_features_csv_with_line_3("57", "2"), 2, "SchemaError"),
+        (_features_csv_with_line_3("57", "01"), 2, "SchemaError"),
+        (_features_csv_with_line_3("3", "1"), 2, "SchemaError"),
         (_labels_csv_without_pool_column, 2, "SchemaError"),
         (_labels_csv_with_other_label_column, 2, "SchemaError"),
         (_verdicts_csv_as_labels, 2, "SchemaError"),
@@ -838,6 +877,8 @@ class TestUnusableInputs:
         (_labels_csv_row_with("1"), 2, "SchemaError"),
         (_labels_csv_row_with(""), 2, "SchemaError"),
         (_labels_csv_with_repeated_pool, 2, "SchemaError"),
+        (_labels_csv_without_pool(0), 2, "SchemaError"),
+        (_labels_csv_without_pool(5), 2, "SchemaError"),
         (_single_class_features_csv, 3, "SingleClassInput"),
         (_header_only_features_csv, 3, "SingleClassInput"),
         (_corpus_without_slid_verdict, 3, "SingleClassInput"),

@@ -27,7 +27,7 @@ from slidscan.dataio import (
     write_pools_jsonl,
     write_profiles_jsonl,
 )
-from slidscan.ledger import Category, PoolRecord
+from slidscan.ledger import Category, DexOrder, PoolRecord
 from slidscan.metrics import ProfitTracker
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
 from slidscan.validators import SecurityProfile
@@ -193,6 +193,64 @@ class TestIngestContracts:
             read(tmp_path / "rows.jsonl")
         assert err.value.lineno == 1
         assert f" row: {name} {wrong!r} is not " in str(err.value)
+
+
+# Strings that need escaping (quotes, backslashes, control and non-ASCII
+# characters, a line separator), short and long enough to be anonymized.
+_text = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600ab', max_size=30),
+    st.binary(min_size=20, max_size=20).map(lambda raw: "0x" + raw.hex()),
+)
+# Every float, nan and both infinities included.
+_float = st.floats()
+# Values of another type than the field declares, which dump_row writes.
+_odd = st.one_of(st.booleans(), st.integers(), st.none())
+_order = st.builds(
+    DexOrder,
+    block=st.one_of(st.integers(min_value=-2**70, max_value=2**70), _odd, _float),
+    timestamp=st.integers(min_value=0, max_value=2**40),
+    hash=_text,
+    category=st.sampled_from(list(Category)) | _odd,
+    pool_address=_text,
+    sender=_text,
+    x_paired=st.none() | _float | _text,
+    x_base=st.none() | _float,
+    y_paired=_float,
+    y_base=_float,
+    price_paired=_float,
+    price_base=_float | _odd,
+    gas_fee_usd=_float,
+)
+
+
+class TestOrderWriter:
+    @given(st.lists(_order, max_size=4), st.lists(_order, max_size=4), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_each_line_is_the_reference_encoding(self, first, second, anonymize):
+        """write_orders_jsonl writes each order as dump_row(order_to_row(order))
+        does, with and without anonymize, and when it appends."""
+        def reference(order):
+            row = order_to_row(order)
+            if anonymize:
+                for key in ("hash", "pool_address", "sender"):
+                    row[key] = anonymize_address(row[key])
+            return dump_row(row) + "\n"
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "orders.jsonl"
+            write_orders_jsonl(first, path, anonymize=anonymize)
+            write_orders_jsonl(second, path, anonymize=anonymize, append=True)
+            written = path.read_bytes().decode("ascii")
+        assert written == "".join(map(reference, first + second))
+
+    def test_generated_orders_take_the_format_string(self, monkeypatch):
+        """Generated orders never fall back to dump_row."""
+        monkeypatch.setattr(dataio, "order_to_row", None)
+        orders = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=4,
+                                         slid_drain_count=30, lifetime_days=40)).orders
+        with tempfile.TemporaryDirectory() as tmp:
+            write_orders_jsonl(orders, Path(tmp) / "orders.jsonl", anonymize=True)
 
 
 class TestAnonymize:

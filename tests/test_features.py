@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slidscan.dataio import SchemaError
 from slidscan.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
@@ -267,3 +268,23 @@ class TestCsvRoundTrip:
         assert y.tolist() == [1, 0]
         rows = [line.split(",")[:3] for line in path.read_text().splitlines()[1:]]
         assert rows == [[low, "57", "1"], [high, "57", "0"]]
+
+    @pytest.mark.parametrize("column,value,message", [
+        (2, "2", "label '2' is not 0 or 1"),
+        (2, "true", "label 'true' is not 0 or 1"),
+        (1, "30", "window_days '30' differs from the first row's 57"),
+    ])
+    def test_label_and_window_are_checked(self, tmp_path, column, value, message):
+        """A label is 0 or 1, and every row has the first row's window."""
+        path = tmp_path / "features.csv"
+        write_features_csv(["0xa", "0xb"], 57, [False, True],
+                           np.ones((2, FEATURE_COUNT)), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as err:
+            read_features_csv(path)
+        assert err.value.lineno == 3
+        assert message in str(err.value)

@@ -1,7 +1,10 @@
 """Scenario generator: label fidelity, reproducibility, and the oracle."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from slidscan import synth
 from slidscan.ledger import SECONDS_PER_DAY, audit_reserves
 from slidscan.metrics import profit_report
 from slidscan.synth import (
@@ -126,6 +129,55 @@ class TestReproducibility:
                      for s in build_corpus(counts, seed=3, overrides=overrides,
                                            sort_by_address=True)]
         assert addresses == sorted(addresses)
+
+
+class TestDrawEquivalence:
+    """The generator draws a scenario's addresses in one batched call, and a
+    busy day's intra-day seconds in another, and computes uniform draws from
+    `rng.random()`. Each rests on a numpy fact checked here on the installed
+    numpy, so a release that breaks one fails these tests instead of
+    changing every corpus."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           low=st.integers(min_value=-2**40, max_value=2**40),
+           span=st.one_of(st.integers(min_value=1, max_value=2**32 + 2),
+                          st.integers(min_value=1, max_value=2**50)),
+           n=st.integers(min_value=0, max_value=40))
+    @example(seed=1, low=60, span=SECONDS_PER_DAY - 180, n=5)
+    @settings(max_examples=200, deadline=None)
+    def test_batched_integers_equal_scalar_draws(self, seed, low, span, n):
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [int(scalar.integers(low, low + span)) for _ in range(n)]
+        assert batched.integers(low, low + span, size=n).tolist() == expected
+        assert batched.random() == scalar.random()
+
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           low=st.floats(min_value=-1e9, max_value=1e9),
+           width=st.floats(min_value=1e-9, max_value=1e9))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_is_low_plus_width_times_random(self, seed, low, width):
+        high = low + width
+        drawn, computed = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert float(drawn.uniform(low, high)) == synth._uniform(computed, low, high)
+        assert computed.random() == drawn.random()
+
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           n=st.integers(min_value=1, max_value=70))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_addresses_equal_scalar_draws(self, seed, n):
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = ["0x" + scalar.bytes(20).hex() for _ in range(n)]
+        assert synth._addresses(batched, n) == expected
+        assert batched.random() == scalar.random()
+
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           n=st.integers(min_value=0, max_value=12))
+    @settings(max_examples=50, deadline=None)
+    def test_intraday_seconds_equal_scalar_draws(self, seed, n):
+        scalar, helper = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [int(scalar.integers(60, SECONDS_PER_DAY - 120)) for _ in range(n)]
+        assert synth._intraday_seconds(helper, n) == expected
+        assert helper.random() == scalar.random()
 
 
 class TestRecordedBalances:
