@@ -9,6 +9,10 @@ and profile rows through `dump_row`, order rows through `write_orders_jsonl`,
 whose one format string per order writes the bytes `dump_row(order_to_row(o))`
 would (it falls back to exactly that for an order the format string cannot
 take).
+
+Every row is read by `iter_jsonl` and checked by one decoder for its format;
+every record decodes to the same value, or the same error line, with or
+without orjson installed.
 """
 
 from __future__ import annotations
@@ -59,21 +63,26 @@ def anonymize_address(address: str) -> str:
 _CATEGORIES = {c.value: c for c in Category}
 _INF = math.inf
 
-# What a malformed row raises while decoded; readers wrap it in SchemaError.
+# What a malformed row raises while decoded; `iter_jsonl` wraps it in SchemaError.
 ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
 
 _FLOAT_MAX = sys.float_info.max
+# The smallest integer that float() rounds to infinity. An integer literal
+# smaller than this in size reads as a finite float, and orjson reads an
+# integer literal past 64 bits as that same float.
+_INT_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 # The JSON value each field type of a pool or profile row takes: a test, and
-# what an error line calls it. A number is compared exactly, so an integer
-# beyond the float range fails the test instead of overflowing float().
+# what an error line calls it. An integer is compared exactly, so one that
+# rounds to infinity fails the test instead of overflowing float().
 _JSON_TYPES = {
     bool: (lambda value: type(value) is bool, "a boolean"),
     int: (lambda value: type(value) is int, "an integer"),
     str: (lambda value: type(value) is str, "a string"),
-    float: (lambda value: (type(value) is float or type(value) is int)
-            and -_FLOAT_MAX <= value <= _FLOAT_MAX, "a finite number"),
+    float: (lambda value: (type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+            or (type(value) is int and -_INT_FLOAT_LIMIT < value < _INT_FLOAT_LIMIT),
+            "a finite number"),
 }
 
 
@@ -141,15 +150,16 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
                                      float, float, float, float, float]:
     """The one check of outside order values, for batch and streaming alike.
 
-    Every column but the pool address is checked here (a known pool's
-    address is a string; `ingest` and `pipeline.stream_detect` check an
-    address their pool table does not hold): an `int` block, a
-    `str` hash and sender, both legs, a finite non-negative price_paired,
-    and recorded balances that are null or parse as floats. Returns every
-    field of the row's `DexOrder`, in `DexOrder` field order, each parsed
-    once: the category is the shared `Category` member, amounts are floats,
-    and a missing price_paired or gas_fee_usd is 0.0. Raises one of
-    ROW_ERRORS."""
+    Every column but the pool address is checked here (`order_pool` checks
+    that one): an `int` block and timestamp, a `str` hash and sender, both
+    legs, a finite non-negative price_paired, and recorded balances that are
+    null or parse as floats. Returns every field of the row's `DexOrder`, in
+    `DexOrder` field order, each parsed once: the category is the shared
+    `Category` member, amounts are floats, and a missing price_paired or
+    gas_fee_usd is 0.0. Raises one of ROW_ERRORS and changes nothing:
+    `iter_jsonl` decodes a row it rejects again from the stdlib's reading of
+    the line, so an order decodes to the same value, or the same error line,
+    with or without orjson."""
     timestamp = row["timestamp"]
     block = row["block"]
     tx_hash = row["hash"]
@@ -194,6 +204,21 @@ def _order_fault(timestamp, block, tx_hash, sender, category, *amounts: float) -
     if not all(map(math.isfinite, amounts)):
         return "non-finite amount"
     return "negative token leg" if min(amounts[:2]) < 0 else "price_base must be positive"
+
+
+def order_pool(row: dict, table: dict):
+    """The entry of `table` under this order row's pool_address, or None for
+    a string address that `table` does not hold: a row that is skipped and
+    counted. Any other address that `table` does not hold (a number, an
+    array, an object) raises ValueError."""
+    address = row["pool_address"]
+    try:
+        entry = table.get(address)
+    except TypeError:    # an unhashable address: an array or an object
+        entry = None
+    if entry is None and type(address) is not str:
+        raise ValueError(f"pool_address {address!r} is not a string")
+    return entry
 
 
 def order_from_row(row: dict) -> DexOrder:
@@ -324,24 +349,25 @@ class Dataset:
 
 _SCAN_JSON = json.JSONDecoder().scan_once
 
-# orjson reads an integer literal outside the 64-bit range as a float, where
-# the stdlib reads an int; any float this large may be one.
-_ORJSON_EXACT_FLOAT = 9.2e18
 
+def iter_jsonl(path: PathLike, decode, what: str):
+    """(line number, decode(row)) for every non-blank line: the one JSONL
+    reader. `decode` checks a row (a dict) and raises one of ROW_ERRORS for
+    a bad one, which becomes the SchemaError `bad <what> row: <error>`;
+    invalid JSON and rows that are not objects raise SchemaError too.
 
-def iter_jsonl(path: PathLike):
-    """(line number, row) for every non-blank line: the one JSONL reader.
-    Invalid JSON and rows that are not objects raise SchemaError.
-
-    With orjson installed, a line is first read by `orjson.loads`. Its row is
-    kept only when it is an object of scalars whose floats lie within
-    +-9.2e18: there orjson and the stdlib give equal rows of the same types.
-    Every other line (an orjson error, a nested value, a float that may be an
-    overflowed integer, a non-object) goes to the stdlib reader below, so the
-    rows and errors are the same with and without orjson."""
+    With orjson installed, a line is first read by `orjson.loads` and its
+    object goes straight to `decode`. A line that orjson rejects, whose row
+    is no object, or whose row `decode` rejects is read again by the stdlib
+    reader below and decoded again, so an error line always shows the
+    stdlib's values. orjson's object differs from the stdlib's only where it
+    reads an integer literal past 64 bits as a float; `decode` rejects that
+    float in an integer field and reads it as the stdlib integer's `float()`
+    in a number field. So every record decodes to the same value, or the
+    same error line, with or without orjson. `decode` must change nothing:
+    it may run twice on one line."""
     scan = _SCAN_JSON
     fast_loads = _orjson_loads
-    bound = _ORJSON_EXACT_FLOAT
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if fast_loads is not None:
@@ -350,15 +376,12 @@ def iter_jsonl(path: PathLike):
                 except ValueError:
                     row = None
                 if type(row) is dict:
-                    for value in row.values():
-                        kind = type(value)
-                        if kind is float:
-                            if not -bound <= value <= bound:
-                                break
-                        elif kind is dict or kind is list:
-                            break
+                    try:
+                        value = decode(row)
+                    except ROW_ERRORS:
+                        pass
                     else:
-                        yield lineno, row
+                        yield lineno, value
                         continue
             # Stdlib fast path skips json.loads' per-line wrapper; loads does the rest.
             try:
@@ -374,7 +397,11 @@ def iter_jsonl(path: PathLike):
                     raise SchemaError(path, lineno, f"invalid JSON: {exc}") from exc
             if type(row) is not dict:
                 raise SchemaError(path, lineno, "row is not a JSON object")
-            yield lineno, row
+            try:
+                value = decode(row)
+            except ROW_ERRORS as exc:
+                raise SchemaError(path, lineno, f"bad {what} row: {exc}") from exc
+            yield lineno, value
 
 
 def ledger_fault(path: PathLike, lineno: int, exc: LedgerError) -> SchemaError:
@@ -387,16 +414,17 @@ def _read_keyed(path: PathLike, cls, key: str, optional: frozenset,
     """Records by their key column, in file order: the one pool and profile
     reader. The key must be a string and may appear on one row only."""
     records = {}
-    for lineno, row in iter_jsonl(path):
-        try:
-            address = row[key]
-            if type(address) is not str:
-                raise ValueError(f"{key} {address!r} is not a string")
-            if address in records:
-                raise ValueError(f"{key} {address!r} repeats an earlier row")
-            records[address] = decode_record(cls, row, optional)
-        except ROW_ERRORS as exc:
-            raise SchemaError(path, lineno, f"bad {what} row: {exc}") from exc
+
+    def decode(row):
+        address = row[key]
+        if type(address) is not str:
+            raise ValueError(f"{key} {address!r} is not a string")
+        if address in records:
+            raise ValueError(f"{key} {address!r} repeats an earlier row")
+        return address, decode_record(cls, row, optional)
+
+    for _, (address, record) in iter_jsonl(path, decode, what):
+        records[address] = record
     return records
 
 
@@ -435,23 +463,17 @@ def ingest(pool_file: PathLike, orders_file: PathLike,
     orders: Dict[str, List[DexOrder]] = {address: [] for address in pools}
     books = {address: (orders[address], ProfitTracker(pool))
              for address, pool in pools.items()}
+
+    def decode(row):
+        book = order_pool(row, books)
+        return None if book is None else (book, order_from_row(row))
+
     skipped = 0
-    for lineno, row in iter_jsonl(orders_file):
-        try:
-            address = row["pool_address"]
-            try:
-                book = books.get(address)
-            except TypeError:    # an unhashable address: an array or an object
-                book = None
-            if book is None:
-                if type(address) is not str:
-                    raise ValueError(f"pool_address {address!r} is not a string")
-                skipped += 1
-                continue
-            order = order_from_row(row)
-        except ROW_ERRORS as exc:
-            raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
-        pool_orders, tracker = book
+    for lineno, decoded in iter_jsonl(orders_file, decode, "order"):
+        if decoded is None:
+            skipped += 1
+            continue
+        (pool_orders, tracker), order = decoded
         try:
             tracker.add(order.timestamp, order.category, order.sender,
                         order.y_base, order.price_base, order.gas_fee_usd)

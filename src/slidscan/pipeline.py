@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from .dataio import (ROW_ERRORS, SchemaError, anonymize_address, decode_order,
-                     iter_jsonl, ledger_fault, read_pools, read_profiles)
+from .dataio import (anonymize_address, decode_order, iter_jsonl, ledger_fault,
+                     order_pool, read_pools, read_profiles)
 from .ledger import LedgerError
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Verdict, classify_pool
@@ -47,27 +47,22 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
     }
 
     summary = DetectSummary(pools=len(trackers))
-    get_tracker = trackers.get
+
+    def decode(row):
+        tracker = order_pool(row, trackers)
+        return None if tracker is None else (tracker, decode_order(row))
+
     orders_read = 0
     skipped = 0
-    for lineno, row in iter_jsonl(orders_file):
+    for lineno, decoded in iter_jsonl(orders_file, decode, "order"):
         orders_read += 1
+        if decoded is None:
+            skipped += 1
+            continue
+        tracker, (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,
+                  gas_fee_usd) = decoded
         try:
-            address = row["pool_address"]
-            try:
-                tracker = get_tracker(address)
-            except TypeError:    # an unhashable address: an array or an object
-                tracker = None
-            if tracker is None:
-                if type(address) is not str:
-                    raise ValueError(f"pool_address {address!r} is not a string")
-                skipped += 1
-                continue
-            (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,
-             gas_fee_usd) = decode_order(row)
             tracker.add(timestamp, category, sender, y_base, price_base, gas_fee_usd)
-        except ROW_ERRORS as exc:
-            raise SchemaError(orders_file, lineno, f"bad order row: {exc}") from exc
         except LedgerError as exc:
             raise ledger_fault(orders_file, lineno, exc) from exc
     summary.orders_read = orders_read

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from slidscan import dataio
 from slidscan.dataio import Dataset
 from slidscan.ledger import Category, DexOrder, PoolRecord
 
@@ -13,6 +14,17 @@ OWNER = "0xowner00000000000000000000000000000000001"
 USER = "0xuser000000000000000000000000000000000002"
 POOL = "0xpool000000000000000000000000000000000003"
 T0 = 1_700_000_000
+
+
+@pytest.fixture(params=["orjson", "stdlib"])
+def reader(request, monkeypatch):
+    """Run a test on each path of `dataio.iter_jsonl`: the orjson reader,
+    where installed, and the stdlib reader, forced by hiding orjson."""
+    if request.param == "stdlib":
+        monkeypatch.setattr(dataio, "_orjson_loads", None)
+    elif dataio._orjson_loads is None:
+        pytest.skip("orjson is not installed")
+    return request.param
 
 
 def make_pool(owner=OWNER, lpt_burned=False, created=T0, pool_address=POOL,

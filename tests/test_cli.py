@@ -366,6 +366,41 @@ class TestBadOrderRows:
                        f'line {lineno}: {message.format(row=row)}"\n')
 
 
+def set_middle_row(**fields):
+    """A `mutated_corpus` edit: set `fields` in the middle order row."""
+    def mutate(rows):
+        i = len(rows) // 2
+        rows[i].update(fields)
+        return i + 1
+    return mutate
+
+
+class TestWideIntegers:
+    """An integer literal past 64 bits, which orjson reads as a float, reads
+    as the standard library's integer with and without orjson."""
+
+    @pytest.mark.parametrize("command", ["detect", "features", "trend"])
+    def test_wide_block_is_accepted(self, corpus, tmp_path, reader, command):
+        assert run_on(command, corpus, tmp_path) == 0
+        expected = (tmp_path / "out.csv").read_bytes()
+        bad = tmp_path / "bad"
+        mutated_corpus(corpus, bad, set_middle_row(block=2 ** 64))
+        assert "18446744073709551616" in (bad / "orders.jsonl").read_text()
+        assert run_on(command, bad, tmp_path) == 0
+        assert (tmp_path / "out.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("sender", [[10 ** 19], [2 ** 64]], ids=["u64", "past-u64"])
+    @pytest.mark.parametrize("command", ["detect", "features", "trend"])
+    def test_wide_sender_error_line(self, corpus, tmp_path, capsys, reader,
+                                    command, sender):
+        bad = tmp_path / "bad"
+        lineno = mutated_corpus(corpus, bad, set_middle_row(sender=sender))
+        assert run_on(command, bad, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f'error code=2 kind=SchemaError msg="{bad / "orders.jsonl"} line {lineno}: '
+            f'bad order row: sender {sender} is not a string"\n')
+
+
 class TestBadPoolAndProfileRows:
     @pytest.mark.parametrize("name,field,value,message", [
         pytest.param("pools.jsonl", "lpt_burned", "false",

@@ -5,6 +5,7 @@ import tempfile
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,10 +30,11 @@ from slidscan.dataio import (
 )
 from slidscan.ledger import Category, DexOrder, PoolRecord
 from slidscan.metrics import ProfitTracker
+from slidscan.pipeline import stream_detect
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
 from slidscan.validators import SecurityProfile
 
-from conftest import make_order, make_pool
+from conftest import T0, USER, make_order, make_pool
 
 
 @pytest.fixture(scope="module")
@@ -298,17 +300,6 @@ class TestStreamBatchState:
 # The JSONL reader, with orjson and with the stdlib alone
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["orjson", "stdlib"])
-def reader(request, monkeypatch):
-    """Run a test on each path of `iter_jsonl`: the orjson reader, where
-    installed, and the stdlib reader, forced by hiding orjson."""
-    if request.param == "stdlib":
-        monkeypatch.setattr(dataio, "_orjson_loads", None)
-    elif dataio._orjson_loads is None:
-        pytest.skip("orjson is not installed")
-    return request.param
-
-
 def typed(value):
     """A value with the type of every part spelled out, so that 1 and 1.0,
     0.0 and -0.0, or a reordered dict compare unequal."""
@@ -319,23 +310,38 @@ def typed(value):
     return (type(value).__name__, repr(value))
 
 
-def read_lines(lines):
-    """Every (line number, typed row) `iter_jsonl` yields for these lines,
-    ending with the name and text of the exception it raises, if any."""
+def read_lines(lines, decode=lambda row: row):
+    """Every (line number, typed decode(row)) `iter_jsonl` yields for these
+    lines, ending with the name and text of the exception it raises, if any."""
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "rows.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
         out = []
         try:
-            for lineno, row in iter_jsonl(path):
-                out.append((lineno, typed(row)))
+            for lineno, value in iter_jsonl(path, decode, "test"):
+                out.append((lineno, typed(value)))
         except Exception as exc:  # compared as data: both paths must agree
             out.append((type(exc).__name__, str(exc).replace(str(path), "<path>")))
         return out
 
 
+def orjson_row(row):
+    """The row orjson reads where it reads the line the stdlib reads as
+    `row`: each integer outside [-2**63, 2**64) is its float."""
+    if isinstance(row, dict):
+        return {key: orjson_row(item) for key, item in row.items()}
+    if isinstance(row, list):
+        return [orjson_row(item) for item in row]
+    if type(row) is int and not -2 ** 63 <= row < 2 ** 64:
+        return float(row)
+    return row
+
+
 class TestJsonlReader:
     def test_rows_and_types(self, reader):
+        """An identity decoder gets each reader's own row: orjson's holds an
+        integer literal outside [-2**63, 2**64) as its float."""
+        wide = float if reader == "orjson" else int
         big = 123456789012345678901234567890
         lines = ['{"a":1,"b":2.5,"c":"x","d":null,"e":true}', "", "   ",
                  '{"a":1}\x0c', ' {"a":-0,"b":-0.0}', f'{{"n":{big},"m":-{big}}}',
@@ -346,8 +352,8 @@ class TestJsonlReader:
             (1, typed({"a": 1, "b": 2.5, "c": "x", "d": None, "e": True})),
             (4, typed({"a": 1})),
             (5, typed({"a": 0, "b": -0.0})),
-            (6, typed({"n": big, "m": -big})),
-            (7, typed({"n": 2 ** 64 - 1, "m": -2 ** 63 - 1})),
+            (6, typed({"n": wide(big), "m": wide(-big)})),
+            (7, typed({"n": 2 ** 64 - 1, "m": wide(-2 ** 63 - 1)})),
             (8, typed({"x": float("nan"), "y": float("-inf"), "z": float("inf")})),
             (9, typed({"s": "\ud800"})),
             (10, typed({"a": 3, "b": 2})),
@@ -368,6 +374,22 @@ class TestJsonlReader:
         assert out[1][0] == "SchemaError"
         assert out[1][1].startswith(f"<path> line 2: {message}")
 
+    def test_rejected_row_is_decoded_from_the_stdlib_row(self, reader):
+        """A row its decoder rejects is read again by the stdlib and decoded
+        again: the stdlib's integer past 64 bits is accepted, and an error
+        line shows the stdlib's value."""
+        def whole(row):
+            if type(row["n"]) is not int:
+                raise ValueError(f"n {row['n']!r} is not an integer")
+            return row["n"]
+
+        lines = ['{"n":18446744073709551616}', '{"n":[-9223372036854775809]}']
+        assert read_lines(lines, whole) == [
+            (1, typed(2 ** 64)),
+            ("SchemaError",
+             "<path> line 2: bad test row: n [-9223372036854775809] is not an integer"),
+        ]
+
     def test_generate_ingest_reemit_byte_identical(self, reader, corpus_dir, tmp_path):
         assert_reemit_identical(corpus_dir, tmp_path)
 
@@ -378,10 +400,20 @@ _EDGE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0", "-0.0
                   "null", '"abc"', "[1,2]", '{"k":1}', "[]", "{}",
                   "9223372036854775807", "-9223372036854775808",
                   "18446744073709551615", "18446744073709551616"]
+# The integers next to the float range's end: around the largest float, and
+# around the first integer float() rounds to infinity; the two between round
+# down to the largest float.
+_FLOAT_END = [2 ** 1024 - 2 ** 971 + d for d in (-1, 0, 1)] + [
+    2 ** 1024 - 2 ** 970 + d for d in (-1, 0, 1)]
+# Integers at and next to the halfway point between two floats past 64 bits.
+_halfway = st.integers(64, 1023).flatmap(
+    lambda k: st.sampled_from([2 ** k + 2 ** (k - 53) + d for d in (-1, 0, 1)]))
+_wide_integer = st.one_of(
+    st.integers(10 ** 18, 10 ** 40 - 1), st.integers(2 ** 63, 2 ** 1100), _halfway,
+    st.sampled_from(_FLOAT_END)).flatmap(lambda n: st.sampled_from([n, -n]))
 _literal = st.one_of(
     st.sampled_from(_EDGE_LITERALS),
-    st.integers(10 ** 18, 10 ** 40 - 1).flatmap(
-        lambda n: st.sampled_from([str(n), f"-{n}"])),
+    _wide_integer.map(str),
     st.integers(-2 ** 70, 2 ** 70).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][-+]?[0-9]{1,3})?",
@@ -400,18 +432,117 @@ _line = st.one_of(
     st.sampled_from(["", " ", "\x0c", "{", "}", "[", "{]"]),
 )
 
+# A valid corpus: one pool, its profile, and orders of every category, the
+# last for a pool the pools file does not hold.
+_POOL = make_pool()
+_ROWS = {
+    "pools.jsonl": [record_to_row(_POOL)],
+    "profiles.jsonl": [record_to_row(SecurityProfile(),
+                                     token_address=_POOL.paired_address)],
+    "orders.jsonl": [order_to_row(order) for order in (
+        make_order("Deposit", 100.0, 100.0, ts=T0, x_paired=0.0, x_base=0.0),
+        make_order("Buy", 10.0, 9.0, sender=USER, ts=T0 + 60),
+        make_order("Sell", 5.0, 4.5, ts=T0 + 120, gas=2.5),
+        make_order("Withdraw", 1.0, 1.0, ts=T0 + 180),
+        make_order("Buy", 1.0, 1.0, sender=USER, pool_address="0xother"))],
+}
 
+
+def corpus_lines(name=None, index=None, edits=()):
+    """The valid corpus, {file name: its lines}, with `edits` (field name ->
+    JSON literal) made in row `index` of file `name`."""
+    edits = dict(edits)
+
+    def line(row, edits):
+        return "{" + ",".join(f'"{key}":{edits[key] if key in edits else json.dumps(value)}'
+                              for key, value in row.items()) + "}"
+
+    return {file: [line(row, edits if (file, i) == (name, index) else {})
+                   for i, row in enumerate(rows)]
+            for file, rows in _ROWS.items()}
+
+
+@st.composite
+def _edited_corpus(draw):
+    """The valid corpus with 1-3 fields of one row set to edge literals."""
+    name = draw(st.sampled_from(sorted(_ROWS)))
+    index = draw(st.integers(0, len(_ROWS[name]) - 1))
+    keys = draw(st.lists(st.sampled_from(list(_ROWS[name][index])),
+                         min_size=1, max_size=3, unique=True))
+    return corpus_lines(name, index, {key: draw(_value) for key in keys})
+
+
+def decode_corpus(files):
+    """What each reader makes of a corpus: the repr of its result, which
+    spells out every type, or its error line."""
+    with tempfile.TemporaryDirectory() as root:
+        for name, lines in files.items():
+            Path(root, name).write_text("".join(line + "\n" for line in lines))
+        paths = [Path(root, name) for name in ("pools.jsonl", "orders.jsonl",
+                                               "profiles.jsonl")]
+        out = []
+        for read in (lambda: read_pools(paths[0]), lambda: read_profiles(paths[2]),
+                     lambda: ingest(*paths), lambda: stream_detect(*paths)):
+            try:
+                out.append(repr(read()))
+            except (SchemaError, EmptyDataset) as exc:
+                out.append(f"{type(exc).__name__}: {exc}".replace(root, "<root>"))
+        return out
+
+
+@pytest.mark.skipif(dataio._orjson_loads is None, reason="orjson is not installed")
 class TestReaderPathsAgree:
-    @pytest.mark.skipif(dataio._orjson_loads is None, reason="orjson is not installed")
+    @given(_edited_corpus())
+    @settings(max_examples=400, deadline=None)
+    def test_records_decode_alike(self, files):
+        """Pool, profile and order rows with edge values in 1-3 fields give
+        the same typed records, or the same error line, from `read_pools`,
+        `read_profiles`, `ingest` and `stream_detect`, whether orjson reads
+        them or the stdlib does."""
+        fast = decode_corpus(files)
+        with mock.patch.object(dataio, "_orjson_loads", None):
+            assert decode_corpus(files) == fast
+
+    @pytest.mark.parametrize("n", _FLOAT_END, ids=["max-1", "max", "max+1", "limit-1",
+                                                   "limit", "limit+1"])
+    def test_number_field_at_the_float_range_end(self, n):
+        """An integer that rounds to the largest float reads as that float on
+        both paths, as orjson reads it; one that float() rounds to infinity
+        is the same error line on both."""
+        files = corpus_lines("pools.jsonl", 0, {"deployment_gas_usd": str(n)})
+        fast = decode_corpus(files)
+        with mock.patch.object(dataio, "_orjson_loads", None):
+            assert decode_corpus(files) == fast
+        assert ("is not a finite number" in fast[0]) == (n >= 2 ** 1024 - 2 ** 970)
+
     @given(_line)
     @settings(max_examples=400, deadline=None)
-    def test_orjson_and_stdlib_give_identical_rows(self, line):
-        """A line gives a type-identical row, or the same error, whether
-        orjson reads it or the stdlib does."""
+    def test_orjson_rows_differ_only_in_wide_integers(self, line):
+        """Through an identity decoder a line gives the stdlib's row, or the
+        same error, on both paths, except that an object orjson reads holds
+        each integer outside [-2**63, 2**64) as its float."""
         fast = read_lines([line])
-        saved = dataio._orjson_loads
-        dataio._orjson_loads = None
         try:
-            assert read_lines([line]) == fast
-        finally:
-            dataio._orjson_loads = saved
+            widen = type(dataio._orjson_loads(line)) is dict
+        except ValueError:    # the stdlib reads the line on both paths
+            widen = False
+        with mock.patch.object(dataio, "_orjson_loads", None):
+            slow = read_lines([line], orjson_row) if widen else read_lines([line])
+        assert slow == fast
+
+    @given(_wide_integer)
+    @settings(max_examples=500, deadline=None)
+    def test_orjson_reads_a_wide_integer_as_its_float(self, n):
+        """The fact the reader rests on: orjson reads an integer literal
+        outside [-2**63, 2**64) as exactly `float(n)`, and rejects one that
+        `float()` cannot take."""
+        try:
+            value = dataio._orjson_loads(str(n))
+        except ValueError:
+            with pytest.raises(OverflowError):
+                float(n)
+            return
+        if -2 ** 63 <= n < 2 ** 64:
+            assert type(value) is int and value == n
+        else:
+            assert type(value) is float and value == float(n)
