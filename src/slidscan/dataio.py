@@ -2,13 +2,15 @@
 
 Three row formats, one JSON object per line, field names matching the domain
 types: pool records, DEX orders, and token security profiles. Token amounts
-travel as decimal strings (lossless float round-trip via repr); USD prices
-and fees are plain JSON numbers. Writers emit keys in a fixed order with
-compact separators so generate -> ingest -> re-emit is byte-identical: pool
-and profile rows through `dump_row`, order rows through `write_orders_jsonl`,
-whose one format string per order writes the bytes `dump_row(order_to_row(o))`
-would (it falls back to exactly that for an order the format string cannot
-take).
+travel as decimal strings (lossless float round-trip via repr); with orjson
+installed, its number reader reads each such string, and any string it does
+not read as a float goes to float(), so an amount is float()'s value, or
+error, either way. USD prices and fees are plain JSON numbers. Writers emit
+keys in a fixed order with compact separators so generate -> ingest ->
+re-emit is byte-identical: pool and profile rows through `dump_row`, order
+rows through `write_orders_jsonl`, whose one format string per order writes
+the bytes `dump_row(order_to_row(o))` would (it falls back to exactly that
+for an order the format string cannot take).
 
 Every row is read by `iter_jsonl` and checked by one decoder for its format;
 every record decodes to the same value, or the same error line, with or
@@ -145,6 +147,35 @@ def order_to_row(order: DexOrder) -> dict:
     }
 
 
+def _number(value, name: str) -> float:
+    """float(value) for an order's number column, which a JSON boolean does
+    not fill: float() would read it as 1.0 or 0.0."""
+    if type(value) is bool:
+        raise ValueError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
+def _amount(value, name: str) -> float:
+    """A token amount: `_number(value, name)`, read faster. A string that
+    orjson reads as a float is that float: JSON number syntax, whitespace
+    included, is float() syntax, and both readers round correctly. Any other
+    string (one orjson reads as an integer, such as "-0", or rejects, such as
+    "inf", "1_0" or "1e400"), and every string without orjson, go to
+    float(); any other value goes to `_number`."""
+    if type(value) is not str:
+        return _number(value, name)
+    loads = _orjson_loads
+    if loads is not None:
+        try:
+            number = loads(value)
+        except ValueError:
+            pass
+        else:
+            if type(number) is float:
+                return number
+    return float(value)
+
+
 def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
                                      Optional[float], Optional[float],
                                      float, float, float, float, float]:
@@ -153,10 +184,13 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
     Every column but the pool address is checked here (`order_pool` checks
     that one): an `int` block and timestamp, a `str` hash and sender, both
     legs, a finite non-negative price_paired, and recorded balances that are
-    null or parse as floats. Returns every field of the row's `DexOrder`, in
+    null or parse as floats. A JSON boolean is no number in any amount,
+    price or fee column. Returns every field of the row's `DexOrder`, in
     `DexOrder` field order, each parsed once: the category is the shared
     `Category` member, amounts are floats, and a missing price_paired or
-    gas_fee_usd is 0.0. Raises one of ROW_ERRORS and changes nothing:
+    gas_fee_usd is 0.0. With orjson installed, its number reader also reads
+    each amount string, and any string it does not read as a float goes to
+    float() (`_amount`). Raises one of ROW_ERRORS and changes nothing:
     `iter_jsonl` decodes a row it rejects again from the stdlib's reading of
     the line, so an order decodes to the same value, or the same error line,
     with or without orjson."""
@@ -165,10 +199,14 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
     tx_hash = row["hash"]
     sender = row["sender"]
     category = row["category"]
-    y_paired = float(row["y_paired"])
-    y_base = float(row["y_base"])
-    price_base = float(row["price_base"])
-    gas_fee_usd = float(row.get("gas_fee_usd", 0.0))
+    y_paired = _amount(row["y_paired"], "y_paired")
+    y_base = _amount(row["y_base"], "y_base")
+    price_base = row["price_base"]
+    if type(price_base) is not float:
+        price_base = _number(price_base, "price_base")
+    gas_fee_usd = row.get("gas_fee_usd", 0.0)
+    if type(gas_fee_usd) is not float:
+        gas_fee_usd = _number(gas_fee_usd, "gas_fee_usd")
     if (type(timestamp) is not int or type(block) is not int
             or type(tx_hash) is not str or type(sender) is not str
             or category not in _CATEGORIES
@@ -176,15 +214,17 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
                     and 0.0 < price_base < _INF and -_INF < gas_fee_usd < _INF)):
         raise ValueError(_order_fault(timestamp, block, tx_hash, sender, category,
                                       y_paired, y_base, price_base, gas_fee_usd))
-    price_paired = float(row.get("price_paired", 0.0))
+    price_paired = row.get("price_paired", 0.0)
+    if type(price_paired) is not float:
+        price_paired = _number(price_paired, "price_paired")
     if not 0.0 <= price_paired < _INF:
         raise ValueError("price_paired must be finite and non-negative")
     x_paired = row.get("x_paired")
     if x_paired is not None:
-        x_paired = float(x_paired)
+        x_paired = _amount(x_paired, "x_paired")
     x_base = row.get("x_base")
     if x_base is not None:
-        x_base = float(x_base)
+        x_base = _amount(x_base, "x_base")
     return (block, timestamp, tx_hash, _CATEGORIES[category], row["pool_address"],
             sender, x_paired, x_base, y_paired, y_base, price_paired,
             price_base, gas_fee_usd)

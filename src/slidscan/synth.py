@@ -30,7 +30,7 @@ the metrics module; tests compare the two paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -122,7 +122,6 @@ class GeneratedScenario:
     profile: SecurityProfile
     orders: List[DexOrder]
     true_label: str
-    metadata: Dict[str, object] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +498,6 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     name = f"TOK{int(rng.integers(100, 999))}"
     gas = _GAS_PER_ORDER_USD
     kind = cfg.kind
-    metadata: Dict[str, object] = {}
     profile = _benign_profile(rng)
 
     # Deployment deposit funds both reserves; the owner starts with the pool.
@@ -520,7 +518,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
             allow_investor_sells=True,
             noise_rate=0.3, noise_end_day=min(30, cfg.lifetime_days),
             drains_by_day=None, campaign=None, gas=gas)
-        return GeneratedScenario(pool, profile, sim.orders, kind.value, metadata)
+        return GeneratedScenario(pool, profile, sim.orders, kind.value)
 
     if kind == ScenarioKind.RUGPULL:
         drain_day = max(cfg.rug_drain_day, 0)
@@ -531,12 +529,11 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
             noise_rate=1.0, noise_end_day=drain_day,
             drains_by_day=None, campaign=None,
             rug=(drain_day, cfg.rug_impact), gas=gas)
-        return GeneratedScenario(pool, profile, sim.orders, kind.value, metadata)
+        return GeneratedScenario(pool, profile, sim.orders, kind.value)
 
     if kind == ScenarioKind.HONEYPOT:
         trigger = _HONEYPOT_TRIGGERS[int(rng.integers(0, len(_HONEYPOT_TRIGGERS)))]
         profile = SecurityProfile(**trigger)
-        metadata["trigger"] = dict(trigger)
         campaign = _Campaign(
             target_profit=_uniform(rng, 2.0, 4.0) * invested,
             n_left=int(rng.integers(8, 30)), lo=0.05, hi=0.40)
@@ -547,7 +544,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
             allow_investor_sells=False,
             noise_rate=0.5, noise_end_day=min(45, cfg.lifetime_days),
             drains_by_day=drains, campaign=campaign, gas=gas)
-        return GeneratedScenario(pool, profile, sim.orders, kind.value, metadata)
+        return GeneratedScenario(pool, profile, sim.orders, kind.value)
 
     # SLID family ------------------------------------------------------------
     if kind == ScenarioKind.SLID_SLOW:
@@ -561,7 +558,6 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     senders = None
     if kind == ScenarioKind.SLID_MULTI_ADDRESS:
         senders = _addresses(rng, _MULTI_ADDRESS_COUNT)
-        metadata["linked_addresses"] = list(senders)
 
     early: Optional[Dict[int, List[int]]] = None
     if kind == ScenarioKind.SLID_SLOW:
@@ -589,13 +585,11 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
 
     if campaign.returned <= 0:
         raise InfeasibleConfig("drain campaign extracted nothing")
-    metadata["drain_count"] = cfg.slid_drain_count
-    metadata["returned_total_usd"] = campaign.returned
     label = (ScenarioKind.SLID_MULTI_ADDRESS.value
              if kind == ScenarioKind.SLID_MULTI_ADDRESS else ScenarioKind.SLID.value)
     if kind == ScenarioKind.SLID_SLOW:
         label = ScenarioKind.SLID_SLOW.value
-    return GeneratedScenario(pool, profile, sim.orders, label, metadata)
+    return GeneratedScenario(pool, profile, sim.orders, label)
 
 
 # ---------------------------------------------------------------------------

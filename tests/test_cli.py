@@ -342,6 +342,11 @@ class TestBadOrderRows:
         pytest.param(lambda row: {**row, "price_paired": -1.0},
                      "bad order row: price_paired must be finite and non-negative",
                      id="negative-price-paired"),
+        *[pytest.param(lambda row, column=column: {**row, column: True},
+                       f"bad order row: {column} True is not a number",
+                       id=f"bool-{column}")
+          for column in ("y_paired", "y_base", "x_paired", "x_base", "price_paired",
+                         "price_base", "gas_fee_usd")],
     ])
     @pytest.mark.parametrize("command", ["detect", "features", "trend"])
     def test_non_finite_amount_is_schema_error(self, corpus, tmp_path, capsys,

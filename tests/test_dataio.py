@@ -1,6 +1,8 @@
 """JSONL ingestion, round-trip fidelity, and skip/error accounting."""
 
 import json
+import struct
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import fields
@@ -8,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slidscan import dataio
 from slidscan.dataio import (
@@ -117,6 +119,29 @@ class TestRoundTrip:
 
 
 class TestIngestContracts:
+    @pytest.mark.parametrize("column", ["y_paired", "y_base", "x_paired", "x_base",
+                                        "price_paired", "price_base", "gas_fee_usd"])
+    def test_boolean_in_a_number_column_is_schema_error(self, reader, column):
+        """A JSON boolean in an order's amount, price or fee column is no
+        number, as `float(True)` would make it, in `ingest` and
+        `stream_detect` alike."""
+        out = decode_corpus(corpus_lines("orders.jsonl", 1, {column: "true"}))
+        error = ("SchemaError: <root>/orders.jsonl line 2: "
+                 f"bad order row: {column} True is not a number")
+        assert out[2:] == [error, error]
+
+    def test_string_prices_and_number_amounts_are_accepted(self, reader):
+        """A price or fee spelled as a string and an amount spelled as a JSON
+        number read as their floats."""
+        edits = {"price_paired": '"2.5"', "price_base": '"1.25"',
+                 "gas_fee_usd": '"0.5"', "y_paired": "10", "y_base": "9",
+                 "x_paired": "7"}
+        floats = {"price_paired": "2.5", "price_base": "1.25", "gas_fee_usd": "0.5",
+                  "y_paired": '"10.0"', "y_base": '"9.0"', "x_paired": '"7.0"'}
+        out = decode_corpus(corpus_lines("orders.jsonl", 1, edits))
+        assert "Error" not in out[2] + out[3]
+        assert out == decode_corpus(corpus_lines("orders.jsonl", 1, floats))
+
     def test_zero_row_orders_file(self, tmp_path):
         pool = make_pool()
         write_pools_jsonl([pool], tmp_path / "pools.jsonl")
@@ -419,9 +444,12 @@ _literal = st.one_of(
     st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][-+]?[0-9]{1,3})?",
                   fullmatch=True),
 )
-_value = st.one_of(_literal, _literal.map(lambda v: f"[{v}]"),
+# A literal as JSON string text, as an order's token amounts travel.
+_quoted = _literal.map(json.dumps)
+_value = st.one_of(_literal, _quoted, _literal.map(lambda v: f"[{v}]"),
                    _literal.map(lambda v: f'{{"k":{v}}}'))
-_object = st.lists(st.tuples(st.sampled_from(_NUMERIC_COLUMNS + ["hash", "x_base"]),
+_AMOUNT_COLUMNS = ["x_paired", "x_base", "y_paired", "y_base"]
+_object = st.lists(st.tuples(st.sampled_from(_NUMERIC_COLUMNS + _AMOUNT_COLUMNS + ["hash"]),
                              _value), max_size=6).map(
     lambda items: "{" + ",".join(f'"{key}":{value}' for key, value in items) + "}")
 _padding = st.sampled_from(["", "", " ", "\t"])
@@ -430,6 +458,40 @@ _line = st.one_of(
     st.tuples(_padding, st.one_of(_object, _literal),
               st.sampled_from(["\x0c", " \x0c", "\x0b", "x"])).map("".join),
     st.sampled_from(["", " ", "\x0c", "{", "}", "[", "{]"]),
+)
+
+
+@st.composite
+def _any_case(draw, word):
+    return "".join(c.upper() if draw(st.booleans()) else c for c in word)
+
+
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, sys.float_info.max, -sys.float_info.max]
+_decimal = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(_FLOAT_EDGES).map(repr),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,39})(\.[0-9]{1,40})?([eE][-+]?[0-9]{1,3})?",
+                  fullmatch=True),
+    _wide_integer.map(str),
+    st.sampled_from(["-0", "0"]),
+)
+# Text an order's amount column may hold: decimals orjson reads, padded with
+# JSON whitespace or with whitespace only float() skips; spellings only
+# float() reads; JSON that is no number; and lone surrogates.
+_amount_text = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t\n", "\r", "\u00a0", "\u2003", "\x0c"]),
+              _decimal,
+              st.sampled_from(["", " ", "\n", "\r\t", "\u00a0", "\u2003", "\x0b"]),
+              ).map("".join),
+    st.tuples(st.sampled_from(["", "+", "-"]),
+              st.sampled_from(["inf", "nan", "infinity"]).flatmap(_any_case)).map("".join),
+    st.sampled_from(["1_0", "1_000.5", "+1", "+0.5e3", ".5", "-.5", "5.", "5.e3",
+                     "\uff11", "\uff12.\uff15", "\u0661\u0662"]),
+    st.sampled_from(["true", "false", "null", '"1.5"', "[1.5]", '{"a":1}', "abc",
+                     "", " ", "1.5 x", "0x10", "1e", "--1", "01", "1.5.5"]),
+    st.tuples(_decimal, st.sampled_from(["\ud800", "\udc00", "\udfff"])).map("".join),
+    st.sampled_from(["\ud800", "\udc00"]),
 )
 
 # A valid corpus: one pool, its profile, and orders of every category, the
@@ -464,12 +526,15 @@ def corpus_lines(name=None, index=None, edits=()):
 
 @st.composite
 def _edited_corpus(draw):
-    """The valid corpus with 1-3 fields of one row set to edge literals."""
+    """The valid corpus with 1-3 fields of one row set to edge literals; a
+    token amount column mostly gets one as string text."""
     name = draw(st.sampled_from(sorted(_ROWS)))
     index = draw(st.integers(0, len(_ROWS[name]) - 1))
     keys = draw(st.lists(st.sampled_from(list(_ROWS[name][index])),
                          min_size=1, max_size=3, unique=True))
-    return corpus_lines(name, index, {key: draw(_value) for key in keys})
+    return corpus_lines(name, index, {
+        key: draw(st.one_of(_quoted, _value) if key in _AMOUNT_COLUMNS else _value)
+        for key in keys})
 
 
 def decode_corpus(files):
@@ -529,6 +594,27 @@ class TestReaderPathsAgree:
         with mock.patch.object(dataio, "_orjson_loads", None):
             slow = read_lines([line], orjson_row) if widen else read_lines([line])
         assert slow == fast
+
+    @given(_amount_text)
+    @example("-0")
+    @example("19000")
+    @example("1e400")
+    @example("\ud800")
+    @settings(max_examples=1000, deadline=None)
+    def test_amount_reads_as_float_does(self, text):
+        """The fact the amount reader rests on: `_amount` gives `float()`'s
+        value bit for bit, sign of zero included, or raises its exception,
+        for decimal text orjson reads and for text only `float()` takes."""
+        try:
+            expected = float(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                dataio._amount(text, "y_base")
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            return
+        value = dataio._amount(text, "y_base")
+        assert type(value) is float
+        assert struct.pack("<d", value) == struct.pack("<d", expected)
 
     @given(_wide_integer)
     @settings(max_examples=500, deadline=None)

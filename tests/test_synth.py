@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slidscan import synth
-from slidscan.ledger import SECONDS_PER_DAY, audit_reserves
+from slidscan.ledger import SECONDS_PER_DAY, Category, audit_reserves
 from slidscan.metrics import profit_report
 from slidscan.synth import (
     InfeasibleConfig,
@@ -96,10 +96,11 @@ class TestEvasionRealism:
         verdict, report = classify_scenario(scenario)
         assert verdict.label != Label.SLID
         assert report.profit_taking_count == 0
-        linked = scenario.metadata["linked_addresses"]
-        assert linked and all(addr != scenario.pool.owner_address for addr in linked)
-        senders = {o.sender for o in scenario.orders}
-        assert set(linked) <= senders
+        # The drains are sold by the linked addresses, which never buy.
+        buyers = {o.sender for o in scenario.orders if o.category == Category.BUY}
+        linked = {o.sender for o in scenario.orders if o.category == Category.SELL} - buyers
+        assert len(linked) == synth._MULTI_ADDRESS_COUNT
+        assert scenario.pool.owner_address not in linked
 
 
 class TestReproducibility:
