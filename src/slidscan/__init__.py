@@ -3,7 +3,6 @@ and learned detectors, synthetic scenario generation, and dataset tooling."""
 
 from .ledger import (
     Category,
-    Dex,
     DexOrder,
     LedgerState,
     PoolRecord,

@@ -49,14 +49,6 @@ class AnalysisReport:
         older = sum(count for age, (count, _) in self.rows.items() if age > days)
         return older / self.pool_count
 
-    def realized_share_on_day(self, day: int = 0) -> float:
-        """Share of total profit-taking USD that landed on one day (a profit
-        report)."""
-        total = sum(usd for _, usd in self.rows.values())
-        if total <= 0:
-            return 0.0
-        return self.rows.get(day, (0, 0.0))[1] / total
-
 
 def enrich(dataset: Dataset, cfg: HeuristicConfig = DEFAULT_CONFIG) -> None:
     """Compute the profit report and verdict for every pool in the dataset."""

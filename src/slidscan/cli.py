@@ -84,10 +84,10 @@ def _heuristic_config(args) -> HeuristicConfig:
 
 def cmd_generate(args) -> int:
     options = parse_kv_file(args.config)
-    counts, seed, overrides, chooser = synth.corpus_spec_from_options(options)
+    counts, seed, overrides, survival = synth.corpus_spec_from_options(options)
     if not counts:
         raise ConfigError(f"{args.config}: no scenario counts configured")
-    scenarios = synth.build_corpus(counts, seed, overrides, chooser, sort_by_address=True)
+    scenarios = synth.build_corpus(counts, seed, overrides, survival, sort_by_address=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     orders_path = out / "orders.jsonl"

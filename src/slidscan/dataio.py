@@ -184,11 +184,12 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
     Every column but the pool address is checked here (`order_pool` checks
     that one): an `int` block and timestamp, a `str` hash and sender, both
     legs, a finite non-negative price_paired, and recorded balances that are
-    null or parse as floats. A JSON boolean is no number in any amount,
-    price or fee column. Returns every field of the row's `DexOrder`, in
-    `DexOrder` field order, each parsed once: the category is the shared
-    `Category` member, amounts are floats, and a missing price_paired or
-    gas_fee_usd is 0.0. With orjson installed, its number reader also reads
+    null, or finite and non-negative (checked once both have parsed, so a
+    balance that does not parse is the error named). A JSON boolean is no
+    number in any amount, price or fee column. Returns every field of the
+    row's `DexOrder`, in `DexOrder` field order, each parsed once: the
+    category is the shared `Category` member, amounts are floats, and a
+    missing price_paired or gas_fee_usd is 0.0. With orjson installed, its number reader also reads
     each amount string, and any string it does not read as a float goes to
     float() (`_amount`). Raises one of ROW_ERRORS and changes nothing:
     `iter_jsonl` decodes a row it rejects again from the stdlib's reading of
@@ -225,6 +226,10 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
     x_base = row.get("x_base")
     if x_base is not None:
         x_base = _amount(x_base, "x_base")
+    if x_paired is not None and not 0.0 <= x_paired < _INF:
+        raise ValueError("x_paired must be null, or finite and non-negative")
+    if x_base is not None and not 0.0 <= x_base < _INF:
+        raise ValueError("x_base must be null, or finite and non-negative")
     return (block, timestamp, tx_hash, _CATEGORIES[category], row["pool_address"],
             sender, x_paired, x_base, y_paired, y_base, price_paired,
             price_base, gas_fee_usd)

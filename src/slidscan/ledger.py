@@ -62,16 +62,6 @@ class PreconditionViolated(LedgerError):
     """A scenario breaks the assumptions of the guarantee check."""
 
 
-class Dex(str, Enum):
-    UNISWAP = "Uniswap"
-    SUSHISWAP = "SushiSwap"
-    BALANCER = "Balancer"
-    CURVE = "Curve"
-    PANCAKESWAP = "PancakeSwap"
-    BANCORSWAP = "BancorSwap"
-    SYNTHETIC = "Synthetic"
-
-
 class Category(str, Enum):
     BUY = "Buy"
     SELL = "Sell"
@@ -89,7 +79,7 @@ class PoolRecord:
     owner_address: str
     created_time_pool: int
     created_time_token: int
-    dex: str = Dex.SYNTHETIC.value
+    dex: str = "Synthetic"
     name: str = ""
     lpt_burned: bool = False
     deployment_gas_usd: float = 0.0

@@ -1,7 +1,9 @@
 """Synthetic pool scenario generator and the independent verification oracle.
 
 Each scenario builds a full order history through the ledger's own swap math,
-so recorded post-order balances are always self-consistent. Scenario kinds:
+so recorded post-order balances are always self-consistent, and steers by the
+pool value and owner share of the ledger's own replay (`advance_state`), the
+figures `detect` computes from the written orders. Scenario kinds:
 
   Legitimate   burned LP tokens, benign token, organic investor flow, the
                owner never takes profit.
@@ -39,9 +41,10 @@ import numpy as np
 from .ledger import (
     SECONDS_PER_DAY,
     Category,
-    Dex,
     DexOrder,
+    LedgerState,
     PoolRecord,
+    advance_state,
     swap_amount_out,
 )
 from .config import ConfigError, parse_value
@@ -138,7 +141,10 @@ def _addresses(rng: np.random.Generator, n: int) -> List[str]:
 
 
 class _PoolSim:
-    """Evolving reserves plus flow-value bookkeeping for one scenario."""
+    """Evolving reserves of one scenario, plus its pool value and owner share
+    in a `LedgerState` that every emitted order advances through the
+    ledger's own replay (`advance_state`), so the simulation steers by the
+    figures `detect` will compute."""
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         self.rng = rng
@@ -150,20 +156,20 @@ class _PoolSim:
         self.rp = 0.0            # paired reserve
         self.rb = 0.0            # base reserve
         self.k = 0.0
-        self.flow_value = 0.0    # pool value by signed base flows (= replay's view)
-        self.owner_share = 0.0
+        self.state = LedgerState()
         self.holdings: Dict[str, float] = {}
         self.owner_invested = 0.0
-        self.owner_returned = 0.0
         self.owner_gas = 0.0
         self._investor_cursor = 0
 
     def _emit(self, ts: int, category: Category, sender: str, y_paired: float,
               y_base: float, gas: float = 0.0) -> None:
-        """Append an order; its timestamp is moved past the previous order's
-        and its hash numbers the pool's orders from 1."""
+        """Append an order and apply it to the replay state; its timestamp is
+        moved past the previous order's and its hash numbers the pool's
+        orders from 1."""
         ts = max(int(ts), self.last_ts + 1)
         self.last_ts = ts
+        advance_state(self.state, ts, category, sender == self.owner, y_base, 1.0)
         self.orders.append(DexOrder(
             block=ts // 12,
             timestamp=ts,
@@ -195,16 +201,9 @@ class _PoolSim:
         if sender == self.owner:
             self.owner_invested += y_base
             self.owner_gas += gas
-        prev = self.flow_value
         self.rp += y_paired
         self.rb += y_base
         self.k = self.rp * self.rb
-        new = prev + y_base
-        share = self.owner_share * (prev / new) if new > 0 else self.owner_share
-        if sender == self.owner and new > 0:
-            share += y_base / new
-        self.owner_share = min(1.0, max(0.0, share))
-        self.flow_value = new
         if sender != self.owner and sender in self.holdings:
             self.holdings[sender] = max(self.holdings[sender] - y_paired, 0.0)
         self._emit(ts, Category.DEPOSIT, sender, y_paired, y_base, gas)
@@ -213,24 +212,14 @@ class _PoolSim:
         y_base = min(y_base, self.rb * 0.999999)
         y_paired = y_base * (self.rp / self.rb)
         if sender == self.owner:
-            self.owner_returned += y_base
             self.owner_gas += gas
-        prev = self.flow_value
         self.rp -= y_paired
         self.rb -= y_base
         self.k = self.rp * self.rb
-        new = prev - y_base
-        if new > 0:
-            share = self.owner_share * (prev / new)
-            if sender == self.owner:
-                share -= y_base / new
-            self.owner_share = min(1.0, max(0.0, share))
-        self.flow_value = max(new, 0.0)
         self._emit(ts, Category.WITHDRAW, sender, y_paired, y_base, gas)
 
     def buy(self, ts: int, sender: str, y_base: float, gas: float = 0.0) -> float:
         out, self.rb, self.rp = swap_amount_out(self.rb, self.rp, self.k, y_base)
-        self.flow_value += y_base
         if sender != self.owner:
             self.holdings[sender] = self.holdings.get(sender, 0.0) + out
         else:
@@ -241,11 +230,9 @@ class _PoolSim:
 
     def sell(self, ts: int, sender: str, y_paired: float, gas: float = 0.0) -> float:
         out, self.rp, self.rb = swap_amount_out(self.rp, self.rb, self.k, y_paired)
-        self.flow_value = max(self.flow_value - out, 0.0)
         if sender != self.owner and sender in self.holdings:
             self.holdings[sender] = max(self.holdings[sender] - y_paired, 0.0)
         elif sender == self.owner:
-            self.owner_returned += out
             self.owner_gas += gas
         self._emit(ts, Category.SELL, sender, y_paired, out, gas)
         return out
@@ -258,11 +245,12 @@ class _PoolSim:
         return self.sell(ts, sender, amount_in, gas)
 
     def ensure_value(self, ts: int, target_value: float) -> None:
-        """Investor top-up buys raising the pool's flow value to target_value."""
-        gap = target_value - self.flow_value
+        """Investor top-up buys raising the pool's value to target_value."""
+        value = self.state.pool_value_usd
+        gap = target_value - value
         if gap <= 0:
             return
-        pieces = 1 if gap < self.flow_value else min(3, int(gap / max(self.flow_value, 1.0)) + 1)
+        pieces = 1 if gap < value else min(3, int(gap / max(value, 1.0)) + 1)
         for i in range(pieces):
             chunk = gap / (pieces - i)
             self.buy(ts - (pieces - i), self.next_investor(), chunk)
@@ -276,7 +264,6 @@ class _PoolSim:
             owner_address=self.owner,
             created_time_pool=self.t0,
             created_time_token=self.t0 - int(self.rng.integers(3600, 14 * SECONDS_PER_DAY)),
-            dex=Dex.SYNTHETIC.value,
             name=name,
             lpt_burned=lpt_burned,
             deployment_gas_usd=deployment_gas,
@@ -325,7 +312,6 @@ class _Campaign:
     lo: float
     hi: float
     senders: Optional[List[str]] = None
-    allow_withdraw: bool = True
     returned: float = 0.0
 
 
@@ -351,16 +337,16 @@ def _execute_drain(sim: _PoolSim, rng: np.random.Generator, ts: int,
         # even after the extraction target has been met.
         desired = max(remaining / campaign.n_left, 1.0)
         sim.ensure_value(ts, desired / impact)
-    value = impact * sim.flow_value
+    state = sim.state
+    value = impact * state.pool_value_usd
     # Withdrawals are the rare drain flavour and stay well inside the owner's
     # stake, so the owner share (and with it the unrealized metric) is not
     # diluted away by the campaign.
     use_withdraw = (
-        campaign.allow_withdraw
-        and campaign.senders is None
-        and sim.owner_share > 0.8
+        campaign.senders is None
+        and state.owner_share > 0.8
         and rng.random() < 0.15
-        and value < 0.2 * sim.owner_share * sim.flow_value
+        and value < 0.2 * state.owner_share * state.pool_value_usd
     )
     if campaign.senders is None:
         sender = sim.owner
@@ -386,6 +372,7 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                   pump: Optional[Tuple[int, float]] = None,
                   gas: float = 0.0) -> None:
     """Process each day's agenda in intra-day second order."""
+    state = sim.state
     backlog: Dict[int, List[str]] = {}
     for day in range(lifetime_days + 1):
         day_ts = sim.t0 + day * SECONDS_PER_DAY
@@ -428,7 +415,7 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                 # Buy sizes are anchored to the deployment scale so organic
                 # inflow grows the pool linearly, not exponentially.
                 size = _INITIAL_DEPOSIT_USD * 0.01 * float(rng.lognormal(0.0, 0.6))
-                size = min(max(size, 1.0), sim.flow_value * 0.1 + 1.0)
+                size = min(max(size, 1.0), state.pool_value_usd * 0.1 + 1.0)
                 needed_paired = size * (sim.rp / sim.rb) if sim.rb > 0 else math.inf
                 if rng.random() < 0.05 and sim.holdings.get(investor, 0.0) >= needed_paired:
                     sim.deposit(ts, investor, size)
@@ -447,13 +434,13 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                                  sim.rp * 0.25)
                     sim.sell(ts, payload, amount)
             elif kind == _NOISE:
-                size = min(sim.flow_value * _uniform(rng, 0.001, 0.005),
+                size = min(state.pool_value_usd * _uniform(rng, 0.001, 0.005),
                            _INITIAL_DEPOSIT_USD * 0.01)
                 if size > 0.01:
                     sim.buy(ts, sim.owner, size, gas=gas)
             elif kind == _EARLY_SELL:
                 sim.sell_for_value(ts, sim.owner,
-                                   sim.flow_value * _uniform(rng, 0.004, 0.02),
+                                   state.pool_value_usd * _uniform(rng, 0.004, 0.02),
                                    gas=gas)
             elif kind == _DRAIN:
                 _execute_drain(sim, rng, ts, campaign, gas)
@@ -463,10 +450,10 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                 for _ in range(int(rng.integers(1, 4))):
                     sim.sell_for_value(
                         ts - int(rng.integers(200, 1100)), sim.owner,
-                        sim.flow_value * _uniform(rng, 0.02, 0.15), gas=gas)
-                sim.withdraw(ts, sim.owner, payload * sim.flow_value, gas=gas)
+                        state.pool_value_usd * _uniform(rng, 0.02, 0.15), gas=gas)
+                sim.withdraw(ts, sim.owner, payload * state.pool_value_usd, gas=gas)
             elif kind == _PUMP:
-                share = max(sim.owner_share, 1e-6)
+                share = max(state.owner_share, 1e-6)
                 sim.ensure_value(ts, payload / share)
 
 
@@ -504,8 +491,6 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     sim.rp = _INITIAL_DEPOSIT_USD / _INITIAL_PAIRED_PRICE
     sim.rb = _INITIAL_DEPOSIT_USD
     sim.k = sim.rp * sim.rb
-    sim.flow_value = _INITIAL_DEPOSIT_USD
-    sim.owner_share = 1.0
     sim._emit(sim.t0, Category.DEPOSIT, sim.owner, sim.rp, sim.rb, gas=gas)
 
     pool = sim.pool_record(kind == ScenarioKind.LEGITIMATE, name, deployment_gas)
@@ -518,9 +503,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
             allow_investor_sells=True,
             noise_rate=0.3, noise_end_day=min(30, cfg.lifetime_days),
             drains_by_day=None, campaign=None, gas=gas)
-        return GeneratedScenario(pool, profile, sim.orders, kind.value)
-
-    if kind == ScenarioKind.RUGPULL:
+    elif kind == ScenarioKind.RUGPULL:
         drain_day = max(cfg.rug_drain_day, 0)
         _run_timeline(
             sim, rng, lifetime_days=min(cfg.lifetime_days, drain_day + 2),
@@ -529,9 +512,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
             noise_rate=1.0, noise_end_day=drain_day,
             drains_by_day=None, campaign=None,
             rug=(drain_day, cfg.rug_impact), gas=gas)
-        return GeneratedScenario(pool, profile, sim.orders, kind.value)
-
-    if kind == ScenarioKind.HONEYPOT:
+    elif kind == ScenarioKind.HONEYPOT:
         trigger = _HONEYPOT_TRIGGERS[int(rng.integers(0, len(_HONEYPOT_TRIGGERS)))]
         profile = SecurityProfile(**trigger)
         campaign = _Campaign(
@@ -544,52 +525,46 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
             allow_investor_sells=False,
             noise_rate=0.5, noise_end_day=min(45, cfg.lifetime_days),
             drains_by_day=drains, campaign=campaign, gas=gas)
-        return GeneratedScenario(pool, profile, sim.orders, kind.value)
+    else:    # the SLID family
+        slow = kind == ScenarioKind.SLID_SLOW
+        if slow:
+            drain_start = cfg.slow_start_day
+            drain_end = min(cfg.slow_start_day + 60, cfg.lifetime_days)
+        else:
+            drain_start = 1
+            drain_end = min(28, max(1, cfg.lifetime_days - 1))
+        drains = _drain_days(rng, cfg.slid_drain_count, drain_start, drain_end)
 
-    # SLID family ------------------------------------------------------------
-    if kind == ScenarioKind.SLID_SLOW:
-        drain_start = cfg.slow_start_day
-        drain_end = min(cfg.slow_start_day + 60, cfg.lifetime_days)
-    else:
-        drain_start = 1
-        drain_end = min(28, max(1, cfg.lifetime_days - 1))
-    drains = _drain_days(rng, cfg.slid_drain_count, drain_start, drain_end)
+        senders = None
+        if kind == ScenarioKind.SLID_MULTI_ADDRESS:
+            senders = _addresses(rng, _MULTI_ADDRESS_COUNT)
 
-    senders = None
-    if kind == ScenarioKind.SLID_MULTI_ADDRESS:
-        senders = _addresses(rng, _MULTI_ADDRESS_COUNT)
+        early: Optional[Dict[int, List[int]]] = None
+        if slow:
+            early = {}
+            for day in sorted(int(d) for d in rng.integers(3, 50, size=cfg.early_sell_count)):
+                early.setdefault(day, []).append(int(rng.integers(60, SECONDS_PER_DAY - 120)))
 
-    early: Optional[Dict[int, List[int]]] = None
-    if kind == ScenarioKind.SLID_SLOW:
-        early = {}
-        for day in sorted(int(d) for d in rng.integers(3, 50, size=cfg.early_sell_count)):
-            early.setdefault(day, []).append(int(rng.integers(60, SECONDS_PER_DAY - 120)))
+        campaign = _Campaign(
+            target_profit=_PROFIT_MULTIPLE_TARGET * invested,
+            n_left=cfg.slid_drain_count,
+            lo=cfg.slid_impact_range[0], hi=cfg.slid_impact_range[1],
+            senders=senders)
+        pump = None
+        if cfg.lifetime_days > 30 and not slow:
+            pump = (29, _RESIDUAL_MULTIPLE_TARGET * invested)
 
-    campaign = _Campaign(
-        target_profit=_PROFIT_MULTIPLE_TARGET * invested,
-        n_left=cfg.slid_drain_count,
-        lo=cfg.slid_impact_range[0], hi=cfg.slid_impact_range[1],
-        senders=senders)
-    pump = None
-    if cfg.lifetime_days > 30 and kind != ScenarioKind.SLID_SLOW:
-        pump = (29, _RESIDUAL_MULTIPLE_TARGET * invested)
-
-    _run_timeline(
-        sim, rng, lifetime_days=cfg.lifetime_days,
-        arrival_rate_for_day=lambda day: cfg.investor_arrival,
-        allow_investor_sells=True,
-        noise_rate=_OWNER_NOISE_TRADES_PER_DAY,
-        noise_end_day=min(70, cfg.lifetime_days),
-        drains_by_day=drains, campaign=campaign,
-        early_sell_days=early, pump=pump, gas=gas)
-
-    if campaign.returned <= 0:
-        raise InfeasibleConfig("drain campaign extracted nothing")
-    label = (ScenarioKind.SLID_MULTI_ADDRESS.value
-             if kind == ScenarioKind.SLID_MULTI_ADDRESS else ScenarioKind.SLID.value)
-    if kind == ScenarioKind.SLID_SLOW:
-        label = ScenarioKind.SLID_SLOW.value
-    return GeneratedScenario(pool, profile, sim.orders, label)
+        _run_timeline(
+            sim, rng, lifetime_days=cfg.lifetime_days,
+            arrival_rate_for_day=lambda day: cfg.investor_arrival,
+            allow_investor_sells=True,
+            noise_rate=_OWNER_NOISE_TRADES_PER_DAY,
+            noise_end_day=min(70, cfg.lifetime_days),
+            drains_by_day=drains, campaign=campaign,
+            early_sell_days=early, pump=pump, gas=gas)
+        if campaign.returned <= 0:
+            raise InfeasibleConfig("drain campaign extracted nothing")
+    return GeneratedScenario(pool, profile, sim.orders, kind.value)
 
 
 # ---------------------------------------------------------------------------
@@ -604,25 +579,30 @@ _KIND_ORDER = (
 
 def plan_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
                 overrides: Optional[Dict[ScenarioKind, Dict[str, object]]] = None,
-                lifetime_chooser=None) -> List[ScenarioConfig]:
+                survival: Optional[Dict[ScenarioKind, Tuple[float, int]]] = None,
+                ) -> List[ScenarioConfig]:
     """Deterministic per-scenario configs with seeds derived from one master.
 
-    `overrides` maps kind -> ScenarioConfig keyword overrides;
-    `lifetime_chooser(kind, index, seed)` may return a lifetime in days.
+    `overrides` maps kind -> ScenarioConfig keyword overrides. `survival`
+    maps kind -> (fraction, short_days): the first round(fraction * count)
+    pools of the kind keep the configured lifetime, the rest live
+    short_days.
     """
     overrides = overrides or {}
+    survival = survival or {}
     master = np.random.SeedSequence(seed)
     children = master.spawn(sum(counts.get(k, 0) for k in _KIND_ORDER))
     child_iter = iter(children)
     plans: List[ScenarioConfig] = []
     for kind in _KIND_ORDER:
-        for index in range(counts.get(kind, 0)):
+        count = counts.get(kind, 0)
+        fraction, short_days = survival.get(kind, (1.0, 0))
+        long_count = int(round(fraction * count))
+        for index in range(count):
             scenario_seed = int(next(child_iter).generate_state(1)[0])
             kwargs = dict(overrides.get(kind, {}))
-            if lifetime_chooser is not None:
-                lifetime = lifetime_chooser(kind, index, scenario_seed)
-                if lifetime is not None:
-                    kwargs["lifetime_days"] = lifetime
+            if index >= long_count:
+                kwargs["lifetime_days"] = short_days
             plans.append(ScenarioConfig(kind=kind, seed=scenario_seed, **kwargs))
     return plans
 
@@ -634,7 +614,7 @@ def scenario_pool_address(cfg: ScenarioConfig) -> str:
 
 def build_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
                  overrides: Optional[Dict[ScenarioKind, Dict[str, object]]] = None,
-                 lifetime_chooser=None,
+                 survival: Optional[Dict[ScenarioKind, Tuple[float, int]]] = None,
                  sort_by_address: bool = False) -> Iterable[GeneratedScenario]:
     """Scenarios for each kind/count, generated lazily: one pool's orders in
     memory at a time. Every scenario is planned, and its config checked, on
@@ -643,7 +623,7 @@ def build_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
     With sort_by_address the stream is grouped by ascending pool address
     (stable output files) at the cost of planning the headers twice.
     """
-    plans = plan_corpus(counts, seed, overrides, lifetime_chooser)
+    plans = plan_corpus(counts, seed, overrides, survival)
     if sort_by_address:
         plans.sort(key=scenario_pool_address)
     return (generate(plan) for plan in plans)
@@ -674,10 +654,12 @@ def corpus_spec_from_options(options: Dict[str, str]):
     and `seed` (both set per scenario by plan_corpus), each parsed by the
     type of its default (`config.parse_value`), plus
     `survive_month_fraction` (share of pools given the full lifetime) with
-    `short_lifetime_days` for the rest. A bare `seed=` sets the master seed.
-    A value that does not parse, a negative count or an impact range that is
-    not two numbers raises ConfigError naming the key and the value.
-    Returns (counts, seed, overrides, lifetime_chooser).
+    `short_lifetime_days` (default 10) for the rest. A bare `seed=` sets the
+    master seed. A value that does not parse, a negative seed or count, a
+    `survive_month_fraction` that is not a finite number in [0, 1] or an
+    impact range that is not two numbers raises ConfigError naming the key
+    and the value. Returns (counts, seed, overrides, survival), the
+    arguments of build_corpus.
     """
     seed = 0
     counts: Dict[ScenarioKind, int] = {}
@@ -687,6 +669,8 @@ def corpus_spec_from_options(options: Dict[str, str]):
         try:
             if key == "seed":
                 seed = int(raw)
+                if seed < 0:
+                    raise ValueError("negative seed")
                 continue
             if "." not in key:
                 raise ConfigError(f"corpus option {key!r} must be seed or kind.key")
@@ -699,11 +683,12 @@ def corpus_spec_from_options(options: Dict[str, str]):
                 if counts[kind] < 0:
                     raise ValueError("negative count")
             elif field_name == "survive_month_fraction":
-                fraction, short = survival.get(kind, (1.0, 10))
-                survival[kind] = (float(raw), short)
+                fraction = float(raw)
+                if not 0.0 <= fraction <= 1.0:
+                    raise ValueError("fraction outside [0, 1]")
+                survival[kind] = (fraction, survival.get(kind, (1.0, 10))[1])
             elif field_name == "short_lifetime_days":
-                fraction, _ = survival.get(kind, (1.0, 10))
-                survival[kind] = (fraction, int(raw))
+                survival[kind] = (survival.get(kind, (1.0, 10))[0], int(raw))
             elif field_name in _OPTION_DEFAULTS:
                 overrides.setdefault(kind, {})[field_name] = parse_value(
                     _OPTION_DEFAULTS[field_name], raw)
@@ -711,18 +696,7 @@ def corpus_spec_from_options(options: Dict[str, str]):
                 raise ConfigError(f"unknown scenario option {field_name!r}")
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-    chooser = None
-    if survival:
-        def chooser(kind, index, _seed):
-            if kind not in survival:
-                return None
-            fraction, short_days = survival[kind]
-            long_count = int(round(fraction * counts.get(kind, 0)))
-            if index < long_count:
-                return None      # keep the configured lifetime
-            return short_days
-    return counts, seed, overrides, chooser
+    return counts, seed, overrides, survival
 
 
 # ---------------------------------------------------------------------------

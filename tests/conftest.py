@@ -78,6 +78,15 @@ def make_dataset(entries) -> Dataset:
     return Dataset(pools=pools, orders=orders, profiles=profiles)
 
 
+def realized_share_on_day(report, day: int = 0) -> float:
+    """Share of a profit report's total profit-taking USD that landed on one
+    day since deployment."""
+    total = sum(usd for _, usd in report.rows.values())
+    if total <= 0:
+        return 0.0
+    return report.rows.get(day, (0, 0.0))[1] / total
+
+
 class UnitShareOracle:
     """Direct LP-token-unit accounting: the independent owner-share model.
 

@@ -33,7 +33,8 @@ from slidscan.synth import (
 )
 from slidscan.validators import DEFAULT_CONFIG, Label, classify_pool
 
-from conftest import OWNER, USER, UnitShareOracle, make_dataset, make_order
+from conftest import (OWNER, USER, UnitShareOracle, make_dataset, make_order,
+                      realized_share_on_day)
 
 pytestmark = pytest.mark.acceptance
 
@@ -346,15 +347,14 @@ def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
 def test_acceptance_7_population_reports():
     started = time.time()
 
-    def chooser(kind, index, seed):
-        return 60 if index < 70 else 12
-
+    # 70 of the 100 pools live 60 days, the other 30 live 12.
     slid_corpus = list(build_corpus(
         {ScenarioKind.SLID: 100}, seed=7007,
         overrides={ScenarioKind.SLID: {"slid_drain_count": 60,
                                        "investor_arrival": 1.5,
-                                       "investor_count": 25}},
-        lifetime_chooser=chooser))
+                                       "investor_count": 25,
+                                       "lifetime_days": 60}},
+        survival={ScenarioKind.SLID: (0.7, 12)}))
     age = analyze(make_dataset((s.pool, s.orders) for s in slid_corpus), "age")
     alive_fraction = age.alive_after_fraction(30)
     assert abs(alive_fraction - 0.70) <= 0.02, f"alive fraction {alive_fraction}"
@@ -364,7 +364,7 @@ def test_acceptance_7_population_reports():
         overrides={ScenarioKind.RUGPULL: {"investor_arrival": 2.0,
                                           "investor_count": 15}}))
     profit = analyze(make_dataset((s.pool, s.orders) for s in rug_corpus), "profit")
-    day0 = profit.realized_share_on_day(0)
+    day0 = realized_share_on_day(profit, 0)
     assert day0 >= 0.99, f"only {day0:.4f} of rug USD on day zero"
     _passline(7, f"alive-after-month {alive_fraction:.3f} (target 0.70±0.02), "
                  f"rug day-0 realized share {day0:.4f}, "

@@ -7,7 +7,7 @@ from slidscan.ledger import SECONDS_PER_DAY
 from slidscan.synth import ScenarioConfig, ScenarioKind, generate
 from slidscan.validators import Label
 
-from conftest import T0, USER, make_dataset, make_order, make_pool
+from conftest import T0, USER, make_dataset, make_order, make_pool, realized_share_on_day
 
 
 class TestAgeReport:
@@ -57,12 +57,12 @@ class TestProfitReportDays:
         report = analyze(make_dataset([(pool, orders)]), "profit")
         assert report.rows[0] == (1, pytest.approx(50.0))
         assert report.rows[1] == (1, pytest.approx(30.0))
-        assert report.realized_share_on_day(0) == pytest.approx(50.0 / 80.0)
+        assert realized_share_on_day(report, 0) == pytest.approx(50.0 / 80.0)
 
     def test_rug_pull_concentrates_on_day_zero(self):
         scenario = generate(ScenarioConfig(kind=ScenarioKind.RUGPULL, seed=6))
         report = analyze(make_dataset([(scenario.pool, scenario.orders)]), "profit")
-        assert report.realized_share_on_day(0) >= 0.99
+        assert realized_share_on_day(report, 0) >= 0.99
 
 
 class TestTrendReport:

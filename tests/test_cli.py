@@ -1,6 +1,7 @@
 """CLI subcommands end to end: generate, detect, features, train, sweep, report."""
 
 import csv
+import hashlib
 import json
 import shutil
 
@@ -27,6 +28,41 @@ slidmultiaddress.count = 1
 slidmultiaddress.slid_drain_count = 30
 slidmultiaddress.lifetime_days = 60
 """
+
+
+PINNED_CFG = """
+seed = 19
+legitimate.count = 3
+legitimate.lifetime_days = 20
+legitimate.survive_month_fraction = 0.5
+legitimate.short_lifetime_days = 6
+rugpull.count = 2
+rugpull.rug_drain_day = 3
+rugpull.rug_impact = 0.999
+honeypot.count = 2
+honeypot.lifetime_days = 30
+slid.count = 3
+slid.slid_drain_count = 40
+slid.lifetime_days = 40
+slid.slid_impact_range = 0.5,0.94
+slid.survive_month_fraction = 0.7
+slid.short_lifetime_days = 12
+slidslow.count = 1
+slidslow.slow_start_day = 20
+slidslow.lifetime_days = 45
+slidslow.slid_drain_count = 30
+slidslow.early_sell_count = 4
+slidmultiaddress.count = 1
+slidmultiaddress.slid_drain_count = 30
+slidmultiaddress.lifetime_days = 40
+"""
+
+PINNED_SHA256 = {
+    "orders.jsonl": "af01d3d51fe5f2b7c068f610006b16eb3035eb52200a386c1541016baa9c8c87",
+    "pools.jsonl": "39a23d3b14d07a06f71525219192eb96b0a849fb7e9cbf6b13b6094d600e6781",
+    "profiles.jsonl": "d6df9608035ca6d03aecd3a5f25246838d65a3a10a3a2b483f5c25f0b19458ca",
+    "labels.csv": "d5d3115dd0dd17db17f33b081992993502132310e9fc1602d89b1c2d43cea96c",
+}
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +144,19 @@ class TestGenerate:
                      for line in (corpus / "pools.jsonl").read_text().splitlines()]
         assert addresses == sorted(addresses)
         assert len(addresses) == 16
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        """A small corpus of every kind, with the survival split, a drain
+        impact range near the rug split, an early rug, slow early sells and
+        linked drain senders, keeps the exact bytes it was recorded with.
+        The digests hold for numpy's current Generator streams, which numpy
+        does not promise across major versions."""
+        cfg = tmp_path / "pinned.cfg"
+        cfg.write_text(PINNED_CFG)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "c" / name).read_bytes()).hexdigest()
+                   for name in PINNED_SHA256}
+        assert digests == PINNED_SHA256
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -342,6 +391,16 @@ class TestBadOrderRows:
         pytest.param(lambda row: {**row, "price_paired": -1.0},
                      "bad order row: price_paired must be finite and non-negative",
                      id="negative-price-paired"),
+        *[pytest.param(lambda row, column=column, value=value: {**row, column: value},
+                       f"bad order row: {column} must be null, or finite and non-negative",
+                       id=f"{value}-{column}")
+          for column in ("x_paired", "x_base") for value in ("nan", "inf", "-5")],
+        pytest.param(lambda row: {**row, "x_base": "nan", "x_paired": "-5"},
+                     "bad order row: x_paired must be null, or finite and non-negative",
+                     id="both-balances"),
+        pytest.param(lambda row: {**row, "x_base": "abc", "x_paired": "-5"},
+                     "bad order row: could not convert string to float: 'abc'",
+                     id="unparsable-before-negative-balance"),
         *[pytest.param(lambda row, column=column: {**row, column: True},
                        f"bad order row: {column} True is not a number",
                        id=f"bool-{column}")
@@ -895,6 +954,16 @@ def _corpus_config_with_nan_arrival(corpus, tmp_path):
             "investor_arrival")
 
 
+def _corpus_config_with_negative_seed(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "seed = -1\nlegitimate.count = 2\n"),
+            "seed: '-1'")
+
+
+def _corpus_config_with_nan_survival(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "slid.count = 2\nslid.survive_month_fraction = nan\n"),
+            "slid.survive_month_fraction: 'nan'")
+
+
 def _corpus_config_with_one_value_range(corpus, tmp_path):
     return (_corpus_config(tmp_path, "slid.count = 1\nslid.slid_impact_range = 0.5\n"),
             "slid.slid_impact_range: '0.5'")
@@ -930,6 +999,8 @@ class TestUnusableInputs:
         (_corpus_config_with_bad_seed, 4, "ConfigError"),
         (_corpus_config_with_negative_count, 4, "ConfigError"),
         (_corpus_config_with_one_value_range, 4, "ConfigError"),
+        (_corpus_config_with_negative_seed, 4, "ConfigError"),
+        (_corpus_config_with_nan_survival, 4, "ConfigError"),
         (_corpus_config_with_negative_arrival, 4, "InfeasibleConfig"),
         (_corpus_config_with_nan_arrival, 4, "InfeasibleConfig"),
     ], ids=lambda value: getattr(value, "__name__", None))

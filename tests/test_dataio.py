@@ -580,6 +580,19 @@ class TestReaderPathsAgree:
             assert decode_corpus(files) == fast
         assert ("is not a finite number" in fast[0]) == (n >= 2 ** 1024 - 2 ** 970)
 
+    @pytest.mark.parametrize("value", ['"nan"', '"inf"', '"-5"', "-5", "1e400"])
+    @pytest.mark.parametrize("column", ["x_paired", "x_base"])
+    def test_bad_recorded_balance_is_one_error_line(self, column, value):
+        """A recorded balance that is not null, or finite and non-negative,
+        is the same error line, naming the field, on both paths."""
+        files = corpus_lines("orders.jsonl", 1, {column: value})
+        fast = decode_corpus(files)
+        with mock.patch.object(dataio, "_orjson_loads", None):
+            assert decode_corpus(files) == fast
+        error = ("SchemaError: <root>/orders.jsonl line 2: "
+                 f"bad order row: {column} must be null, or finite and non-negative")
+        assert fast[2:] == [error, error]
+
     @given(_line)
     @settings(max_examples=400, deadline=None)
     def test_orjson_rows_differ_only_in_wide_integers(self, line):

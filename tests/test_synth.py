@@ -255,14 +255,43 @@ class TestCorpusSpec:
             "slid.survive_month_fraction": "0.7",
             "slid.short_lifetime_days": "12",
         }
-        counts, seed, overrides, chooser = corpus_spec_from_options(options)
+        counts, seed, overrides, survival = corpus_spec_from_options(options)
         assert seed == 9
         assert counts[ScenarioKind.LEGITIMATE] == 5
         assert overrides[ScenarioKind.LEGITIMATE]["lifetime_days"] == 60
         assert overrides[ScenarioKind.SLID]["slid_impact_range"] == (0.08, 0.40)
-        assert chooser(ScenarioKind.SLID, 0, 0) is None       # long-lived
-        assert chooser(ScenarioKind.SLID, 2, 0) == 12         # short-lived
-        assert chooser(ScenarioKind.LEGITIMATE, 0, 0) is None
+        assert survival == {ScenarioKind.SLID: (0.7, 12)}
+        plans = plan_corpus(counts, seed, overrides, survival)
+        lifetimes = {kind: [p.lifetime_days for p in plans if p.kind == kind]
+                     for kind in counts}
+        # round(0.7 * 3) = 2 SLID pools keep the configured lifetime.
+        assert lifetimes == {ScenarioKind.LEGITIMATE: [60] * 5,
+                             ScenarioKind.SLID: [120, 120, 12]}
+
+    @pytest.mark.parametrize("key,raw", [
+        ("seed", "-1"),
+        ("slid.survive_month_fraction", "nan"),
+        ("slid.survive_month_fraction", "inf"),
+        ("slid.survive_month_fraction", "-inf"),
+        ("slid.survive_month_fraction", "-0.5"),
+        ("slid.survive_month_fraction", "1.5"),
+    ])
+    def test_out_of_range_values_rejected(self, key, raw):
+        """A negative master seed, or a survival fraction that is not a
+        finite number in [0, 1], is a config error naming the key and the
+        value, raised while the options are parsed."""
+        from slidscan.config import ConfigError
+        with pytest.raises(ConfigError) as err:
+            corpus_spec_from_options({"slid.count": "3", key: raw})
+        assert str(err.value) == f"bad value for {key}: {raw!r}"
+
+    @pytest.mark.parametrize("raw", ["0", "1", "0.25"])
+    def test_survival_fraction_bounds_accepted(self, raw):
+        """Both ends of [0, 1] are fractions; the short lifetime defaults to
+        10 days."""
+        _, _, _, survival = corpus_spec_from_options(
+            {"slid.count": "4", "slid.survive_month_fraction": raw})
+        assert survival[ScenarioKind.SLID] == (float(raw), 10)
 
     def test_unknown_kind_rejected(self):
         from slidscan.config import ConfigError
