@@ -11,7 +11,8 @@ one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
   3  EmptyDataset (no pools) or SingleClassInput (training labels hold one
      class only, or a sweep's verdicts have fewer than 2 pools in a class)
   4  ConfigError, InfeasibleConfig, UsageError (bad arguments, checked
-     while they are parsed) or a missing input file
+     while they are parsed, such as a --config no step of the command
+     reads) or a missing input file
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def _orders_summary(dataset: dataio.Dataset) -> str:
 
 
 def cmd_features(args) -> int:
+    if args.labels and args.config:
+        raise UsageError("features reads --config only to label pools, not with --labels")
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(args.pools, args.orders, profiles_file=args.profiles)
     addresses = list(dataset.pools)
@@ -242,6 +245,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.config and not args.labels_filter:
+        raise UsageError("report reads --config only to label pools for --labels-filter")
     cfg = _heuristic_config(args)
     if args.corpus:
         pools_file, orders_file, profiles_file = _corpus_files(args.corpus)

@@ -20,9 +20,11 @@ figures `detect` computes from the written orders. Scenario kinds:
   SlidMultiAddress  drains are sent from linked non-owner addresses, so
                owner-attributed accounting cannot see them.
 
-Scenarios run on a day-by-day agenda: every event within a day is ordered by
-its drawn second, so timestamps are strictly increasing by construction and
-the same seed reproduces the identical order stream bit for bit.
+`generate` draws a scenario's owner events (early sells, drains, a rug, a
+pump) into one schedule, day -> [(second, event, payload)]. Each day the
+engine adds them to the investor and noise trades it draws and runs the lot
+in second order, a tie keeping the order items were added (drawn trades
+first), so timestamps strictly increase and a seed gives the same bytes.
 
 oracle_report() at the bottom recomputes every profit metric by naive
 summation and LP-unit share accounting. It deliberately shares no code with
@@ -32,8 +34,10 @@ the metrics module; tests compare the two paths.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +70,7 @@ _OWNER_NOISE_TRADES_PER_DAY = 2.0     # SLID owner buys, Poisson rate
 _PROFIT_MULTIPLE_TARGET = 10.3        # SLID realized profit / deposit
 _RESIDUAL_MULTIPLE_TARGET = 1.56      # SLID first-month unrealized / deposit
 _MULTI_ADDRESS_COUNT = 3              # linked drain senders of SlidMultiAddress
+_MAX_LIFETIME_DAYS = 3650             # a pool's days are walked, its orders held
 
 
 class InfeasibleConfig(Exception):
@@ -101,10 +106,12 @@ class ScenarioConfig:
         if not (0.0 < lo < hi < _IMPACT_SPLIT):
             raise InfeasibleConfig(
                 f"slid_impact_range must sit strictly inside (0, {_IMPACT_SPLIT})")
-        if self.rug_impact < _IMPACT_SPLIT:
-            raise InfeasibleConfig(f"rug_impact must be >= {_IMPACT_SPLIT}")
-        if self.lifetime_days < 1:
-            raise InfeasibleConfig("lifetime_days must be >= 1")
+        if not _IMPACT_SPLIT <= self.rug_impact <= 1.0:
+            raise InfeasibleConfig(
+                f"rug_impact must be in [{_IMPACT_SPLIT}, 1.0], got {self.rug_impact!r}")
+        if not 1 <= self.lifetime_days <= _MAX_LIFETIME_DAYS:
+            raise InfeasibleConfig(f"lifetime_days must be in [1, {_MAX_LIFETIME_DAYS}], "
+                                   f"got {self.lifetime_days!r}")
         if not 0.0 <= self.investor_arrival < math.inf:
             raise InfeasibleConfig("investor_arrival must be a finite rate >= 0")
         if self.kind == ScenarioKind.RUGPULL and self.rug_drain_day >= self.lifetime_days:
@@ -316,19 +323,15 @@ class _Campaign:
 
 
 def _drain_days(rng: np.random.Generator, count: int, start_day: int,
-                end_day: int) -> Dict[int, List[int]]:
-    """Map day -> sorted intra-day seconds for the drain schedule."""
+                end_day: int) -> List[Tuple[int, int]]:
+    """(day, intra-day second) of each drain, in time order."""
     span = max(end_day - start_day + 1, 1) * SECONDS_PER_DAY
-    offsets = np.sort(rng.integers(0, span, size=count))
-    by_day: Dict[int, List[int]] = {}
-    for offset in offsets:
-        day = start_day + int(offset) // SECONDS_PER_DAY
-        by_day.setdefault(day, []).append(int(offset) % SECONDS_PER_DAY)
-    return by_day
+    offsets = np.sort(rng.integers(0, span, size=count)) + start_day * SECONDS_PER_DAY
+    return [divmod(offset, SECONDS_PER_DAY) for offset in offsets.tolist()]
 
 
 def _execute_drain(sim: _PoolSim, rng: np.random.Generator, ts: int,
-                   campaign: _Campaign, gas: float) -> None:
+                   campaign: _Campaign) -> None:
     impact = _uniform(rng, campaign.lo, campaign.hi)
     remaining = (campaign.target_profit + sim.owner_invested + sim.owner_gas
                  - campaign.returned)
@@ -353,62 +356,42 @@ def _execute_drain(sim: _PoolSim, rng: np.random.Generator, ts: int,
     else:
         sender = campaign.senders[int(rng.integers(0, len(campaign.senders)))]
     if use_withdraw:
-        sim.withdraw(ts, sender, value, gas=gas)
+        sim.withdraw(ts, sender, value, gas=_GAS_PER_ORDER_USD)
     else:
-        value = sim.sell_for_value(ts, sender, value, gas=gas)
+        value = sim.sell_for_value(ts, sender, value, gas=_GAS_PER_ORDER_USD)
     campaign.returned += value
     campaign.n_left -= 1
 
 
-def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
-                  lifetime_days: int,
-                  arrival_rate_for_day,
-                  allow_investor_sells: bool,
-                  noise_rate: float, noise_end_day: int,
-                  drains_by_day: Optional[Dict[int, List[int]]],
-                  campaign: Optional[_Campaign],
-                  early_sell_days: Optional[Dict[int, List[int]]] = None,
-                  rug: Optional[Tuple[int, float]] = None,
-                  pump: Optional[Tuple[int, float]] = None,
-                  gas: float = 0.0) -> None:
-    """Process each day's agenda in intra-day second order."""
+_Schedule = Dict[int, List[Tuple[int, int, object]]]
+
+
+def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *, lifetime_days: int,
+                  arrival_rate_for_day, allow_investor_sells: bool,
+                  noise_rate: float, noise_end_day: int, events: _Schedule) -> None:
+    """Run days 0..lifetime_days. A day's agenda is its drawn arrivals,
+    sell-backs and (to noise_end_day) owner noise buys, then its `events`:
+    (second, event, payload), the payload a drain's `_Campaign`, a rug's
+    impact or a pump's target value. A stable sort by second runs it, so a
+    tie keeps that order, and scheduled events the order they were added."""
     state = sim.state
+    gas = _GAS_PER_ORDER_USD
     backlog: Dict[int, List[str]] = {}
     for day in range(lifetime_days + 1):
         day_ts = sim.t0 + day * SECONDS_PER_DAY
-        agenda: List[Tuple[int, int, int, object]] = []
-        seq = 0
-
         arrivals = int(rng.poisson(arrival_rate_for_day(day)))
         sellers = backlog.pop(day, [])
         seconds = _intraday_seconds(rng, arrivals + len(sellers))
-        for sec in seconds[:arrivals]:
-            agenda.append((sec, seq, _ARRIVE, None))
-            seq += 1
-        for sec, investor in zip(seconds[arrivals:], sellers):
-            agenda.append((sec, seq, _SELLBACK, investor))
-            seq += 1
+        agenda = [(sec, _ARRIVE, None) for sec in seconds[:arrivals]]
+        agenda += [(sec, _SELLBACK, investor)
+                   for sec, investor in zip(seconds[arrivals:], sellers)]
         if day <= noise_end_day and noise_rate > 0:
-            for sec in _intraday_seconds(rng, int(rng.poisson(noise_rate))):
-                agenda.append((sec, seq, _NOISE, None))
-                seq += 1
-        if early_sell_days:
-            for sec in early_sell_days.get(day, []):
-                agenda.append((sec, seq, _EARLY_SELL, None))
-                seq += 1
-        if drains_by_day:
-            for sec in drains_by_day.get(day, []):
-                agenda.append((sec, seq, _DRAIN, None))
-                seq += 1
-        if rug is not None and rug[0] == day:
-            agenda.append((SECONDS_PER_DAY - 600, seq, _RUG, rug[1]))
-            seq += 1
-        if pump is not None and pump[0] == day:
-            agenda.append((SECONDS_PER_DAY - 300, seq, _PUMP, pump[1]))
-            seq += 1
+            agenda += [(sec, _NOISE, None) for sec in
+                       _intraday_seconds(rng, int(rng.poisson(noise_rate)))]
+        agenda += events.get(day, ())
+        agenda.sort(key=itemgetter(0))
 
-        agenda.sort()    # by (second, seq); no two items share a seq
-        for sec, _, kind, payload in agenda:
+        for sec, kind, payload in agenda:
             ts = day_ts + sec
             if kind == _ARRIVE:
                 investor = sim.next_investor()
@@ -443,7 +426,7 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *,
                                    state.pool_value_usd * _uniform(rng, 0.004, 0.02),
                                    gas=gas)
             elif kind == _DRAIN:
-                _execute_drain(sim, rng, ts, campaign, gas)
+                _execute_drain(sim, rng, ts, payload)
             elif kind == _RUG:
                 wave = _uniform(rng, 1.5, 3.0) * _INITIAL_DEPOSIT_USD
                 sim.ensure_value(ts - 1200, _INITIAL_DEPOSIT_USD + wave)
@@ -483,7 +466,6 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     sim = _PoolSim(cfg, rng)
     deployment_gas = _uniform(rng, 80.0, 400.0)
     name = f"TOK{int(rng.integers(100, 999))}"
-    gas = _GAS_PER_ORDER_USD
     kind = cfg.kind
     profile = _benign_profile(rng)
 
@@ -491,79 +473,64 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     sim.rp = _INITIAL_DEPOSIT_USD / _INITIAL_PAIRED_PRICE
     sim.rb = _INITIAL_DEPOSIT_USD
     sim.k = sim.rp * sim.rb
-    sim._emit(sim.t0, Category.DEPOSIT, sim.owner, sim.rp, sim.rb, gas=gas)
+    sim._emit(sim.t0, Category.DEPOSIT, sim.owner, sim.rp, sim.rb, gas=_GAS_PER_ORDER_USD)
 
     pool = sim.pool_record(kind == ScenarioKind.LEGITIMATE, name, deployment_gas)
     invested = _INITIAL_DEPOSIT_USD
 
+    events: _Schedule = defaultdict(list)
+    lifetime_days = cfg.lifetime_days
+    arrival_rate_for_day = lambda day: cfg.investor_arrival
+    allow_investor_sells = True
+    slid_campaign = None
     if kind == ScenarioKind.LEGITIMATE:
-        _run_timeline(
-            sim, rng, lifetime_days=cfg.lifetime_days,
-            arrival_rate_for_day=lambda day: cfg.investor_arrival,
-            allow_investor_sells=True,
-            noise_rate=0.3, noise_end_day=min(30, cfg.lifetime_days),
-            drains_by_day=None, campaign=None, gas=gas)
+        noise_rate, noise_end_day = 0.3, min(30, lifetime_days)
     elif kind == ScenarioKind.RUGPULL:
         drain_day = max(cfg.rug_drain_day, 0)
-        _run_timeline(
-            sim, rng, lifetime_days=min(cfg.lifetime_days, drain_day + 2),
-            arrival_rate_for_day=lambda day: cfg.investor_arrival * 3 if day <= drain_day else 0.5,
-            allow_investor_sells=False,
-            noise_rate=1.0, noise_end_day=drain_day,
-            drains_by_day=None, campaign=None,
-            rug=(drain_day, cfg.rug_impact), gas=gas)
+        lifetime_days = min(lifetime_days, drain_day + 2)
+        arrival_rate_for_day = lambda day: cfg.investor_arrival * 3 if day <= drain_day else 0.5
+        allow_investor_sells = False
+        noise_rate, noise_end_day = 1.0, drain_day
+        events[drain_day].append((SECONDS_PER_DAY - 600, _RUG, cfg.rug_impact))
     elif kind == ScenarioKind.HONEYPOT:
         trigger = _HONEYPOT_TRIGGERS[int(rng.integers(0, len(_HONEYPOT_TRIGGERS)))]
         profile = SecurityProfile(**trigger)
         campaign = _Campaign(
             target_profit=_uniform(rng, 2.0, 4.0) * invested,
             n_left=int(rng.integers(8, 30)), lo=0.05, hi=0.40)
-        drains = _drain_days(rng, campaign.n_left, 1, min(45, cfg.lifetime_days))
-        _run_timeline(
-            sim, rng, lifetime_days=cfg.lifetime_days,
-            arrival_rate_for_day=lambda day: cfg.investor_arrival,
-            allow_investor_sells=False,
-            noise_rate=0.5, noise_end_day=min(45, cfg.lifetime_days),
-            drains_by_day=drains, campaign=campaign, gas=gas)
+        for day, second in _drain_days(rng, campaign.n_left, 1, min(45, lifetime_days)):
+            events[day].append((second, _DRAIN, campaign))
+        allow_investor_sells = False
+        noise_rate, noise_end_day = 0.5, min(45, lifetime_days)
     else:    # the SLID family
         slow = kind == ScenarioKind.SLID_SLOW
         if slow:
-            drain_start = cfg.slow_start_day
-            drain_end = min(cfg.slow_start_day + 60, cfg.lifetime_days)
+            start, end = cfg.slow_start_day, min(cfg.slow_start_day + 60, lifetime_days)
         else:
-            drain_start = 1
-            drain_end = min(28, max(1, cfg.lifetime_days - 1))
-        drains = _drain_days(rng, cfg.slid_drain_count, drain_start, drain_end)
-
-        senders = None
-        if kind == ScenarioKind.SLID_MULTI_ADDRESS:
-            senders = _addresses(rng, _MULTI_ADDRESS_COUNT)
-
-        early: Optional[Dict[int, List[int]]] = None
+            start, end = 1, min(28, max(1, lifetime_days - 1))
+        drains = _drain_days(rng, cfg.slid_drain_count, start, end)
+        multi = kind == ScenarioKind.SLID_MULTI_ADDRESS
+        senders = _addresses(rng, _MULTI_ADDRESS_COUNT) if multi else None
         if slow:
-            early = {}
-            for day in sorted(int(d) for d in rng.integers(3, 50, size=cfg.early_sell_count)):
-                early.setdefault(day, []).append(int(rng.integers(60, SECONDS_PER_DAY - 120)))
+            for day in sorted(rng.integers(3, 50, size=cfg.early_sell_count).tolist()):
+                events[day].append((int(rng.integers(60, SECONDS_PER_DAY - 120)),
+                                    _EARLY_SELL, None))
+        slid_campaign = _Campaign(
+            target_profit=_PROFIT_MULTIPLE_TARGET * invested, n_left=cfg.slid_drain_count,
+            lo=cfg.slid_impact_range[0], hi=cfg.slid_impact_range[1], senders=senders)
+        for day, second in drains:
+            events[day].append((second, _DRAIN, slid_campaign))
+        if lifetime_days > 30 and not slow:
+            events[29].append((SECONDS_PER_DAY - 300, _PUMP,
+                               _RESIDUAL_MULTIPLE_TARGET * invested))
+        noise_rate, noise_end_day = _OWNER_NOISE_TRADES_PER_DAY, min(70, lifetime_days)
 
-        campaign = _Campaign(
-            target_profit=_PROFIT_MULTIPLE_TARGET * invested,
-            n_left=cfg.slid_drain_count,
-            lo=cfg.slid_impact_range[0], hi=cfg.slid_impact_range[1],
-            senders=senders)
-        pump = None
-        if cfg.lifetime_days > 30 and not slow:
-            pump = (29, _RESIDUAL_MULTIPLE_TARGET * invested)
-
-        _run_timeline(
-            sim, rng, lifetime_days=cfg.lifetime_days,
-            arrival_rate_for_day=lambda day: cfg.investor_arrival,
-            allow_investor_sells=True,
-            noise_rate=_OWNER_NOISE_TRADES_PER_DAY,
-            noise_end_day=min(70, cfg.lifetime_days),
-            drains_by_day=drains, campaign=campaign,
-            early_sell_days=early, pump=pump, gas=gas)
-        if campaign.returned <= 0:
-            raise InfeasibleConfig("drain campaign extracted nothing")
+    _run_timeline(sim, rng, lifetime_days=lifetime_days,
+                  arrival_rate_for_day=arrival_rate_for_day,
+                  allow_investor_sells=allow_investor_sells,
+                  noise_rate=noise_rate, noise_end_day=noise_end_day, events=events)
+    if slid_campaign is not None and slid_campaign.returned <= 0:
+        raise InfeasibleConfig("drain campaign extracted nothing")
     return GeneratedScenario(pool, profile, sim.orders, kind.value)
 
 
@@ -571,10 +538,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
 # Corpus helper
 # ---------------------------------------------------------------------------
 
-_KIND_ORDER = (
-    ScenarioKind.LEGITIMATE, ScenarioKind.RUGPULL, ScenarioKind.HONEYPOT,
-    ScenarioKind.SLID, ScenarioKind.SLID_SLOW, ScenarioKind.SLID_MULTI_ADDRESS,
-)
+_KIND_ORDER = tuple(ScenarioKind)
 
 
 def plan_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
@@ -633,14 +597,7 @@ def build_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
 # Declarative corpus configuration (key=value file)
 # ---------------------------------------------------------------------------
 
-_KIND_ALIASES = {
-    "legitimate": ScenarioKind.LEGITIMATE,
-    "rugpull": ScenarioKind.RUGPULL,
-    "honeypot": ScenarioKind.HONEYPOT,
-    "slid": ScenarioKind.SLID,
-    "slidslow": ScenarioKind.SLID_SLOW,
-    "slidmultiaddress": ScenarioKind.SLID_MULTI_ADDRESS,
-}
+_KIND_ALIASES = {kind.value.lower(): kind for kind in ScenarioKind}
 
 # ScenarioConfig field -> its default, whose type parses the option's value.
 _OPTION_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)
@@ -688,7 +645,10 @@ def corpus_spec_from_options(options: Dict[str, str]):
                     raise ValueError("fraction outside [0, 1]")
                 survival[kind] = (fraction, survival.get(kind, (1.0, 10))[1])
             elif field_name == "short_lifetime_days":
-                survival[kind] = (survival.get(kind, (1.0, 10))[0], int(raw))
+                short_days = int(raw)
+                if not 1 <= short_days <= _MAX_LIFETIME_DAYS:
+                    raise ValueError("lifetime outside [1, _MAX_LIFETIME_DAYS]")
+                survival[kind] = (survival.get(kind, (1.0, 10))[0], short_days)
             elif field_name in _OPTION_DEFAULTS:
                 overrides.setdefault(kind, {})[field_name] = parse_value(
                     _OPTION_DEFAULTS[field_name], raw)

@@ -64,6 +64,26 @@ PINNED_SHA256 = {
     "labels.csv": "d5d3115dd0dd17db17f33b081992993502132310e9fc1602d89b1c2d43cea96c",
 }
 
+# A SlidSlow drain lands on the same second as a drawn item of its day, so
+# these bytes pin the agenda's tie order too (PINNED_CFG has no tie).
+TIED_CFG = """
+seed = 16
+slid.count = 2
+slid.lifetime_days = 40
+slidslow.count = 1
+slidslow.slow_start_day = 20
+slidslow.lifetime_days = 45
+slidslow.slid_drain_count = 200
+slidslow.early_sell_count = 4
+"""
+
+TIED_SHA256 = {
+    "orders.jsonl": "53f2a1aeddcf4bf3c4e49f4a12ec16933910b62e4949a74805d77ba2bbc7adfa",
+    "pools.jsonl": "1f987ba92a87226ff1e37724877dfca99a92a5caebb51760b52f3b112c0fc92b",
+    "profiles.jsonl": "b7fb5af4d3817ce16c3249a1cd6d7ba6db6f37c93d84de98976d3b21e12387c2",
+    "labels.csv": "f7e8625e6a27582e56a4f68f342f8420e7b4ef8a67e4f2a3fd619d7250de03cc",
+}
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -148,15 +168,19 @@ class TestGenerate:
     def test_corpus_bytes_are_pinned(self, tmp_path):
         """A small corpus of every kind, with the survival split, a drain
         impact range near the rug split, an early rug, slow early sells and
-        linked drain senders, keeps the exact bytes it was recorded with.
-        The digests hold for numpy's current Generator streams, which numpy
-        does not promise across major versions."""
-        cfg = tmp_path / "pinned.cfg"
-        cfg.write_text(PINNED_CFG)
-        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        digests = {name: hashlib.sha256((tmp_path / "c" / name).read_bytes()).hexdigest()
-                   for name in PINNED_SHA256}
-        assert digests == PINNED_SHA256
+        linked drain senders, and a corpus whose agenda has a same-second
+        tie, keep the exact bytes they were recorded with. The digests hold
+        for numpy's current Generator streams, which numpy does not promise
+        across major versions."""
+        for name, text, pinned in (("pinned", PINNED_CFG, PINNED_SHA256),
+                                   ("tied", TIED_CFG, TIED_SHA256)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / name
+            assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+            digests = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+                       for file in pinned}
+            assert digests == pinned, name
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -964,6 +988,47 @@ def _corpus_config_with_nan_survival(corpus, tmp_path):
             "slid.survive_month_fraction: 'nan'")
 
 
+def _corpus_config_with_zero_short_lifetime(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "slid.count = 2\nslid.survive_month_fraction = 0\n"
+                                     "slid.short_lifetime_days = 0\n"),
+            "slid.short_lifetime_days: '0'")
+
+
+def _corpus_config_with_unused_zero_short_lifetime(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "slid.count = 2\nslid.short_lifetime_days = 0\n"),
+            "slid.short_lifetime_days: '0'")
+
+
+def _corpus_config_with_rug_impact_above_one(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "rugpull.count = 1\nrugpull.rug_impact = 5\n"),
+            "rug_impact must be in [0.95, 1.0], got 5.0")
+
+
+def _corpus_config_with_endless_lifetime(corpus, tmp_path):
+    return (_corpus_config(tmp_path, "legitimate.count = 1\n"
+                                     "legitimate.lifetime_days = 100000000\n"),
+            "lifetime_days must be in [1, 3650], got 100000000")
+
+
+def _heuristic_config_file(tmp_path):
+    cfg = tmp_path / "heuristic.cfg"
+    cfg.write_text("t_count = 1000\n")
+    return str(cfg)
+
+
+def _features_with_labels_and_config(corpus, tmp_path):
+    return (["features", "--pools", str(corpus / "pools.jsonl"),
+             "--orders", str(corpus / "orders.jsonl"), "--labels", str(corpus / "labels.csv"),
+             "--window", "57", "--config", _heuristic_config_file(tmp_path)],
+            "--config")
+
+
+def _trend_report_with_config(corpus, tmp_path):
+    return (["report", "--kind", "trend", "--corpus", str(corpus),
+             "--config", _heuristic_config_file(tmp_path)],
+            "--config")
+
+
 def _corpus_config_with_one_value_range(corpus, tmp_path):
     return (_corpus_config(tmp_path, "slid.count = 1\nslid.slid_impact_range = 0.5\n"),
             "slid.slid_impact_range: '0.5'")
@@ -1001,6 +1066,12 @@ class TestUnusableInputs:
         (_corpus_config_with_one_value_range, 4, "ConfigError"),
         (_corpus_config_with_negative_seed, 4, "ConfigError"),
         (_corpus_config_with_nan_survival, 4, "ConfigError"),
+        (_corpus_config_with_zero_short_lifetime, 4, "ConfigError"),
+        (_corpus_config_with_unused_zero_short_lifetime, 4, "ConfigError"),
+        (_corpus_config_with_rug_impact_above_one, 4, "InfeasibleConfig"),
+        (_corpus_config_with_endless_lifetime, 4, "InfeasibleConfig"),
+        (_features_with_labels_and_config, 4, "UsageError"),
+        (_trend_report_with_config, 4, "UsageError"),
         (_corpus_config_with_negative_arrival, 4, "InfeasibleConfig"),
         (_corpus_config_with_nan_arrival, 4, "InfeasibleConfig"),
     ], ids=lambda value: getattr(value, "__name__", None))

@@ -224,6 +224,19 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig):
             ScenarioConfig(kind=ScenarioKind.RUGPULL, rug_impact=0.5)
 
+    @pytest.mark.parametrize("impact", [1.0 + 1e-9, 5.0, float("nan")])
+    def test_rug_impact_above_one_rejected(self, impact):
+        with pytest.raises(InfeasibleConfig, match=f"rug_impact .* got {impact!r}"):
+            ScenarioConfig(kind=ScenarioKind.RUGPULL, rug_impact=impact)
+
+    @pytest.mark.parametrize("days", [0, 3651])
+    def test_lifetime_bounded(self, days):
+        with pytest.raises(InfeasibleConfig, match=f"lifetime_days .* got {days}"):
+            ScenarioConfig(kind=ScenarioKind.LEGITIMATE, lifetime_days=days)
+
+    def test_bounds_accepted(self):
+        ScenarioConfig(kind=ScenarioKind.RUGPULL, rug_impact=1.0, lifetime_days=3650)
+
     def test_impact_range_must_stay_below_rug_territory(self):
         with pytest.raises(InfeasibleConfig):
             ScenarioConfig(kind=ScenarioKind.SLID, slid_impact_range=(0.1, 0.96))
@@ -275,11 +288,14 @@ class TestCorpusSpec:
         ("slid.survive_month_fraction", "-inf"),
         ("slid.survive_month_fraction", "-0.5"),
         ("slid.survive_month_fraction", "1.5"),
+        ("slid.short_lifetime_days", "0"),
+        ("slid.short_lifetime_days", "3651"),
     ])
     def test_out_of_range_values_rejected(self, key, raw):
-        """A negative master seed, or a survival fraction that is not a
-        finite number in [0, 1], is a config error naming the key and the
-        value, raised while the options are parsed."""
+        """A negative master seed, a survival fraction that is not a finite
+        number in [0, 1], or a short lifetime outside [1, 3650] days, is a
+        config error naming the key and the value, raised while the options
+        are parsed."""
         from slidscan.config import ConfigError
         with pytest.raises(ConfigError) as err:
             corpus_spec_from_options({"slid.count": "3", key: raw})
