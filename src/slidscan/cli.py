@@ -122,6 +122,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _orders_summary(counts) -> str:
+    """The order count of every summary line, from a `dataio.Dataset` or
+    `pipeline.DetectSummary`: the order-file rows read, and in brackets
+    those skipped because their pool is unknown."""
+    return f"{counts.orders_read} orders ({counts.orders_skipped_unknown_pool} skipped)"
+
+
 def cmd_detect(args) -> int:
     cfg = _heuristic_config(args)
     summary, _ = pipeline.stream_detect(
@@ -131,8 +138,7 @@ def cmd_detect(args) -> int:
         print(f"warning: {summary.pools_without_profile} pools without a security "
               "profile; honeypot layer treated as pass", file=sys.stderr)
     counts = ", ".join(f"{k}={v}" for k, v in sorted(summary.label_counts.items()))
-    print(f"detect: {summary.pools} pools, {summary.orders_read} orders "
-          f"({summary.orders_skipped_unknown_pool} skipped) -> {counts}")
+    print(f"detect: {summary.pools} pools, {_orders_summary(summary)} -> {counts}")
     return 0
 
 
@@ -164,14 +170,6 @@ def _load_labels_csv(path, addresses: List[str]) -> List[bool]:
             raise SchemaError(path, reader.line_num, "labels file ends without a "
                               f"row for pool_address {address!r}")
     return [labels[address] for address in addresses]
-
-
-def _orders_summary(dataset: dataio.Dataset) -> str:
-    """The order count of a summary line, as `detect` prints it: every row
-    read, and in brackets those skipped because their pool is unknown."""
-    skipped = dataset.orders_skipped_unknown_pool
-    read = skipped + sum(map(len, dataset.orders.values()))
-    return f"{read} orders ({skipped} skipped)"
 
 
 def cmd_features(args) -> int:

@@ -14,7 +14,8 @@ for an order the format string cannot take).
 
 Every row is read by `iter_jsonl` and checked by one decoder for its format;
 every record decodes to the same value, or the same error line, with or
-without orjson installed.
+without orjson installed. Every command reads an order file in one pass,
+`replay_orders`.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def decode_order(row: dict) -> Tuple[int, int, str, Category, str, str,
                                      float, float, float, float, float]:
     """The one check of outside order values, for batch and streaming alike.
 
-    Every column but the pool address is checked here (`order_pool` checks
-    that one): an `int` block and timestamp, a `str` hash and sender, both
+    Every column but the pool address is checked here (`replay_orders`
+    checks that one): an `int` block and timestamp, a `str` hash and sender, both
     legs, a finite non-negative price_paired, and recorded balances that are
     null, or finite and non-negative (checked once both have parsed, so a
     balance that does not parse is the error named). A JSON boolean is no
@@ -249,21 +250,6 @@ def _order_fault(timestamp, block, tx_hash, sender, category, *amounts: float) -
     if not all(map(math.isfinite, amounts)):
         return "non-finite amount"
     return "negative token leg" if min(amounts[:2]) < 0 else "price_base must be positive"
-
-
-def order_pool(row: dict, table: dict):
-    """The entry of `table` under this order row's pool_address, or None for
-    a string address that `table` does not hold: a row that is skipped and
-    counted. Any other address that `table` does not hold (a number, an
-    array, an object) raises ValueError."""
-    address = row["pool_address"]
-    try:
-        entry = table.get(address)
-    except TypeError:    # an unhashable address: an array or an object
-        entry = None
-    if entry is None and type(address) is not str:
-        raise ValueError(f"pool_address {address!r} is not a string")
-    return entry
 
 
 def order_from_row(row: dict) -> DexOrder:
@@ -372,12 +358,14 @@ def write_profiles_jsonl(profiles: Dict[str, SecurityProfile], path: PathLike,
 @dataclass
 class Dataset:
     """The one corpus object: pools, each pool's orders in execution order,
-    profiles keyed by paired token, and (after `analysis.enrich`) every
-    pool's full-history profit report and verdict."""
+    profiles keyed by paired token, the order-file rows read and skipped,
+    and (after `analysis.enrich`) every pool's full-history profit report
+    and verdict."""
 
     pools: Dict[str, PoolRecord]
     orders: Dict[str, List[DexOrder]]
     profiles: Dict[str, SecurityProfile]
+    orders_read: int = 0
     orders_skipped_unknown_pool: int = 0
     enriched: Dict[str, Tuple[ProfitReport, Verdict]] = field(default_factory=dict)
 
@@ -449,11 +437,6 @@ def iter_jsonl(path: PathLike, decode, what: str):
             yield lineno, value
 
 
-def ledger_fault(path: PathLike, lineno: int, exc: LedgerError) -> SchemaError:
-    """The error line of an order row that breaks the ledger's rules."""
-    return SchemaError(path, lineno, f"{type(exc).__name__}: {exc}")
-
-
 def _read_keyed(path: PathLike, cls, key: str, optional: frozenset,
                 what: str) -> dict:
     """Records by their key column, in file order: the one pool and profile
@@ -490,40 +473,60 @@ def read_profiles(path: Optional[PathLike]) -> Dict[str, SecurityProfile]:
                        "profile")
 
 
+def replay_orders(path: PathLike, books: Dict[str, object], decode,
+                  apply) -> Tuple[int, int]:
+    """The one pass over an order file, made by `pipeline.stream_detect` and
+    by every batch command through `ingest`: (rows read, rows skipped).
+
+    Each row, in file order (execution order), is decoded by `decode` inside
+    `iter_jsonl`'s decode, so `decode` must change nothing; then
+    `apply(book, value)` gets its pool's entry in `books` and that value. A
+    row whose pool_address `books` does not hold is skipped and counted, or
+    is a bad order row if the address is no string. A LedgerError from
+    `apply` (a timestamp before its pool's previous one, a pool value or an
+    owner sum driven below zero or out of float range) becomes the
+    SchemaError `<path> line <n>: <violation>: ...`: one error line for one
+    order file, the first bad row's, in every command."""
+
+    def decode_row(row):
+        address = row["pool_address"]
+        if type(address) is not str:
+            raise ValueError(f"pool_address {address!r} is not a string")
+        book = books.get(address)
+        return None if book is None else (book, decode(row))
+
+    read = skipped = 0
+    for lineno, decoded in iter_jsonl(path, decode_row, "order"):
+        read += 1
+        if decoded is None:
+            skipped += 1
+            continue
+        try:
+            apply(*decoded)
+        except LedgerError as exc:
+            raise SchemaError(path, lineno, f"{type(exc).__name__}: {exc}") from exc
+    return read, skipped
+
+
 def ingest(pool_file: PathLike, orders_file: PathLike,
            profiles_file: Optional[PathLike] = None) -> Dataset:
-    """Load a dataset; orders referencing unknown pools are counted and
-    skipped, malformed rows raise SchemaError with their line number.
-
-    Pools, then profiles, then orders are read, as `pipeline.stream_detect`
-    reads them. Each pool keeps its orders in file order, which is their
-    execution order; nothing re-sorts them. Every order is added to its
-    pool's `ProfitTracker` as it is read, so an order that breaks the
-    ledger's rules (a timestamp before its pool's previous one, a pool value
-    or an owner sum driven below zero or out of float range) raises, at the
-    first such line in the file, the SchemaError line `pipeline.stream_detect`
-    raises for it."""
+    """Load a dataset: pools, then profiles, then the one order-file pass
+    (`replay_orders`) that `pipeline.stream_detect` makes. Each pool keeps
+    its orders in file order, their execution order; each order is added to
+    its pool's `ProfitTracker` as it is read, so a row that breaks the
+    ledger's rules gives `replay_orders`' error line."""
     pools = read_pools(pool_file)
     profiles = read_profiles(profiles_file)
     orders: Dict[str, List[DexOrder]] = {address: [] for address in pools}
     books = {address: (orders[address], ProfitTracker(pool))
              for address, pool in pools.items()}
 
-    def decode(row):
-        book = order_pool(row, books)
-        return None if book is None else (book, order_from_row(row))
-
-    skipped = 0
-    for lineno, decoded in iter_jsonl(orders_file, decode, "order"):
-        if decoded is None:
-            skipped += 1
-            continue
-        (pool_orders, tracker), order = decoded
-        try:
-            tracker.add(order.timestamp, order.category, order.sender,
-                        order.y_base, order.price_base, order.gas_fee_usd)
-        except LedgerError as exc:
-            raise ledger_fault(orders_file, lineno, exc) from exc
+    def add(book, order):
+        pool_orders, tracker = book
+        tracker.add(order.timestamp, order.category, order.sender,
+                    order.y_base, order.price_base, order.gas_fee_usd)
         pool_orders.append(order)
+
+    read, skipped = replay_orders(orders_file, books, order_from_row, add)
     return Dataset(pools=pools, orders=orders, profiles=profiles,
-                   orders_skipped_unknown_pool=skipped)
+                   orders_read=read, orders_skipped_unknown_pool=skipped)

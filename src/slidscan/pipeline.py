@@ -1,11 +1,10 @@
 """Streaming detection: one pass over an order file, O(pools) memory.
 
-Orders are consumed line by line from JSONL without materializing any pool's
-full history; each pool keeps one constant-size profit tracker. File order is
-execution order: each order is applied where it stands, and a row that breaks
-the ledger's rules (a pool's timestamp going down, its value going below zero
-or out of float range) gives the same error line, with file and line, as in
-`dataio.ingest`.
+The pass is `dataio.replay_orders`, the one order-file pass that every
+command makes (the batch commands through `dataio.ingest`), so a row is
+skipped, or gives its error line, alike in all of them. Here it holds no
+pool's history: each pool keeps one constant-size profit tracker, to which
+each order is added where it stands in the file.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from .dataio import (anonymize_address, decode_order, iter_jsonl, ledger_fault,
-                     order_pool, read_pools, read_profiles)
-from .ledger import LedgerError
+from .dataio import (anonymize_address, decode_order, read_pools, read_profiles,
+                     replay_orders)
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Verdict, classify_pool
 
@@ -46,27 +44,14 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
         address: ProfitTracker(pool) for address, pool in pools.items()
     }
 
-    summary = DetectSummary(pools=len(trackers))
+    def add(tracker, order):
+        (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,
+         gas_fee_usd) = order
+        tracker.add(timestamp, category, sender, y_base, price_base, gas_fee_usd)
 
-    def decode(row):
-        tracker = order_pool(row, trackers)
-        return None if tracker is None else (tracker, decode_order(row))
-
-    orders_read = 0
-    skipped = 0
-    for lineno, decoded in iter_jsonl(orders_file, decode, "order"):
-        orders_read += 1
-        if decoded is None:
-            skipped += 1
-            continue
-        tracker, (_, timestamp, _, category, _, sender, _, _, _, y_base, _, price_base,
-                  gas_fee_usd) = decoded
-        try:
-            tracker.add(timestamp, category, sender, y_base, price_base, gas_fee_usd)
-        except LedgerError as exc:
-            raise ledger_fault(orders_file, lineno, exc) from exc
-    summary.orders_read = orders_read
-    summary.orders_skipped_unknown_pool = skipped
+    read, skipped = replay_orders(orders_file, trackers, decode_order, add)
+    summary = DetectSummary(pools=len(trackers), orders_read=read,
+                            orders_skipped_unknown_pool=skipped)
 
     results: Dict[str, Tuple[ProfitReport, Verdict]] = {}
     for address, tracker in trackers.items():

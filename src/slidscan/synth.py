@@ -71,6 +71,20 @@ _PROFIT_MULTIPLE_TARGET = 10.3        # SLID realized profit / deposit
 _RESIDUAL_MULTIPLE_TARGET = 1.56      # SLID first-month unrealized / deposit
 _MULTI_ADDRESS_COUNT = 3              # linked drain senders of SlidMultiAddress
 _MAX_LIFETIME_DAYS = 3650             # a pool's days are walked, its orders held
+_MAX_ARRIVAL_PER_DAY = 1000.0         # investor buys are drawn one by one
+_MAX_COUNT = 100_000                  # investors, drains or early sells drawn at once
+
+# [low, high] of each numeric ScenarioConfig field, both ends allowed.
+_FIELD_BOUNDS = {
+    "investor_count": (1, _MAX_COUNT),
+    "investor_arrival": (0.0, _MAX_ARRIVAL_PER_DAY),
+    "lifetime_days": (1, _MAX_LIFETIME_DAYS),
+    "slid_drain_count": (1, _MAX_COUNT),
+    "rug_drain_day": (0, _MAX_LIFETIME_DAYS),
+    "rug_impact": (_IMPACT_SPLIT, 1.0),
+    "slow_start_day": (0, _MAX_LIFETIME_DAYS),
+    "early_sell_count": (0, _MAX_COUNT),
+}
 
 
 class InfeasibleConfig(Exception):
@@ -102,18 +116,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.kind = ScenarioKind(self.kind)
+        for name, (low, high) in _FIELD_BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise InfeasibleConfig(f"{name} must be in [{low}, {high}], got {value!r}")
         lo, hi = self.slid_impact_range
         if not (0.0 < lo < hi < _IMPACT_SPLIT):
             raise InfeasibleConfig(
                 f"slid_impact_range must sit strictly inside (0, {_IMPACT_SPLIT})")
-        if not _IMPACT_SPLIT <= self.rug_impact <= 1.0:
-            raise InfeasibleConfig(
-                f"rug_impact must be in [{_IMPACT_SPLIT}, 1.0], got {self.rug_impact!r}")
-        if not 1 <= self.lifetime_days <= _MAX_LIFETIME_DAYS:
-            raise InfeasibleConfig(f"lifetime_days must be in [1, {_MAX_LIFETIME_DAYS}], "
-                                   f"got {self.lifetime_days!r}")
-        if not 0.0 <= self.investor_arrival < math.inf:
-            raise InfeasibleConfig("investor_arrival must be a finite rate >= 0")
         if self.kind == ScenarioKind.RUGPULL and self.rug_drain_day >= self.lifetime_days:
             raise InfeasibleConfig("rug_drain_day beyond pool lifetime")
         if self.kind == ScenarioKind.SLID_SLOW:
@@ -122,8 +132,6 @@ class ScenarioConfig:
                     "slow scenarios must keep early profit-taking below five orders")
             if self.lifetime_days <= self.slow_start_day:
                 raise InfeasibleConfig("slow scenarios need lifetime beyond slow_start_day")
-        if self.slid_drain_count < 1:
-            raise InfeasibleConfig("need at least one drain order")
 
 
 @dataclass
@@ -157,7 +165,7 @@ class _PoolSim:
         self.rng = rng
         self.orders: List[DexOrder] = []
         (self.pool_address, self.base_address, self.paired_address, self.owner,
-         *self.investors) = _addresses(rng, 4 + max(1, cfg.investor_count))
+         *self.investors) = _addresses(rng, 4 + cfg.investor_count)
         self.t0 = _EPOCH + int(rng.integers(0, 730)) * SECONDS_PER_DAY
         self.last_ts = self.t0 - 1
         self.rp = 0.0            # paired reserve
@@ -486,7 +494,7 @@ def generate(cfg: ScenarioConfig) -> GeneratedScenario:
     if kind == ScenarioKind.LEGITIMATE:
         noise_rate, noise_end_day = 0.3, min(30, lifetime_days)
     elif kind == ScenarioKind.RUGPULL:
-        drain_day = max(cfg.rug_drain_day, 0)
+        drain_day = cfg.rug_drain_day
         lifetime_days = min(lifetime_days, drain_day + 2)
         arrival_rate_for_day = lambda day: cfg.investor_arrival * 3 if day <= drain_day else 0.5
         allow_investor_sells = False
@@ -646,8 +654,9 @@ def corpus_spec_from_options(options: Dict[str, str]):
                 survival[kind] = (fraction, survival.get(kind, (1.0, 10))[1])
             elif field_name == "short_lifetime_days":
                 short_days = int(raw)
-                if not 1 <= short_days <= _MAX_LIFETIME_DAYS:
-                    raise ValueError("lifetime outside [1, _MAX_LIFETIME_DAYS]")
+                low, high = _FIELD_BOUNDS["lifetime_days"]
+                if not low <= short_days <= high:
+                    raise ValueError("lifetime outside its bounds")
                 survival[kind] = (survival.get(kind, (1.0, 10))[0], short_days)
             elif field_name in _OPTION_DEFAULTS:
                 overrides.setdefault(kind, {})[field_name] = parse_value(

@@ -85,6 +85,19 @@ TIED_SHA256 = {
 }
 
 
+# sha256 of every command's output on the PINNED_CFG corpus: a refactor
+# keeps each byte.
+PINNED_OUTPUT_SHA256 = {
+    "verdicts.csv": "951c2ca668a0a0c11b22d970ba2f35bcdf096837e4f3e0a39f4b71018b90dd95",
+    "features.csv": "a99694cb3d24a15328b02ff6e9a1f270c18b89e5bcecf7988dd42d65074904bd",
+    "features_labels.csv": "fc03992269383618a0c003d83c3234c462d3270cfc31063e2fb27d15862f0e5a",
+    "sweep.csv": "11cd013570d75c60902c3cab87e99faa3d9bfe56473d713da4d13403cb718a49",
+    "age.csv": "b98b143781910993acee84e4d030041e4eb475e187132b4487198ea343cfcb79",
+    "trend.csv": "f100791ea7d4f35b7d76296876b5f4179e1c10fec257d48e81655a57aaadcb67",
+    "profit_slid.csv": "16ffb7407a1a613a5f46b09ef050c2902e7f6a851eac56562f8636f144dc15df",
+}
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -188,6 +201,40 @@ class TestGenerate:
         code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 4
         assert "error code=4" in capsys.readouterr().err
+
+
+class TestPinnedOutputs:
+    @pytest.fixture(scope="class")
+    def pinned_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
+        (root / "pinned.cfg").write_text(PINNED_CFG)
+        assert main(["generate", "--config", str(root / "pinned.cfg"),
+                     "--out", str(root / "corpus")]) == 0
+        return root / "corpus"
+
+    def test_every_command_output_is_pinned(self, pinned_corpus, tmp_path, reader):
+        """detect, features with and without --labels, sweep and the three
+        reports write the bytes they were recorded with, on both reader
+        paths."""
+        c = pinned_corpus
+        inputs = ["--pools", str(c / "pools.jsonl"), "--orders", str(c / "orders.jsonl"),
+                  "--profiles", str(c / "profiles.jsonl")]
+        features = ["features", *inputs, "--window", "57"]
+        commands = {
+            "verdicts.csv": ["detect", *inputs],
+            "features.csv": features,
+            "features_labels.csv": features + ["--labels", str(c / "labels.csv")],
+            "sweep.csv": ["sweep", "--corpus", str(c)],
+            "age.csv": ["report", "--kind", "age", "--corpus", str(c)],
+            "trend.csv": ["report", "--kind", "trend", "--corpus", str(c)],
+            "profit_slid.csv": ["report", "--kind", "profit", "--corpus", str(c),
+                                "--labels-filter", "SLID"],
+        }
+        digests = {}
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digests == PINNED_OUTPUT_SHA256
 
 
 class TestDetect:
@@ -1010,6 +1057,14 @@ def _corpus_config_with_endless_lifetime(corpus, tmp_path):
             "lifetime_days must be in [1, 3650], got 100000000")
 
 
+def _corpus_config_out_of_bounds(name, text, message):
+    """A generate config with one option outside its [low, high] bound."""
+    def build(corpus, tmp_path):
+        return _corpus_config(tmp_path, text), message
+    build.__name__ = f"_corpus_config_with_{name}"
+    return build
+
+
 def _heuristic_config_file(tmp_path):
     cfg = tmp_path / "heuristic.cfg"
     cfg.write_text("t_count = 1000\n")
@@ -1074,6 +1129,30 @@ class TestUnusableInputs:
         (_trend_report_with_config, 4, "UsageError"),
         (_corpus_config_with_negative_arrival, 4, "InfeasibleConfig"),
         (_corpus_config_with_nan_arrival, 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "runaway_arrival", "legitimate.count = 1\nlegitimate.lifetime_days = 3650\n"
+            "legitimate.investor_arrival = 100000\n",
+            "investor_arrival must be in [0.0, 1000.0], got 100000.0"), 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "negative_investor_count", "legitimate.count = 1\nlegitimate.investor_count = -1\n",
+            "investor_count must be in [1, 100000], got -1"), 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "huge_investor_count",
+            "legitimate.count = 1\nlegitimate.investor_count = 1000000000\n",
+            "investor_count must be in [1, 100000], got 1000000000"), 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "negative_rug_drain_day", "rugpull.count = 1\nrugpull.rug_drain_day = -3\n",
+            "rug_drain_day must be in [0, 3650], got -3"), 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "negative_slow_start_day", "slidslow.count = 1\nslidslow.slow_start_day = -5\n",
+            "slow_start_day must be in [0, 3650], got -5"), 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "negative_early_sell_count", "slidslow.count = 1\nslidslow.lifetime_days = 300\n"
+            "slidslow.early_sell_count = -2\n",
+            "early_sell_count must be in [0, 100000], got -2"), 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "huge_slid_drain_count", "slid.count = 1\nslid.slid_drain_count = 100000000\n",
+            "slid_drain_count must be in [1, 100000], got 100000000"), 4, "InfeasibleConfig"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_documented_error_line(self, corpus, tmp_path, capsys, build, code, kind):
         """A command that cannot use its input ends with the documented

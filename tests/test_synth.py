@@ -237,6 +237,40 @@ class TestConfigValidation:
     def test_bounds_accepted(self):
         ScenarioConfig(kind=ScenarioKind.RUGPULL, rug_impact=1.0, lifetime_days=3650)
 
+    @pytest.mark.parametrize("field,value,bounds", [
+        ("investor_count", 0, "[1, 100000]"),
+        ("investor_count", 100_001, "[1, 100000]"),
+        ("investor_count", 1_000_000_000, "[1, 100000]"),
+        ("investor_arrival", -1.0, "[0.0, 1000.0]"),
+        ("investor_arrival", 1000.5, "[0.0, 1000.0]"),
+        ("investor_arrival", float("nan"), "[0.0, 1000.0]"),
+        ("investor_arrival", float("inf"), "[0.0, 1000.0]"),
+        ("slid_drain_count", 0, "[1, 100000]"),
+        ("slid_drain_count", 100_000_000, "[1, 100000]"),
+        ("rug_drain_day", -3, "[0, 3650]"),
+        ("rug_drain_day", 3651, "[0, 3650]"),
+        ("slow_start_day", -5, "[0, 3650]"),
+        ("slow_start_day", 3651, "[0, 3650]"),
+        ("early_sell_count", -2, "[0, 100000]"),
+        ("early_sell_count", 100_001, "[0, 100000]"),
+    ])
+    def test_field_outside_its_bounds_rejected(self, field, value, bounds):
+        """A numeric field outside its [low, high] bound is one
+        InfeasibleConfig naming the field, the bounds and the value, before
+        any cross-field check."""
+        with pytest.raises(InfeasibleConfig) as err:
+            ScenarioConfig(kind=ScenarioKind.SLID_SLOW, lifetime_days=300, **{field: value})
+        assert str(err.value) == f"{field} must be in {bounds}, got {value!r}"
+
+    @pytest.mark.parametrize("field,low,high", [
+        ("investor_count", 1, 100_000), ("investor_arrival", 0.0, 1000.0),
+        ("slid_drain_count", 1, 100_000), ("rug_drain_day", 0, 3650),
+        ("slow_start_day", 0, 3650), ("early_sell_count", 0, 100_000),
+    ])
+    def test_field_bounds_are_inclusive(self, field, low, high):
+        for value in (low, high):
+            ScenarioConfig(kind=ScenarioKind.LEGITIMATE, **{field: value})
+
     def test_impact_range_must_stay_below_rug_territory(self):
         with pytest.raises(InfeasibleConfig):
             ScenarioConfig(kind=ScenarioKind.SLID, slid_impact_range=(0.1, 0.96))
