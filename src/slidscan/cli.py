@@ -56,6 +56,17 @@ def _window_days(text: str) -> int:
     return days
 
 
+def _seed(text: str) -> int:
+    """A random seed from the command line: a whole number >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a whole number >= 0, got {text!r}")
+    return seed
+
+
 def _d_list(text: str) -> List[int]:
     d_list = [_window_days(part) for part in text.split(",") if part.strip()]
     if not d_list:
@@ -305,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True,
                    choices=[k.value for k in ClassifierKind])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--grid", action="store_true",
                    help="grid-search hyperparameters by 5-fold F1")
     p.add_argument("--out", required=True)
@@ -316,7 +327,7 @@ def build_parser() -> _Parser:
                    help="directory with pools/orders/profiles JSONL")
     p.add_argument("--d-list", type=_d_list,
                    default=",".join(str(d) for d in DEFAULT_D_LIST))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

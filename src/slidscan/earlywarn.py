@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
@@ -240,9 +240,11 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
         "seed": model.seed,
         "threshold": model.threshold,
         "majority_label": model.majority_label,
-        "model": model.model.to_dict() if model.model is not None else None,
+        # The model's dataclass fields in declaration order; `default` writes
+        # its numpy arrays as lists.
+        "model": asdict(model.model) if model.model is not None else None,
     }
-    Path(path).write_text(json.dumps(payload, allow_nan=False))
+    Path(path).write_text(json.dumps(payload, allow_nan=False, default=np.ndarray.tolist))
 
 
 # ---------------------------------------------------------------------------

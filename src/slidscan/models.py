@@ -8,13 +8,20 @@ against the bin-edge thresholds at prediction time, which keeps training
 fast without changing the learned splits. Each node takes one histogram pass
 over all its sampled features together and scores every (feature, bin) pair
 at once. On a tied score the feature drawn first wins, then its lowest bin.
+
+A tree is the list of its nodes, root first, each a `[feature, threshold,
+left, right, prob]` list: an inner node sends rows whose feature value is
+below the threshold to node `left` and the rest to node `right`; a leaf has
+feature -1 and scores its rows with its weighted positive fraction `prob`.
+The models are dataclasses whose fields `earlywarn.save_model` writes as
+they are, so these lists are also the exported format.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,17 +68,6 @@ class LogisticModel:
         logits = Z @ self.weights + self.bias
         return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "learning_rate": self.learning_rate,
-            "l2": self.l2,
-            "epochs": self.epochs,
-        }
-
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
                  learning_rate: float = 0.1, l2: float = 0.01,
@@ -113,150 +109,118 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float
 # Random forest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    prob: float = 0.0            # weighted positive fraction at leaves
+def _best_split(codes: np.ndarray, idx: np.ndarray, y_node: np.ndarray,
+                features: np.ndarray, bin_valid: np.ndarray, min_leaf: int,
+                class_weights: Tuple[float, float]) -> Optional[Tuple[int, int]]:
+    """The (feature, bin) of the lowest weighted Gini over rows `idx` and the
+    sampled `features`, or None when no bin leaves min_leaf rows each side."""
+    n = len(idx)
+    n1 = int(y_node.sum())
+    mtry = len(features)
+    # One histogram over all sampled features: sampled column k is shifted
+    # by k histogram widths, so row k of the reshaped counts is feature
+    # features[k], column b its bin b.
+    width = MAX_BINS + 1
+    shifted = codes[idx[:, None], features] + np.arange(mtry) * width
+    hist_all = np.bincount(shifted.ravel(), minlength=mtry * width)
+    hist1 = np.bincount(shifted[y_node == 1].ravel(), minlength=mtry * width)
+    left_n = np.cumsum(hist_all.reshape(mtry, width), axis=1)[:, :-1]
+    left1 = np.cumsum(hist1.reshape(mtry, width), axis=1)[:, :-1]
+    right_n = n - left_n
+    valid = bin_valid[features] & (left_n >= min_leaf) & (right_n >= min_leaf)
+    w0, w1 = class_weights
+    left0 = left_n - left1
+    right1 = n1 - left1
+    right0 = (n - n1) - left0
+    L0, L1 = w0 * left0, w1 * left1
+    R0, R1 = w0 * right0, w1 * right1
+    lw = L0 + L1
+    rw = R0 + R1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_l = 1.0 - (L0 ** 2 + L1 ** 2) / np.maximum(lw ** 2, 1e-300)
+        gini_r = 1.0 - (R0 ** 2 + R1 ** 2) / np.maximum(rw ** 2, 1e-300)
+        score = (lw * gini_l + rw * gini_r) / (lw + rw)
+    score[~valid] = math.inf
+    # The first minimum in row-major order: the earliest sampled feature
+    # that reaches the best score, then its first bin.
+    best = int(np.argmin(score))
+    if not math.isfinite(score.flat[best]):
+        return None
+    k, best_bin = divmod(best, MAX_BINS)
+    return int(features[k]), best_bin
 
 
-class _Tree:
-    """CART tree on pre-binned features, Gini impurity, class weights."""
+def _grow_tree(X: np.ndarray, codes: np.ndarray, y: np.ndarray,
+               edges: List[np.ndarray], bin_valid: np.ndarray,
+               rng: np.random.Generator, max_depth: int, min_leaf: int, mtry: int,
+               class_weights: Tuple[float, float]) -> List[list]:
+    """One CART tree on pre-binned features, Gini impurity, class weights:
+    its [feature, threshold, left, right, prob] nodes, root first."""
+    nodes: List[list] = []
+    w0, w1 = class_weights
 
-    def __init__(self):
-        self.nodes: List[_Node] = []
-
-    def fit(self, X: np.ndarray, codes: np.ndarray, y: np.ndarray,
-            edges: List[np.ndarray], bin_valid: np.ndarray, offsets: np.ndarray,
-            rng: np.random.Generator, max_depth: int, min_leaf: int, mtry: int,
-            class_weights: Tuple[float, float]) -> None:
-        self._X = X
-        self._codes = codes
-        self._y = y
-        self._edges = edges
-        self._bin_valid = bin_valid
-        self._offsets = offsets
-        self._rng = rng
-        self._max_depth = max_depth
-        self._min_leaf = min_leaf
-        self._mtry = mtry
-        self._w0, self._w1 = class_weights
-        self._grow(np.arange(len(y)), 0)
-        del (self._X, self._codes, self._y, self._edges, self._bin_valid,
-             self._offsets, self._rng, self._max_depth, self._min_leaf,
-             self._mtry, self._w0, self._w1)
-
-    def _leaf(self, idx: np.ndarray) -> int:
-        n1 = int(self._y[idx].sum())
-        n0 = len(idx) - n1
-        w0, w1 = self._w0 * n0, self._w1 * n1
-        self.nodes.append(_Node(prob=w1 / (w0 + w1) if w0 + w1 > 0 else 0.5))
-        return len(self.nodes) - 1
-
-    def _grow(self, idx: np.ndarray, depth: int) -> int:
-        y_node = self._y[idx]
-        n = len(idx)
-        if depth >= self._max_depth or n < 2 * self._min_leaf:
-            return self._leaf(idx)
+    def leaf(y_node: np.ndarray) -> int:
         n1 = int(y_node.sum())
-        if n1 == 0 or n1 == n:
-            return self._leaf(idx)
+        weight0, weight1 = w0 * (len(y_node) - n1), w1 * n1
+        total = weight0 + weight1
+        nodes.append([-1, 0.0, -1, -1, weight1 / total if total > 0 else 0.5])
+        return len(nodes) - 1
 
-        features = self._rng.choice(self._codes.shape[1], size=self._mtry, replace=False)
-        # One histogram over all sampled features: row k of the reshaped
-        # counts is feature features[k], column b its bin b.
-        shifted = self._codes[idx[:, None], features] + self._offsets
-        width = MAX_BINS + 1
-        hist_all = np.bincount(shifted.ravel(), minlength=self._mtry * width)
-        hist1 = np.bincount(shifted[y_node == 1].ravel(), minlength=self._mtry * width)
-        left_n = np.cumsum(hist_all.reshape(self._mtry, width), axis=1)[:, :-1]
-        left1 = np.cumsum(hist1.reshape(self._mtry, width), axis=1)[:, :-1]
-        right_n = n - left_n
-        valid = (self._bin_valid[features]
-                 & (left_n >= self._min_leaf) & (right_n >= self._min_leaf))
-        w0, w1 = self._w0, self._w1
-        left0 = left_n - left1
-        right1 = n1 - left1
-        right0 = (n - n1) - left0
-        L0, L1 = w0 * left0, w1 * left1
-        R0, R1 = w0 * right0, w1 * right1
-        lw = L0 + L1
-        rw = R0 + R1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_l = 1.0 - (L0 ** 2 + L1 ** 2) / np.maximum(lw ** 2, 1e-300)
-            gini_r = 1.0 - (R0 ** 2 + R1 ** 2) / np.maximum(rw ** 2, 1e-300)
-            score = (lw * gini_l + rw * gini_r) / (lw + rw)
-        score[~valid] = math.inf
-        # The first minimum in row-major order: the earliest sampled feature
-        # that reaches the best score, then its first bin.
-        best = int(np.argmin(score))
-        if not math.isfinite(score.flat[best]):
-            return self._leaf(idx)
-        k, best_bin = divmod(best, MAX_BINS)
-        best_feature = int(features[k])
-
-        threshold = float(self._edges[best_feature][best_bin])
-        mask = self._X[idx, best_feature] < threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        if len(left_idx) < self._min_leaf or len(right_idx) < self._min_leaf:
-            return self._leaf(idx)
-        node_id = len(self.nodes)
-        self.nodes.append(_Node(feature=best_feature, threshold=threshold))
-        self.nodes[node_id].left = self._grow(left_idx, depth + 1)
-        self.nodes[node_id].right = self._grow(right_idx, depth + 1)
+    def grow(idx: np.ndarray, depth: int) -> int:
+        y_node = y[idx]
+        n = len(idx)
+        n1 = int(y_node.sum())
+        if depth >= max_depth or n < 2 * min_leaf or n1 == 0 or n1 == n:
+            return leaf(y_node)
+        features = rng.choice(codes.shape[1], size=mtry, replace=False)
+        split = _best_split(codes, idx, y_node, features, bin_valid, min_leaf,
+                            class_weights)
+        if split is None:
+            return leaf(y_node)
+        feature, bin_ = split
+        threshold = float(edges[feature][bin_])
+        mask = X[idx, feature] < threshold
+        left_idx, right_idx = idx[mask], idx[~mask]
+        if len(left_idx) < min_leaf or len(right_idx) < min_leaf:
+            return leaf(y_node)
+        node = [feature, threshold, -1, -1, 0.0]
+        nodes.append(node)
+        node_id = len(nodes) - 1
+        node[2] = grow(left_idx, depth + 1)
+        node[3] = grow(right_idx, depth + 1)
         return node_id
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X), dtype=np.float64)
-        self._score_node(0, X, np.arange(len(X)), out)
-        return out
-
-    def _score_node(self, node_id: int, X: np.ndarray, idx: np.ndarray,
-                    out: np.ndarray) -> None:
-        node = self.nodes[node_id]
-        if node.feature < 0:
-            out[idx] = node.prob
-            return
-        mask = X[idx, node.feature] < node.threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        if len(left_idx):
-            self._score_node(node.left, X, left_idx, out)
-        if len(right_idx):
-            self._score_node(node.right, X, right_idx, out)
-
-    def to_list(self) -> list:
-        return [[n.feature, n.threshold, n.left, n.right, n.prob] for n in self.nodes]
+    grow(np.arange(len(y)), 0)
+    # grow reaches itself through its closure. Deleting the name breaks that
+    # cycle, so the tree's bootstrap arrays are freed on return rather than
+    # at the next cyclic collection, which raised a sweep's peak RSS.
+    del grow
+    return nodes
 
 
 @dataclass
 class ForestModel:
-    trees: List[_Tree]
     n_trees: int
     max_depth: int
     min_leaf: int
     mtry: int
     seed: int
+    trees: List[List[list]]     # per tree, _grow_tree's node lists
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         total = np.zeros(len(X), dtype=np.float64)
         for tree in self.trees:
-            total += tree.scores(X)
+            stack = [(0, np.arange(len(X)))]
+            while stack:
+                node_id, idx = stack.pop()
+                feature, threshold, left, right, prob = tree[node_id]
+                if feature < 0:
+                    total[idx] += prob
+                elif len(idx):
+                    mask = X[idx, feature] < threshold
+                    stack += [(left, idx[mask]), (right, idx[~mask])]
         return total / len(self.trees)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "mtry": self.mtry,
-            "seed": self.seed,
-            "trees": [tree.to_list() for tree in self.trees],
-        }
 
 
 def _quantile_edges(X: np.ndarray) -> List[np.ndarray]:
@@ -285,17 +249,13 @@ def fit_forest(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
     for j in range(f):
         codes[:, j] = np.searchsorted(edges[j], X[:, j], side="right")
 
-    # Bin b of feature j is a candidate split only below its edge count;
-    # sampled column k is shifted by k histogram widths.
+    # Bin b of feature j is a candidate split only below its edge count.
     bin_valid = np.arange(MAX_BINS) < np.array([len(e) for e in edges])[:, None]
-    offsets = np.arange(mtry) * (MAX_BINS + 1)
 
     rng = np.random.default_rng(seed)
-    trees: List[_Tree] = []
+    trees = []
     for _ in range(n_trees):
         sample = rng.integers(0, n, size=n)
-        tree = _Tree()
-        tree.fit(X[sample], codes[sample], y[sample], edges, bin_valid, offsets,
-                 rng, max_depth, min_leaf, mtry, class_weights)
-        trees.append(tree)
-    return ForestModel(trees, n_trees, max_depth, min_leaf, mtry, seed)
+        trees.append(_grow_tree(X[sample], codes[sample], y[sample], edges, bin_valid,
+                                rng, max_depth, min_leaf, mtry, class_weights))
+    return ForestModel(n_trees, max_depth, min_leaf, mtry, seed, trees)

@@ -73,6 +73,7 @@ _MULTI_ADDRESS_COUNT = 3              # linked drain senders of SlidMultiAddress
 _MAX_LIFETIME_DAYS = 3650             # a pool's days are walked, its orders held
 _MAX_ARRIVAL_PER_DAY = 1000.0         # investor buys are drawn one by one
 _MAX_COUNT = 100_000                  # investors, drains or early sells drawn at once
+_MAX_EXPECTED_BUYS = 200_000          # investor_arrival * (lifetime_days + 1) per pool
 
 # [low, high] of each numeric ScenarioConfig field, both ends allowed.
 _FIELD_BOUNDS = {
@@ -120,6 +121,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not low <= value <= high:
                 raise InfeasibleConfig(f"{name} must be in [{low}, {high}], got {value!r}")
+        buys = self.investor_arrival * (self.lifetime_days + 1)
+        if buys > _MAX_EXPECTED_BUYS:
+            raise InfeasibleConfig("investor_arrival * (lifetime_days + 1) must be in "
+                                   f"[0, {_MAX_EXPECTED_BUYS}], got {buys!r}")
         lo, hi = self.slid_impact_range
         if not (0.0 < lo < hi < _IMPACT_SPLIT):
             raise InfeasibleConfig(

@@ -95,6 +95,10 @@ PINNED_OUTPUT_SHA256 = {
     "age.csv": "b98b143781910993acee84e4d030041e4eb475e187132b4487198ea343cfcb79",
     "trend.csv": "f100791ea7d4f35b7d76296876b5f4179e1c10fec257d48e81655a57aaadcb67",
     "profit_slid.csv": "16ffb7407a1a613a5f46b09ef050c2902e7f6a851eac56562f8636f144dc15df",
+    "forest.json": "752e4d910adc5ac9c1958f9c2a3bc9acc0603c74d3819cb8a182cd27b7e8628c",
+    "forest_grid.json": "047879017101207646bbe6951a10dedfbe3d2c779ae8b4b476c5579dffc6ba05",
+    "logistic.json": "00a7c079b7d2b9ef0603f4e4516900b1a5a1cff979240ff037a533d5e612d510",
+    "logistic_grid.json": "1d839d33151af1f995ab147998c1393f9d4b76224730a1207b87f5acb418fdce",
 }
 
 
@@ -213,13 +217,15 @@ class TestPinnedOutputs:
         return root / "corpus"
 
     def test_every_command_output_is_pinned(self, pinned_corpus, tmp_path, reader):
-        """detect, features with and without --labels, sweep and the three
-        reports write the bytes they were recorded with, on both reader
-        paths."""
+        """detect, features with and without --labels, sweep, the three
+        reports and train, each model with and without --grid on the
+        --labels features, write the bytes they were recorded with, on both
+        reader paths."""
         c = pinned_corpus
         inputs = ["--pools", str(c / "pools.jsonl"), "--orders", str(c / "orders.jsonl"),
                   "--profiles", str(c / "profiles.jsonl")]
         features = ["features", *inputs, "--window", "57"]
+        train = ["train", "--features", str(tmp_path / "features_labels.csv"), "--model"]
         commands = {
             "verdicts.csv": ["detect", *inputs],
             "features.csv": features,
@@ -229,6 +235,10 @@ class TestPinnedOutputs:
             "trend.csv": ["report", "--kind", "trend", "--corpus", str(c)],
             "profit_slid.csv": ["report", "--kind", "profit", "--corpus", str(c),
                                 "--labels-filter", "SLID"],
+            "forest.json": train + ["RandomForest"],
+            "forest_grid.json": train + ["RandomForest", "--grid"],
+            "logistic.json": train + ["LogisticRegression"],
+            "logistic_grid.json": train + ["LogisticRegression", "--grid"],
         }
         digests = {}
         for name, argv in commands.items():
@@ -1065,6 +1075,18 @@ def _corpus_config_out_of_bounds(name, text, message):
     return build
 
 
+def _negative_seed(command, *options):
+    """`train` on a two-row features CSV, or `sweep`, with --seed -1."""
+    def build(corpus, tmp_path):
+        if command == "sweep":
+            argv = ["sweep", "--corpus", str(corpus)]
+        else:
+            argv = ["train", "--features", str(_features_csv_with_value(tmp_path, "2.0"))]
+        return argv + [*options, "--seed", "-1"], "seed must be a whole number >= 0"
+    build.__name__ = "_".join(["_negative_seed", command, *options]).replace("-", "")
+    return build
+
+
 def _heuristic_config_file(tmp_path):
     cfg = tmp_path / "heuristic.cfg"
     cfg.write_text("t_count = 1000\n")
@@ -1153,6 +1175,15 @@ class TestUnusableInputs:
         (_corpus_config_out_of_bounds(
             "huge_slid_drain_count", "slid.count = 1\nslid.slid_drain_count = 100000000\n",
             "slid_drain_count must be in [1, 100000], got 100000000"), 4, "InfeasibleConfig"),
+        (_corpus_config_out_of_bounds(
+            "endless_arrivals", "legitimate.count = 1\nlegitimate.lifetime_days = 3650\n"
+            "legitimate.investor_arrival = 1000\n",
+            "investor_arrival * (lifetime_days + 1) must be in [0, 200000], got 3651000.0"),
+         4, "InfeasibleConfig"),
+        (_negative_seed("train", "--model", "RandomForest"), 4, "UsageError"),
+        (_negative_seed("train", "--model", "LogisticRegression"), 4, "UsageError"),
+        (_negative_seed("train", "--model", "LogisticRegression", "--grid"), 4, "UsageError"),
+        (_negative_seed("sweep"), 4, "UsageError"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_documented_error_line(self, corpus, tmp_path, capsys, build, code, kind):
         """A command that cannot use its input ends with the documented

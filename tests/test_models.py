@@ -10,33 +10,24 @@ from slidscan import models
 from slidscan.models import balanced_class_weights, fit_forest
 
 
-def _reference_grow(self, idx, depth):
+def _reference_split(codes, idx, y_node, features, bin_valid, min_leaf, class_weights):
     """Per-feature split search: each sampled feature in turn, keeping a
     later feature only when its best score is strictly lower."""
-    y_node = self._y[idx]
     n = len(idx)
-    if depth >= self._max_depth or n < 2 * self._min_leaf:
-        return self._leaf(idx)
     n1 = int(y_node.sum())
-    if n1 == 0 or n1 == n:
-        return self._leaf(idx)
-
-    features = self._rng.choice(self._codes.shape[1], size=self._mtry, replace=False)
     best_score = math.inf
-    best_feature = -1
-    best_bin = -1
-    w0, w1 = self._w0, self._w1
+    best = None
+    w0, w1 = class_weights
     for f in features:
-        edges = self._edges[f]
-        if len(edges) == 0:
+        n_edges = int(bin_valid[f].sum())
+        if n_edges == 0:
             continue
-        c = self._codes[idx, f]
-        nbins = len(edges) + 1
-        hist1 = np.bincount(c[y_node == 1], minlength=nbins)
-        hist_all = np.bincount(c, minlength=nbins)
+        c = codes[idx, f]
+        hist1 = np.bincount(c[y_node == 1], minlength=n_edges + 1)
+        hist_all = np.bincount(c, minlength=n_edges + 1)
         left_n = np.cumsum(hist_all)[:-1]
         right_n = n - left_n
-        valid = (left_n >= self._min_leaf) & (right_n >= self._min_leaf)
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
         if not valid.any():
             continue
         left1 = np.cumsum(hist1)[:-1]
@@ -55,22 +46,8 @@ def _reference_grow(self, idx, depth):
         b = int(np.argmin(score))
         if score[b] < best_score:
             best_score = score[b]
-            best_feature = int(f)
-            best_bin = b
-    if best_feature < 0 or not math.isfinite(best_score):
-        return self._leaf(idx)
-
-    threshold = float(self._edges[best_feature][best_bin])
-    mask = self._X[idx, best_feature] < threshold
-    left_idx = idx[mask]
-    right_idx = idx[~mask]
-    if len(left_idx) < self._min_leaf or len(right_idx) < self._min_leaf:
-        return self._leaf(idx)
-    node_id = len(self.nodes)
-    self.nodes.append(models._Node(feature=best_feature, threshold=threshold))
-    self.nodes[node_id].left = self._grow(left_idx, depth + 1)
-    self.nodes[node_id].right = self._grow(right_idx, depth + 1)
-    return node_id
+            best = (int(f), b)
+    return best if math.isfinite(best_score) else None
 
 
 def _fit_both(monkeypatch, X, y, **kwargs):
@@ -78,7 +55,7 @@ def _fit_both(monkeypatch, X, y, **kwargs):
     weights = balanced_class_weights(y)
     fast = fit_forest(X, y, weights, **kwargs)
     with monkeypatch.context() as patch:
-        patch.setattr(models._Tree, "_grow", _reference_grow)
+        patch.setattr(models, "_best_split", _reference_split)
         reference = fit_forest(X, y, weights, **kwargs)
     return fast, reference
 
@@ -102,8 +79,8 @@ def test_same_trees_as_per_feature_search(monkeypatch, seed, min_leaf, max_depth
     X, y = _binned_data(seed)
     fast, reference = _fit_both(monkeypatch, X, y, n_trees=10, seed=seed,
                                 min_leaf=min_leaf, max_depth=max_depth)
-    assert fast.to_dict() == reference.to_dict()
-    assert any(len(tree.nodes) > 1 for tree in fast.trees)
+    assert fast == reference
+    assert any(len(tree) > 1 for tree in fast.trees)
 
 
 def test_tied_features_pick_the_first_sampled():
@@ -119,7 +96,7 @@ def test_tied_features_pick_the_first_sampled():
         rng = np.random.default_rng(seed)
         rng.integers(0, n, size=n)
         drawn = rng.choice(4, size=forest.mtry, replace=False)
-        assert forest.trees[0].nodes[0].feature == drawn[0]
+        assert forest.trees[0][0][0] == drawn[0]
         first_drawn_higher |= bool(drawn[0] > drawn[1])
     assert first_drawn_higher
 
@@ -127,8 +104,8 @@ def test_tied_features_pick_the_first_sampled():
 def test_constant_column_is_never_split(monkeypatch):
     X, y = _binned_data(3)
     fast, reference = _fit_both(monkeypatch, X, y, n_trees=10, seed=3)
-    assert fast.to_dict() == reference.to_dict()
-    assert all(node.feature != 2 for tree in fast.trees for node in tree.nodes)
+    assert fast == reference
+    assert all(node[0] != 2 for tree in fast.trees for node in tree)
 
 
 @pytest.mark.parametrize("min_leaf", [0, 1])
@@ -139,15 +116,8 @@ def test_all_constant_features_give_single_leaves(min_leaf):
     y = np.arange(50) % 2
     forest = fit_forest(X, y, (1.0, 1.0), n_trees=5, min_leaf=min_leaf, seed=0)
     for tree in forest.trees:
-        assert len(tree.nodes) == 1
-        assert tree.nodes[0].feature == -1
-
-
-def test_fit_leaves_only_the_nodes():
-    X, y = _binned_data(4)
-    forest = fit_forest(X, y, balanced_class_weights(y), n_trees=3, seed=4)
-    for tree in forest.trees:
-        assert list(vars(tree)) == ["nodes"]
+        assert len(tree) == 1
+        assert tree[0][0] == -1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

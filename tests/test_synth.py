@@ -236,6 +236,8 @@ class TestConfigValidation:
 
     def test_bounds_accepted(self):
         ScenarioConfig(kind=ScenarioKind.RUGPULL, rug_impact=1.0, lifetime_days=3650)
+        ScenarioConfig(kind=ScenarioKind.LEGITIMATE, investor_arrival=1000.0,
+                       lifetime_days=199)
 
     @pytest.mark.parametrize("field,value,bounds", [
         ("investor_count", 0, "[1, 100000]"),
@@ -270,6 +272,16 @@ class TestConfigValidation:
     def test_field_bounds_are_inclusive(self, field, low, high):
         for value in (low, high):
             ScenarioConfig(kind=ScenarioKind.LEGITIMATE, **{field: value})
+
+    @pytest.mark.parametrize("arrival,days", [(1000.0, 3650), (1000.0, 200), (55.0, 3650)])
+    def test_expected_buys_bounded(self, arrival, days):
+        """Each field inside its bounds, but investor_arrival * (lifetime_days
+        + 1) investor buys expected of one pool is more than generate runs."""
+        with pytest.raises(InfeasibleConfig) as err:
+            ScenarioConfig(kind=ScenarioKind.LEGITIMATE, investor_arrival=arrival,
+                           lifetime_days=days)
+        assert str(err.value) == ("investor_arrival * (lifetime_days + 1) must be in "
+                                  f"[0, 200000], got {arrival * (days + 1)!r}")
 
     def test_impact_range_must_stay_below_rug_territory(self):
         with pytest.raises(InfeasibleConfig):
