@@ -95,40 +95,54 @@ def _heuristic_config(args) -> HeuristicConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    """Each corpus file is written under a temporary name in the output
+    directory and renamed into place after the last scenario, so a run that
+    fails leaves the directory as it found it."""
     options = parse_kv_file(args.config)
     counts, seed, overrides, survival = synth.corpus_spec_from_options(options)
     if not counts:
         raise ConfigError(f"{args.config}: no scenario counts configured")
     scenarios = synth.build_corpus(counts, seed, overrides, survival, sort_by_address=True)
     out = Path(args.out)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    orders_path = out / "orders.jsonl"
+    names = ("orders.jsonl", "pools.jsonl", "profiles.jsonl", "labels.csv")
+    orders_path, pools_path, profiles_path, labels_path = partial = [
+        out / f".{name}.partial" for name in names]
 
     pools = []
     profiles: Dict[str, object] = {}
     labels: List[tuple] = []
     total_orders = 0
-    orders_path.write_text("")    # orders are appended pool by pool
-    for scenario in scenarios:
-        pools.append(scenario.pool)
-        profiles[scenario.pool.paired_address] = scenario.profile
-        labels.append((scenario.pool.pool_address, scenario.true_label))
-        dataio.write_orders_jsonl(scenario.orders, orders_path,
-                                  anonymize=args.anonymize, append=True)
-        total_orders += len(scenario.orders)
+    try:
+        orders_path.write_text("")    # orders are appended pool by pool
+        for scenario in scenarios:
+            pools.append(scenario.pool)
+            profiles[scenario.pool.paired_address] = scenario.profile
+            labels.append((scenario.pool.pool_address, scenario.true_label))
+            dataio.write_orders_jsonl(scenario.orders, orders_path,
+                                      anonymize=args.anonymize, append=True)
+            total_orders += len(scenario.orders)
 
-    dataio.write_pools_jsonl(pools, out / "pools.jsonl", anonymize=args.anonymize)
-    profiles = dict(sorted(profiles.items()))
-    dataio.write_profiles_jsonl(profiles, out / "profiles.jsonl",
-                                anonymize=args.anonymize)
-    with open(out / "labels.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["pool_address", "true_label"])
-        for address, label in sorted(labels):
-            writer.writerow([
-                dataio.anonymize_address(address) if args.anonymize else address,
-                label,
-            ])
+        dataio.write_pools_jsonl(pools, pools_path, anonymize=args.anonymize)
+        profiles = dict(sorted(profiles.items()))
+        dataio.write_profiles_jsonl(profiles, profiles_path, anonymize=args.anonymize)
+        with open(labels_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["pool_address", "true_label"])
+            for address, label in sorted(labels):
+                writer.writerow([
+                    dataio.anonymize_address(address) if args.anonymize else address,
+                    label,
+                ])
+        for name, path in zip(names, partial):
+            path.replace(out / name)
+    except BaseException:
+        for path in partial:
+            path.unlink(missing_ok=True)
+        if created:
+            out.rmdir()
+        raise
     print(f"generated {len(pools)} pools, {total_orders} orders -> {out}")
     return 0
 
@@ -156,13 +170,14 @@ def cmd_detect(args) -> int:
 def _load_labels_csv(path, addresses: List[str]) -> List[bool]:
     """SLID or not for each of `addresses`, from a `generate` labels.csv: the
     header `pool_address,true_label`, then one row per pool whose label is a
-    ScenarioKind value. Anything else raises SchemaError with its line, and so
-    does a file without a row for one of `addresses`, naming the first."""
+    ScenarioKind value. Anything else, a byte that is not UTF-8 included,
+    raises SchemaError with its line, and so does a file without a row for
+    one of `addresses`, naming the first."""
     slid_kinds = {ScenarioKind.SLID, ScenarioKind.SLID_SLOW,
                   ScenarioKind.SLID_MULTI_ADDRESS}
     labels: Dict[str, bool] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with dataio.open_text(path, newline="") as handle:
+        reader = csv.reader(dataio.text_lines(path, handle))
         if next(reader, None) != ["pool_address", "true_label"]:
             raise SchemaError(path, 1, "labels CSV header is not pool_address,true_label")
         for row in reader:

@@ -10,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
+from .dataio import open_text, utf8_fault
 from .validators import HeuristicConfig
 
 
@@ -18,10 +19,16 @@ class ConfigError(Exception):
 
 
 def parse_kv_file(path: Union[str, Path]) -> Dict[str, str]:
-    """Read a key=value file into an ordered dict of raw strings."""
+    """Read a key=value file into an ordered dict of raw strings. The first
+    line that is not `key=value`, or that holds a byte that is not UTF-8,
+    raises ConfigError naming it."""
     options: Dict[str, str] = {}
-    text = Path(path).read_text()
+    with open_text(path) as handle:
+        text = handle.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        fault = utf8_fault(raw)
+        if fault is not None:
+            raise ConfigError(f"{path} line {lineno}: {fault}")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,12 +10,17 @@ keys in a fixed order with compact separators so generate -> ingest ->
 re-emit is byte-identical: pool and profile rows through `dump_row`, order
 rows through `write_orders_jsonl`, whose one format string per order writes
 the bytes `dump_row(order_to_row(o))` would (it falls back to exactly that
-for an order the format string cannot take).
+for an order the format string cannot take). With orjson installed, one
+`orjson.dumps` per order writes its seven floats, with the same bytes:
+orjson and `repr` both write the shortest digits that read back to the same
+double, and `repr` writes each value whose orjson text differs in notation
+(`_float_texts`).
 
 Every row is read by `iter_jsonl` and checked by one decoder for its format;
 every record decodes to the same value, or the same error line, with or
 without orjson installed. Every command reads an order file in one pass,
-`replay_orders`.
+`replay_orders`. Every input file is read as UTF-8 (`open_text`), and the
+first line that holds a byte that is not UTF-8 is the error line.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from .ledger import Category, DexOrder, LedgerError, PoolRecord
 from .metrics import ProfitReport, ProfitTracker
 from .validators import Label, SecurityProfile, Verdict
 
-try:  # the optional "fast" extra; every line reads the same without it
-    from orjson import loads as _orjson_loads
+try:  # the optional "fast" extra; every line reads and writes the same without it
+    from orjson import dumps as _orjson_dumps, loads as _orjson_loads
 except ImportError:
-    _orjson_loads = None
+    _orjson_dumps = _orjson_loads = None
 
 PathLike = Union[str, Path]
 
@@ -269,11 +274,34 @@ def dump_row(row: dict) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
+def _float_texts(values: tuple):
+    """`repr(value)` of each float in `values`, as `json.dumps` writes a
+    finite float; a None among them gets a text the caller does not use.
+
+    With orjson installed the texts come from one `orjson.dumps` of the
+    tuple. orjson and `repr` both write the shortest digits that read back
+    to the same double, so the two texts differ only in notation, which
+    orjson's text shows: an exponent (`e`) outside 1e-4 <= |v| < 1e16, a
+    `0.0000` fraction for 1e-5 <= |v| < 1e-4, and `null` (`n`) for nan,
+    infinities and None. Only such a value is written by `repr`."""
+    dumps = _orjson_dumps
+    if dumps is None:
+        return map(repr, values)
+    text = dumps(values).decode()
+    texts = text[1:-1].split(",")
+    if "e" in text or "n" in text or "0.0000" in text:
+        texts = [repr(value) if "e" in item or "n" in item
+                 or item.startswith(("0.0000", "-0.0000")) else item
+                 for item, value in zip(texts, values)]
+    return texts
+
+
 def _order_line(order: DexOrder, anonymize: bool) -> str:
     """One order's JSONL line, with its newline: the bytes of
     `dump_row(order_to_row(order))`, from one f-string. Strings are quoted by
-    `json.dumps`' own encoder and a float is written by `repr`, as
-    `json.dumps` writes a finite float. An order whose numbers are not exact
+    `json.dumps`' own encoder, and the seven floats are written by
+    `_float_texts`, as `json.dumps` writes a finite float: `repr`'s text,
+    from orjson where it is installed. An order whose numbers are not exact
     ints (block, timestamp), floats (the legs, the prices, the fee) or None
     (a recorded balance), or whose price or fee is not finite, is written by
     `dump_row` itself, and so is one with a field `_quote` cannot take."""
@@ -283,10 +311,9 @@ def _order_line(order: DexOrder, anonymize: bool) -> str:
         pool_address = anonymize_address(pool_address)
         sender = anonymize_address(sender)
     block, timestamp = order.block, order.timestamp
-    x_paired, x_base, y_paired, y_base = (order.x_paired, order.x_base,
-                                          order.y_paired, order.y_base)
-    price_paired, price_base, gas = (order.price_paired, order.price_base,
-                                     order.gas_fee_usd)
+    values = (order.x_paired, order.x_base, order.y_paired, order.y_base,
+              order.price_paired, order.price_base, order.gas_fee_usd)
+    x_paired, x_base, y_paired, y_base, price_paired, price_base, gas = values
     if (type(block) is int and type(timestamp) is int
             and type(y_paired) is float and type(y_base) is float
             and type(price_paired) is float and type(price_base) is float
@@ -295,16 +322,18 @@ def _order_line(order: DexOrder, anonymize: bool) -> str:
             and (x_base is None or type(x_base) is float)
             # One sum: a nan or an infinity in any term leaves it non-finite.
             and -_INF < price_paired + price_base + gas < _INF):
+        (x_paired, x_base, y_paired, y_base, price_paired, price_base,
+         gas) = _float_texts(values)
+        x_paired = "null" if values[0] is None else f'"{x_paired}"'
+        x_base = "null" if values[1] is None else f'"{x_base}"'
         try:
-            x_paired = "null" if x_paired is None else f'"{x_paired!r}"'
-            x_base = "null" if x_base is None else f'"{x_base!r}"'
             return (f'{{"block":{block},"timestamp":{timestamp},'
                     f'"hash":{_quote(tx_hash)},"category":{_quote(order.category)},'
                     f'"pool_address":{_quote(pool_address)},"sender":{_quote(sender)},'
                     f'"x_paired":{x_paired},"x_base":{x_base},'
-                    f'"y_paired":"{y_paired!r}","y_base":"{y_base!r}",'
-                    f'"price_paired":{price_paired!r},"price_base":{price_base!r},'
-                    f'"gas_fee_usd":{gas!r}}}\n')
+                    f'"y_paired":"{y_paired}","y_base":"{y_base}",'
+                    f'"price_paired":{price_paired},"price_base":{price_base},'
+                    f'"gas_fee_usd":{gas}}}\n')
         except TypeError:    # a string field that holds no string
             pass
     row = order_to_row(order)
@@ -380,6 +409,39 @@ class Dataset:
                 for address, (_, verdict) in self.enriched.items()}
 
 
+def open_text(path: PathLike, newline: Optional[str] = None):
+    """An input file opened for reading lines, as `open` opens it: UTF-8,
+    but each byte that is not UTF-8 reads as a lone surrogate. So a reader
+    names the first line that holds one (`utf8_fault`), where a strict
+    decode fails on a whole buffered chunk, with no line number. A CSV
+    reader passes `newline=""`, as the csv module asks."""
+    return open(path, encoding="utf-8", errors="surrogateescape", newline=newline)
+
+
+def utf8_fault(line: str) -> Optional[str]:
+    """None for a line `open_text` read from UTF-8 text; else what the first
+    byte that is not UTF-8 is, and where."""
+    if line.isascii():
+        return None
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        byte = line[exc.start].encode(errors="surrogateescape")[0]
+        return f"byte 0x{byte:02x} at column {exc.start + 1} is not UTF-8"
+    return None
+
+
+def text_lines(path: PathLike, handle):
+    """The lines of `handle`, opened by `open_text` on `path`; the first line
+    that holds a byte that is not UTF-8 raises SchemaError with its number.
+    A csv reader over these lines counts them as they are numbered here."""
+    for lineno, line in enumerate(handle, start=1):
+        fault = utf8_fault(line)
+        if fault is not None:
+            raise SchemaError(path, lineno, fault)
+        yield line
+
+
 _SCAN_JSON = json.JSONDecoder().scan_once
 
 
@@ -387,7 +449,8 @@ def iter_jsonl(path: PathLike, decode, what: str):
     """(line number, decode(row)) for every non-blank line: the one JSONL
     reader. `decode` checks a row (a dict) and raises one of ROW_ERRORS for
     a bad one, which becomes the SchemaError `bad <what> row: <error>`;
-    invalid JSON and rows that are not objects raise SchemaError too.
+    invalid JSON, rows that are not objects and bytes that are not UTF-8
+    raise SchemaError too.
 
     With orjson installed, a line is first read by `orjson.loads` and its
     object goes straight to `decode`. A line that orjson rejects, whose row
@@ -401,7 +464,7 @@ def iter_jsonl(path: PathLike, decode, what: str):
     it may run twice on one line."""
     scan = _SCAN_JSON
     fast_loads = _orjson_loads
-    with open(path) as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if fast_loads is not None:
                 try:
@@ -416,6 +479,10 @@ def iter_jsonl(path: PathLike, decode, what: str):
                     else:
                         yield lineno, value
                         continue
+            # orjson rejects a line that holds a byte that is not UTF-8.
+            fault = utf8_fault(line)
+            if fault is not None:
+                raise SchemaError(path, lineno, fault)
             # Stdlib fast path skips json.loads' per-line wrapper; loads does the rest.
             try:
                 row, end = scan(line, 0)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dataio import ROW_ERRORS, SchemaError, anonymize_address
+from .dataio import ROW_ERRORS, SchemaError, anonymize_address, open_text, text_lines
 from .ledger import SECONDS_PER_DAY, Category, DexOrder, PoolRecord
 from .metrics import ProfitReport, ProfitTracker
 
@@ -271,13 +271,13 @@ def read_features_csv(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
     """The (X, y) of a write_features_csv export: X float64 of shape
     (rows, 57), y 0/1 int64. A wrong header, a malformed row (column count,
     a window that is not an integer or differs from the first row's, a label
-    that is not `0` or `1`) or a non-finite value raises SchemaError with its
-    line number."""
+    that is not `0` or `1`), a non-finite value or a byte that is not UTF-8
+    raises SchemaError with its line number."""
     rows: List[List[float]] = []
     labels: List[int] = []
     window_days = None
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with open_text(path, newline="") as handle:
+        reader = csv.reader(text_lines(path, handle))
         if next(reader, None) != _CSV_HEADER:
             raise SchemaError(path, 1, "unexpected feature CSV header")
         for row in reader:

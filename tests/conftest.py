@@ -18,10 +18,12 @@ T0 = 1_700_000_000
 
 @pytest.fixture(params=["orjson", "stdlib"])
 def reader(request, monkeypatch):
-    """Run a test on each path of `dataio.iter_jsonl`: the orjson reader,
-    where installed, and the stdlib reader, forced by hiding orjson."""
+    """Run a test on each path of `dataio.iter_jsonl` and of the order
+    writer's float text: orjson's, where installed, and the stdlib's,
+    forced by hiding orjson."""
     if request.param == "stdlib":
         monkeypatch.setattr(dataio, "_orjson_loads", None)
+        monkeypatch.setattr(dataio, "_orjson_dumps", None)
     elif dataio._orjson_loads is None:
         pytest.skip("orjson is not installed")
     return request.param

@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from slidscan import analysis, dataio, pipeline
+from slidscan import analysis, dataio, pipeline, synth
 from slidscan.cli import main
 from slidscan.features import FEATURE_NAMES
 from slidscan.validators import SecurityProfile
@@ -198,6 +198,37 @@ class TestGenerate:
             digests = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
                        for file in pinned}
             assert digests == pinned, name
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "over-corpus"])
+    def test_failed_run_leaves_no_file(self, corpus, tmp_path, capsys, monkeypatch,
+                                       existing):
+        """A scenario that raises on the second pool ends generate with exit 4
+        and leaves no file: a directory it made is gone, and a corpus already
+        in the directory keeps its bytes."""
+        real_generate = synth.generate
+        plans = []
+
+        def generate(plan):
+            plans.append(plan)
+            if len(plans) == 2:
+                raise synth.InfeasibleConfig("drain campaign extracted nothing")
+            return real_generate(plan)
+
+        monkeypatch.setattr(synth, "generate", generate)
+        out = tmp_path / "out"
+        if existing:
+            shutil.copytree(corpus, out)
+        before = {path.name: path.read_bytes() for path in out.glob("*")}
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(CORPUS_CFG)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ("error code=4 kind=InfeasibleConfig "
+                                           'msg="drain campaign extracted nothing"\n')
+        assert len(plans) == 2
+        assert out.exists() == existing
+        if existing:
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -1111,6 +1142,56 @@ def _corpus_config_with_one_value_range(corpus, tmp_path):
             "slid.slid_impact_range: '0.5'")
 
 
+def with_byte_ff(path, lineno):
+    """Put one 0xff byte in the middle of line `lineno` of `path`; returns
+    the location the error line must name."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    line = lines[lineno - 1]
+    lines[lineno - 1] = line[:len(line) // 2] + b"\xff" + line[len(line) // 2:]
+    path.write_bytes(b"".join(lines))
+    return f"{path} line {lineno}: byte 0xff at column {len(line) // 2 + 1} is not UTF-8"
+
+
+def _labels_csv_with_byte_ff(corpus, tmp_path):
+    path = tmp_path / "labels.csv"
+    shutil.copy(corpus / "labels.csv", path)
+    return ["features", "--pools", str(corpus / "pools.jsonl"),
+            "--orders", str(corpus / "orders.jsonl"), "--labels", str(path),
+            "--window", "57"], with_byte_ff(path, 4)
+
+
+def _features_csv_with_byte_ff(corpus, tmp_path):
+    path = _features_csv_with_value(tmp_path, "2.0")
+    return (["train", "--features", str(path), "--model", "RandomForest"],
+            with_byte_ff(path, 3))
+
+
+def _corpus_config_with_byte_ff(corpus, tmp_path):
+    argv = _corpus_config(tmp_path, "seed = 3\nlegitimate.count = 2\n"
+                                    "# a comment\nlegitimate.lifetime_days = 20\n")
+    return argv, with_byte_ff(tmp_path / "bad.cfg", 4)
+
+
+def _heuristic_config_with_byte_ff(corpus, tmp_path):
+    return (["report", "--kind", "profit", "--corpus", str(corpus), "--labels-filter",
+             "SLID", "--config", _heuristic_config_file(tmp_path)],
+            with_byte_ff(tmp_path / "heuristic.cfg", 1))
+
+
+def assert_error_line(argv, location, code, kind, out, capsys):
+    """The command ends with the documented one-line error, never a
+    traceback, names `location` if given, and writes no `out`."""
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error code={code} kind={kind} msg=")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    if location is not None:
+        assert location in err
+    assert not out.exists()
+
+
 class TestUnusableInputs:
     @pytest.mark.parametrize("build,code,kind", [
         (_features_csv_with_bad_header, 2, "SchemaError"),
@@ -1184,19 +1265,34 @@ class TestUnusableInputs:
         (_negative_seed("train", "--model", "LogisticRegression"), 4, "UsageError"),
         (_negative_seed("train", "--model", "LogisticRegression", "--grid"), 4, "UsageError"),
         (_negative_seed("sweep"), 4, "UsageError"),
+        (_labels_csv_with_byte_ff, 2, "SchemaError"),
+        (_features_csv_with_byte_ff, 2, "SchemaError"),
+        (_corpus_config_with_byte_ff, 4, "ConfigError"),
+        (_heuristic_config_with_byte_ff, 4, "ConfigError"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_documented_error_line(self, corpus, tmp_path, capsys, build, code, kind):
         """A command that cannot use its input ends with the documented
         one-line error, never a traceback; a bad file is named."""
-        capsys.readouterr()
         argv, location = build(corpus, tmp_path)
-        out = tmp_path / "out"
-        assert main(argv + ["--out", str(out)]) == code
-        err = capsys.readouterr().err
-        assert err.startswith(f"error code={code} kind={kind} msg=")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
-        if location is not None:
-            assert location in err
-        assert not out.exists()
+        assert_error_line(argv, location, code, kind, tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("name,bad_row", [
+        ("orders.jsonl", None), ("pools.jsonl", None), ("profiles.jsonl", None),
+        ("orders.jsonl", 2), ("orders.jsonl", 6)])
+    def test_byte_that_is_not_utf8_in_jsonl(self, corpus, tmp_path, capsys, reader,
+                                             name, bad_row):
+        """A 0xff byte on line 4 of a JSONL input is that line's error line
+        on both reader paths. The first bad line wins: an unknown category
+        on line 2 is named, and one on line 6 is not."""
+        shutil.copytree(corpus, tmp_path / "c")
+        path = tmp_path / "c" / name
+        if bad_row is not None:
+            rewrite_rows(path, lambda rows: rows[bad_row - 1].update(category="Bogus"))
+        location = with_byte_ff(path, 4)
+        if bad_row == 2:
+            location = f"{path} line 2: bad order row: unknown category 'Bogus'"
+        argv = ["detect", "--pools", str(tmp_path / "c" / "pools.jsonl"),
+                "--orders", str(tmp_path / "c" / "orders.jsonl"),
+                "--profiles", str(tmp_path / "c" / "profiles.jsonl")]
+        assert_error_line(argv, location, 2, "SchemaError", tmp_path / "out", capsys)
 

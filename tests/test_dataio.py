@@ -1,11 +1,12 @@
 """JSONL ingestion, round-trip fidelity, and skip/error accounting."""
 
 import json
+import math
 import struct
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -270,6 +271,52 @@ class TestOrderWriter:
             write_orders_jsonl(second, path, anonymize=anonymize, append=True)
             written = path.read_bytes().decode("ascii")
         assert written == "".join(map(reference, first + second))
+
+    @pytest.mark.parametrize("field", ["x_paired", "x_base", "y_paired", "y_base",
+                                       "price_paired", "price_base", "gas_fee_usd"])
+    def test_float_edge_values(self, reader, field):
+        """Each float field at the ends of the range where orjson and repr
+        write a float alike, at both signs of zero, at the float range's ends
+        and at nan and the infinities, is written as the reference encoding
+        writes it, with the recorded balances null and set, with and without
+        anonymize, and with and without orjson."""
+        values = [math.nan, math.inf, -math.inf, 9.999999999999999e-05, 1e-4,
+                  2.5e-07, 9999999999999998.0, 1e16, -0.0, 5e-324,
+                  1.7976931348623157e308]
+        for balances in (None, 1234567.25):
+            base = make_order("Buy", 55.25, 123.5, x_paired=balances, x_base=balances)
+            for value in values:
+                order = replace(base, **{field: value})
+                for anonymize in (False, True):
+                    row = order_to_row(order)
+                    if anonymize:
+                        for key in ("hash", "pool_address", "sender"):
+                            row[key] = anonymize_address(row[key])
+                    line = dataio._order_line(order, anonymize)
+                    assert line == dump_row(row) + "\n", (balances, value, anonymize)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=7))
+    @example([1e-5, 123.5])
+    @example([-9.999999999999999e-05])
+    @settings(max_examples=2000, deadline=None)
+    def test_float_text_is_repr(self, values):
+        """The fact the writer rests on: each float's text is its repr,
+        whichever writer gives it, beside floats of any other notation."""
+        assert list(dataio._float_texts(tuple(values))) == list(map(repr, values))
+
+    @pytest.mark.skipif(dataio._orjson_dumps is None, reason="orjson is not installed")
+    def test_generated_orders_take_orjson(self, monkeypatch):
+        """With orjson installed, each generated order's floats are written by
+        one orjson.dumps."""
+        dumps = dataio._orjson_dumps
+        calls = []
+        monkeypatch.setattr(dataio, "_orjson_dumps",
+                            lambda values: calls.append(values) or dumps(values))
+        orders = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=4,
+                                         slid_drain_count=30, lifetime_days=40)).orders
+        with tempfile.TemporaryDirectory() as tmp:
+            write_orders_jsonl(orders, Path(tmp) / "orders.jsonl")
+        assert len(calls) == len(orders)
 
     def test_generated_orders_take_the_format_string(self, monkeypatch):
         """Generated orders never fall back to dump_row."""
