@@ -13,12 +13,15 @@ one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
   4  ConfigError, InfeasibleConfig, UsageError (bad arguments, checked
      while they are parsed, such as a --config no step of the command
      reads) or a missing input file
+
+`generate` stopped by SIGTERM exits 143, with no line, and leaves no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import signal
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
@@ -68,7 +71,9 @@ def _seed(text: str) -> int:
 
 
 def _d_list(text: str) -> List[int]:
-    d_list = [_window_days(part) for part in text.split(",") if part.strip()]
+    """The windows of a --d-list, in order; a repeated window counts once."""
+    d_list = list(dict.fromkeys(_window_days(part) for part in text.split(",")
+                                if part.strip()))
     if not d_list:
         raise argparse.ArgumentTypeError("must name at least one window")
     return d_list
@@ -97,15 +102,14 @@ def _heuristic_config(args) -> HeuristicConfig:
 def cmd_generate(args) -> int:
     """Each corpus file is written under a temporary name in the output
     directory and renamed into place after the last scenario, so a run that
-    fails leaves the directory as it found it."""
+    fails, or is stopped by SIGTERM (exit 143) or Ctrl-C, leaves the
+    directory as it found it."""
     options = parse_kv_file(args.config)
     counts, seed, overrides, survival = synth.corpus_spec_from_options(options)
     if not counts:
         raise ConfigError(f"{args.config}: no scenario counts configured")
     scenarios = synth.build_corpus(counts, seed, overrides, survival, sort_by_address=True)
     out = Path(args.out)
-    created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
     names = ("orders.jsonl", "pools.jsonl", "profiles.jsonl", "labels.csv")
     orders_path, pools_path, profiles_path, labels_path = partial = [
         out / f".{name}.partial" for name in names]
@@ -114,7 +118,11 @@ def cmd_generate(args) -> int:
     profiles: Dict[str, object] = {}
     labels: List[tuple] = []
     total_orders = 0
+    previous_handler = signal.signal(signal.SIGTERM,
+                                     lambda signum, frame: sys.exit(128 + signum))
+    created = not out.exists()
     try:
+        out.mkdir(parents=True, exist_ok=True)
         orders_path.write_text("")    # orders are appended pool by pool
         for scenario in scenarios:
             pools.append(scenario.pool)
@@ -130,7 +138,7 @@ def cmd_generate(args) -> int:
         with open(labels_path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["pool_address", "true_label"])
-            for address, label in sorted(labels):
+            for address, label in labels:    # scenarios arrive by address
                 writer.writerow([
                     dataio.anonymize_address(address) if args.anonymize else address,
                     label,
@@ -140,9 +148,11 @@ def cmd_generate(args) -> int:
     except BaseException:
         for path in partial:
             path.unlink(missing_ok=True)
-        if created:
+        if created and out.exists():
             out.rmdir()
         raise
+    finally:
+        signal.signal(signal.SIGTERM, previous_handler)
     print(f"generated {len(pools)} pools, {total_orders} orders -> {out}")
     return 0
 
@@ -252,7 +262,7 @@ def cmd_sweep(args) -> int:
     dataset = dataio.ingest(*_corpus_files(args.corpus))
     analysis.enrich(dataset, cfg)
     windows = earlywarn.prepare_windows(dataset, args.d_list, cfg)
-    results = earlywarn.sweep(windows, args.d_list, seed=args.seed)
+    results = earlywarn.sweep(windows, seed=args.seed)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["detector", "d", "accuracy", "precision", "recall",

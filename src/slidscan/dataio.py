@@ -8,13 +8,16 @@ not read as a float goes to float(), so an amount is float()'s value, or
 error, either way. USD prices and fees are plain JSON numbers. Writers emit
 keys in a fixed order with compact separators so generate -> ingest ->
 re-emit is byte-identical: pool and profile rows through `dump_row`, order
-rows through `write_orders_jsonl`, whose one format string per order writes
-the bytes `dump_row(order_to_row(o))` would (it falls back to exactly that
-for an order the format string cannot take). With orjson installed, one
-`orjson.dumps` per order writes its seven floats, with the same bytes:
-orjson and `repr` both write the shortest digits that read back to the same
-double, and `repr` writes each value whose orjson text differs in notation
-(`_float_texts`).
+rows through `write_orders_jsonl`, one format string per order. The order
+writer's contract is an order whose fields hold their declared types (an int
+block and timestamp, str strings, float legs, prices and fee, None or float
+balances) with a finite price and fee: every order `generate` makes and
+every row `decode_order` accepts. An order outside it raises (ValueError,
+or TypeError for a string field) before its line is written. With orjson
+installed, one `orjson.dumps` per order writes its seven floats, with
+`repr`'s bytes: orjson and `repr` both write the shortest digits that read
+back to the same double, and `repr` writes each value whose orjson text
+differs in notation (`_float_texts`).
 
 Every row is read by `iter_jsonl` and checked by one decoder for its format;
 every record decodes to the same value, or the same error line, with or
@@ -61,7 +64,7 @@ def anonymize_address(address: str) -> str:
     """Keep the first and last five characters of an identifier."""
     if len(address) <= 13:
         return address
-    return f"{address[:5]}...{address[-5:]}"
+    return address[:5] + "..." + address[-5:]    # a non-str raises TypeError
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +136,6 @@ def record_to_row(record, **key) -> dict:
     for name, *_ in _RECORD_FIELDS[type(record)]:
         key[name] = getattr(record, name)
     return key
-
-
-def order_to_row(order: DexOrder) -> dict:
-    return {
-        "block": order.block,
-        "timestamp": order.timestamp,
-        "hash": order.hash,
-        "category": order.category,
-        "pool_address": order.pool_address,
-        "sender": order.sender,
-        "x_paired": repr(order.x_paired) if order.x_paired is not None else None,
-        "x_base": repr(order.x_base) if order.x_base is not None else None,
-        "y_paired": repr(order.y_paired),
-        "y_base": repr(order.y_base),
-        "price_paired": order.price_paired,
-        "price_base": order.price_base,
-        "gas_fee_usd": order.gas_fee_usd,
-    }
 
 
 def _number(value, name: str) -> float:
@@ -263,9 +248,7 @@ def order_from_row(row: dict) -> DexOrder:
 
 
 def dump_row(row: dict) -> str:
-    """Canonical one-line serialization of a pool or profile row, and the
-    reference encoding of an order row: `write_orders_jsonl` writes each
-    order as `dump_row(order_to_row(order))` would."""
+    """Canonical one-line serialization of a pool or profile row."""
     return json.dumps(row, separators=(",", ":"))
 
 
@@ -297,48 +280,44 @@ def _float_texts(values: tuple):
 
 
 def _order_line(order: DexOrder, anonymize: bool) -> str:
-    """One order's JSONL line, with its newline: the bytes of
-    `dump_row(order_to_row(order))`, from one f-string. Strings are quoted by
-    `json.dumps`' own encoder, and the seven floats are written by
-    `_float_texts`, as `json.dumps` writes a finite float: `repr`'s text,
-    from orjson where it is installed. An order whose numbers are not exact
-    ints (block, timestamp), floats (the legs, the prices, the fee) or None
-    (a recorded balance), or whose price or fee is not finite, is written by
-    `dump_row` itself, and so is one with a field `_quote` cannot take."""
+    """One order's JSONL line, with its newline, from one f-string: the
+    bytes `json.dumps` with compact separators writes for the order's row,
+    its amounts and balances as `repr` strings. Strings are quoted by
+    `json.dumps`' own encoder and the seven floats are written by
+    `_float_texts`. An order outside the writer's contract (module
+    docstring) raises: TypeError for a string field that holds no string,
+    which the encoder (or `anonymize_address`) rejects, else ValueError."""
     tx_hash, pool_address, sender = order.hash, order.pool_address, order.sender
-    if anonymize:
-        tx_hash = anonymize_address(tx_hash)
-        pool_address = anonymize_address(pool_address)
-        sender = anonymize_address(sender)
     block, timestamp = order.block, order.timestamp
     values = (order.x_paired, order.x_base, order.y_paired, order.y_base,
               order.price_paired, order.price_base, order.gas_fee_usd)
     x_paired, x_base, y_paired, y_base, price_paired, price_base, gas = values
-    if (type(block) is int and type(timestamp) is int
+    if not (type(block) is int and type(timestamp) is int
             and type(y_paired) is float and type(y_base) is float
             and type(price_paired) is float and type(price_base) is float
             and type(gas) is float
             and (x_paired is None or type(x_paired) is float)
             and (x_base is None or type(x_base) is float)
-            # One sum: a nan or an infinity in any term leaves it non-finite.
-            and -_INF < price_paired + price_base + gas < _INF):
-        (x_paired, x_base, y_paired, y_base, price_paired, price_base,
-         gas) = _float_texts(values)
-        x_paired = "null" if values[0] is None else f'"{x_paired}"'
-        x_base = "null" if values[1] is None else f'"{x_base}"'
-        try:
-            return (f'{{"block":{block},"timestamp":{timestamp},'
-                    f'"hash":{_quote(tx_hash)},"category":{_quote(order.category)},'
-                    f'"pool_address":{_quote(pool_address)},"sender":{_quote(sender)},'
-                    f'"x_paired":{x_paired},"x_base":{x_base},'
-                    f'"y_paired":"{y_paired}","y_base":"{y_base}",'
-                    f'"price_paired":{price_paired},"price_base":{price_base},'
-                    f'"gas_fee_usd":{gas}}}\n')
-        except TypeError:    # a string field that holds no string
-            pass
-    row = order_to_row(order)
-    row.update(hash=tx_hash, pool_address=pool_address, sender=sender)
-    return dump_row(row) + "\n"
+            # x - x is 0.0 for a finite x and nan for nan or an infinity; a
+            # plain sum of the three could overflow on finite values.
+            and (price_paired - price_paired) + (price_base - price_base)
+            + (gas - gas) == 0.0):
+        raise ValueError(f"order {tx_hash!r} is outside the order writer's contract")
+    if anonymize:
+        tx_hash = anonymize_address(tx_hash)
+        pool_address = anonymize_address(pool_address)
+        sender = anonymize_address(sender)
+    (x_paired, x_base, y_paired, y_base, price_paired, price_base,
+     gas) = _float_texts(values)
+    x_paired = "null" if values[0] is None else f'"{x_paired}"'
+    x_base = "null" if values[1] is None else f'"{x_base}"'
+    return (f'{{"block":{block},"timestamp":{timestamp},'
+            f'"hash":{_quote(tx_hash)},"category":{_quote(order.category)},'
+            f'"pool_address":{_quote(pool_address)},"sender":{_quote(sender)},'
+            f'"x_paired":{x_paired},"x_base":{x_base},'
+            f'"y_paired":"{y_paired}","y_base":"{y_base}",'
+            f'"price_paired":{price_paired},"price_base":{price_base},'
+            f'"gas_fee_usd":{gas}}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +347,9 @@ def write_pools_jsonl(pools: Iterable[PoolRecord], path: PathLike,
 def write_orders_jsonl(orders: Iterable[DexOrder], path: PathLike,
                        anonymize: bool = False, append: bool = False) -> None:
     """One `_order_line` per order; with `anonymize`, the hash, pool address
-    and sender are shortened by `anonymize_address`."""
+    and sender are shortened by `anonymize_address`. An order outside the
+    writer's contract (module docstring) raises, and no line is written
+    for it or for any order after it."""
     with open(path, "a" if append else "w") as handle:
         handle.writelines(_order_line(order, anonymize) for order in orders)
 

@@ -274,7 +274,6 @@ def prepare_windows(dataset: Dataset, d_list: Sequence[int],
     replayed once, up to its largest window; the heuristic classifies each
     window's truncated profit report from that replay.
     """
-    d_list = list(dict.fromkeys(d_list))    # a repeated window counts once
     slid = dataset.slid_labels()
     addresses = list(dataset.pools)
     labels = np.array([slid[a] for a in addresses], dtype=bool)
@@ -304,11 +303,10 @@ TEST_FRACTION = 0.2
 PLATEAU_FRACTION = 0.95
 
 
-def sweep(windows: WindowedCorpus, d_list: Sequence[int],
-          seed: int = 0) -> List[EvalMetrics]:
-    """Evaluate every detector at every window of `d_list` on a held-out
-    stratified split (TEST_FRACTION of each class) of the pools that
-    `prepare_windows` extracted `windows` from.
+def sweep(windows: WindowedCorpus, seed: int = 0) -> List[EvalMetrics]:
+    """Evaluate every detector at every window of `windows.X_by_d`, in its
+    order, on a held-out stratified split (TEST_FRACTION of each class) of
+    the pools that `prepare_windows` extracted `windows` from.
 
     Classifiers retrain per window on the training pools; the rule-based
     detector's calls on the same truncated windows are read from `windows`.
@@ -317,8 +315,7 @@ def sweep(windows: WindowedCorpus, d_list: Sequence[int],
     train_idx, test_idx = stratified_split(labels.astype(np.int64),
                                            TEST_FRACTION, seed)
     results: List[EvalMetrics] = []
-    for d in d_list:
-        X = windows.X_by_d[d]
+    for d, X in windows.X_by_d.items():
         for detector in DETECTORS:
             if detector == HEURISTIC_DETECTOR:
                 pred = windows.heuristic_by_d[d][test_idx]

@@ -213,20 +213,15 @@ class _PoolSim:
 
     # -- primitive actions --------------------------------------------------
 
-    def deposit(self, ts: int, sender: str, y_base: float, gas: float = 0.0) -> None:
-        if self.rb > 0:
-            y_paired = y_base * (self.rp / self.rb)
-        else:
-            y_paired = y_base / _INITIAL_PAIRED_PRICE
-        if sender == self.owner:
-            self.owner_invested += y_base
-            self.owner_gas += gas
+    def deposit(self, ts: int, investor: str, y_base: float) -> None:
+        """An investor adds liquidity from the paired tokens they hold, at
+        the pool's price (the reserves are not empty)."""
+        y_paired = y_base * (self.rp / self.rb)
         self.rp += y_paired
         self.rb += y_base
         self.k = self.rp * self.rb
-        if sender != self.owner and sender in self.holdings:
-            self.holdings[sender] = max(self.holdings[sender] - y_paired, 0.0)
-        self._emit(ts, Category.DEPOSIT, sender, y_paired, y_base, gas)
+        self.holdings[investor] = max(self.holdings[investor] - y_paired, 0.0)
+        self._emit(ts, Category.DEPOSIT, investor, y_paired, y_base)
 
     def withdraw(self, ts: int, sender: str, y_base: float, gas: float = 0.0) -> None:
         y_base = min(y_base, self.rb * 0.999999)
@@ -585,8 +580,9 @@ def plan_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
 
 
 def scenario_pool_address(cfg: ScenarioConfig) -> str:
-    """Pool address a config will produce, without running its timeline."""
-    return _PoolSim(cfg, np.random.default_rng(cfg.seed)).pool_address
+    """Pool address a config will produce: the first address `_PoolSim`
+    draws from the scenario's generator."""
+    return _addresses(np.random.default_rng(cfg.seed), 1)[0]
 
 
 def build_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
@@ -598,7 +594,7 @@ def build_corpus(counts: Dict[ScenarioKind, int], seed: int = 0,
     the call.
 
     With sort_by_address the stream is grouped by ascending pool address
-    (stable output files) at the cost of planning the headers twice.
+    (stable output files).
     """
     plans = plan_corpus(counts, seed, overrides, survival)
     if sort_by_address:

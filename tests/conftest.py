@@ -66,6 +66,27 @@ def make_order(category, y_base, y_paired=0.0, sender=OWNER, ts=None,
     )
 
 
+def order_to_row(order: DexOrder) -> dict:
+    """The reference encoding of an order row, which the order writer's
+    tests compare its lines against: `dataio.dump_row` of this dict is the
+    line `dataio.write_orders_jsonl` writes for an order in its contract."""
+    return {
+        "block": order.block,
+        "timestamp": order.timestamp,
+        "hash": order.hash,
+        "category": order.category,
+        "pool_address": order.pool_address,
+        "sender": order.sender,
+        "x_paired": repr(order.x_paired) if order.x_paired is not None else None,
+        "x_base": repr(order.x_base) if order.x_base is not None else None,
+        "y_paired": repr(order.y_paired),
+        "y_base": repr(order.y_base),
+        "price_paired": order.price_paired,
+        "price_base": order.price_base,
+        "gas_fee_usd": order.gas_fee_usd,
+    }
+
+
 def make_dataset(entries) -> Dataset:
     """The Dataset `dataio.ingest` builds, from `(pool, orders)` or
     `(pool, orders, profile)` entries; each pool keeps its orders in the

@@ -294,7 +294,7 @@ def test_acceptance_6_ml_desk_analogue(ml_corpus_windows):
     slow_recalls = []
     rf_f1_by_d = {d: [] for d in D_LIST}
     for seed in range(5):
-        results = sweep(windows, D_LIST, seed=seed)
+        results = sweep(windows, seed=seed)
         by_key = {(m.detector, m.window_days): m for m in results}
         f1_at_57.append(by_key[(rf, 57)].f1)
         for d in D_LIST:

@@ -3,7 +3,13 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +235,35 @@ class TestGenerate:
         assert out.exists() == existing
         if existing:
             assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_sigterm_leaves_no_file(self, tmp_path):
+        """generate stopped by SIGTERM while it writes exits 143 and leaves
+        neither its partial files nor the directory it made."""
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("legitimate.count = 40\nlegitimate.investor_arrival = 100\n"
+                       "legitimate.lifetime_days = 150\n")
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        src = str(Path(synth.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "slidscan.cli", "generate", "--config", str(cfg),
+             "--out", str(out)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / ".orders.jsonl.partial").exists():
+                assert child.poll() is None, child.stderr.read()
+                assert time.monotonic() < deadline, "no partial orders file"
+                time.sleep(0.01)
+            child.send_signal(signal.SIGTERM)
+            _, stderr = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 143, stderr
+        assert stderr == b""
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -782,6 +817,18 @@ class TestSweep:
         assert {row["detector"] for row in rows} == {
             "Heuristic", "RandomForest", "LogisticRegression"}
         assert {row["d"] for row in rows} == {"60", "30"}
+
+    def test_repeated_window_counts_once(self, corpus, tmp_path, capsys):
+        """--d-list 57,57,30 writes the 6 cells of --d-list 57,30: a
+        repeated window is trained and written once."""
+        outs = []
+        for d_list in ("57,57,30", "57,30"):
+            outs.append(tmp_path / f"{d_list}.csv")
+            assert main(["sweep", "--corpus", str(corpus), "--d-list", d_list,
+                         "--out", str(outs[-1])]) == 0
+            assert " 6 detector/window cells " in capsys.readouterr().out
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(read_csv(outs[0])) == 6
 
 
 class TestWindowArguments:

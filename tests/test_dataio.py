@@ -23,7 +23,6 @@ from slidscan.dataio import (
     ingest,
     iter_jsonl,
     order_from_row,
-    order_to_row,
     read_pools,
     read_profiles,
     record_to_row,
@@ -37,7 +36,7 @@ from slidscan.pipeline import stream_detect
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
 from slidscan.validators import SecurityProfile
 
-from conftest import T0, USER, make_order, make_pool
+from conftest import T0, USER, make_order, make_pool, order_to_row
 
 
 @pytest.fixture(scope="module")
@@ -232,68 +231,113 @@ _text = st.one_of(
 )
 # Every float, nan and both infinities included.
 _float = st.floats()
-# Values of another type than the field declares, which dump_row writes.
-_odd = st.one_of(st.booleans(), st.integers(), st.none())
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Any order in the writer's contract: every field of its declared type, with
+# a finite price and fee.
 _order = st.builds(
     DexOrder,
-    block=st.one_of(st.integers(min_value=-2**70, max_value=2**70), _odd, _float),
+    block=st.integers(min_value=-2**70, max_value=2**70),
     timestamp=st.integers(min_value=0, max_value=2**40),
     hash=_text,
-    category=st.sampled_from(list(Category)) | _odd,
+    category=st.sampled_from(list(Category)),
     pool_address=_text,
     sender=_text,
-    x_paired=st.none() | _float | _text,
+    x_paired=st.none() | _float,
     x_base=st.none() | _float,
     y_paired=_float,
     y_base=_float,
-    price_paired=_float,
-    price_base=_float | _odd,
-    gas_fee_usd=_float,
+    price_paired=_finite,
+    price_base=_finite,
+    gas_fee_usd=_finite,
 )
+
+
+def reference_line(order, anonymize):
+    """dump_row(order_to_row(order)), its addresses shortened with
+    `anonymize`: the line the writer must write for an order in its
+    contract."""
+    row = order_to_row(order)
+    if anonymize:
+        for key in ("hash", "pool_address", "sender"):
+            row[key] = anonymize_address(row[key])
+    return dump_row(row) + "\n"
+
+
+# Values outside the writer's contract, per field.
+_OUT_OF_CONTRACT = {
+    "block": [True, 1.0, None, "1"],
+    "timestamp": [False, 1.0, None],
+    "hash": [7, None, b"0x", b"0x" + b"ab" * 20, ["0x"] * 20],
+    "category": [None, 1],
+    "pool_address": [7, None],
+    "sender": [7, None, ("0x",) * 20],
+    "x_paired": [1, "1.5", True],
+    "x_base": [0, "0.0"],
+    "y_paired": [None, 1, "1.5"],
+    "y_base": [True, 2],
+    "price_paired": [True, 1, None, math.nan, math.inf, -math.inf],
+    "price_base": [False, 1, None, math.nan, math.inf, -math.inf],
+    "gas_fee_usd": [True, 0, None, math.nan, math.inf, -math.inf],
+}
 
 
 class TestOrderWriter:
     @given(st.lists(_order, max_size=4), st.lists(_order, max_size=4), st.booleans())
+    @example([make_order("Buy", 1.0, price_base=1e308, gas=1.7976931348623157e308)],
+             [], False)
     @settings(max_examples=300, deadline=None)
     def test_each_line_is_the_reference_encoding(self, first, second, anonymize):
-        """write_orders_jsonl writes each order as dump_row(order_to_row(order))
-        does, with and without anonymize, and when it appends."""
-        def reference(order):
-            row = order_to_row(order)
-            if anonymize:
-                for key in ("hash", "pool_address", "sender"):
-                    row[key] = anonymize_address(row[key])
-            return dump_row(row) + "\n"
-
+        """write_orders_jsonl writes each order in its contract as
+        dump_row(order_to_row(order)) does, with and without anonymize, and
+        when it appends; finite prices and fees whose sum overflows are in
+        the contract too."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "orders.jsonl"
             write_orders_jsonl(first, path, anonymize=anonymize)
             write_orders_jsonl(second, path, anonymize=anonymize, append=True)
             written = path.read_bytes().decode("ascii")
-        assert written == "".join(map(reference, first + second))
+        assert written == "".join(reference_line(order, anonymize)
+                                  for order in first + second)
+
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=f"{field}-{value!r}")
+        for field, values in _OUT_OF_CONTRACT.items() for value in values])
+    @pytest.mark.parametrize("anonymize", [False, True], ids=["plain", "anonymize"])
+    def test_out_of_contract_order_raises(self, tmp_path, field, value, anonymize):
+        """An order outside the writer's contract raises, TypeError for a
+        string field that holds no string and ValueError otherwise, and no
+        line is written for it or after it."""
+        good = make_order("Buy", 55.25, 123.5, x_paired=1234567.25, x_base=19234.5)
+        path = tmp_path / "orders.jsonl"
+        raises = (pytest.raises(TypeError)
+                  if field in ("hash", "category", "pool_address", "sender")
+                  else pytest.raises(ValueError, match="outside the order writer's contract"))
+        with raises:
+            write_orders_jsonl([good, replace(good, **{field: value}), good], path,
+                               anonymize=anonymize)
+        assert path.read_text() == reference_line(good, anonymize)
 
     @pytest.mark.parametrize("field", ["x_paired", "x_base", "y_paired", "y_base",
                                        "price_paired", "price_base", "gas_fee_usd"])
     def test_float_edge_values(self, reader, field):
         """Each float field at the ends of the range where orjson and repr
-        write a float alike, at both signs of zero, at the float range's ends
-        and at nan and the infinities, is written as the reference encoding
-        writes it, with the recorded balances null and set, with and without
-        anonymize, and with and without orjson."""
-        values = [math.nan, math.inf, -math.inf, 9.999999999999999e-05, 1e-4,
-                  2.5e-07, 9999999999999998.0, 1e16, -0.0, 5e-324,
-                  1.7976931348623157e308]
+        write a float alike, at both signs of zero and at the float range's
+        ends, and each amount and balance at nan and the infinities, is
+        written as the reference encoding writes it, with the recorded
+        balances null and set, with and without anonymize, and with and
+        without orjson."""
+        values = [9.999999999999999e-05, 1e-4, 2.5e-07, 9999999999999998.0, 1e16,
+                  -0.0, 5e-324, 1.7976931348623157e308]
+        if field not in ("price_paired", "price_base", "gas_fee_usd"):
+            values += [math.nan, math.inf, -math.inf]
         for balances in (None, 1234567.25):
             base = make_order("Buy", 55.25, 123.5, x_paired=balances, x_base=balances)
             for value in values:
                 order = replace(base, **{field: value})
                 for anonymize in (False, True):
-                    row = order_to_row(order)
-                    if anonymize:
-                        for key in ("hash", "pool_address", "sender"):
-                            row[key] = anonymize_address(row[key])
                     line = dataio._order_line(order, anonymize)
-                    assert line == dump_row(row) + "\n", (balances, value, anonymize)
+                    assert line == reference_line(order, anonymize), \
+                        (balances, value, anonymize)
 
     @given(st.lists(st.floats(), min_size=1, max_size=7))
     @example([1e-5, 123.5])
@@ -318,9 +362,9 @@ class TestOrderWriter:
             write_orders_jsonl(orders, Path(tmp) / "orders.jsonl")
         assert len(calls) == len(orders)
 
-    def test_generated_orders_take_the_format_string(self, monkeypatch):
-        """Generated orders never fall back to dump_row."""
-        monkeypatch.setattr(dataio, "order_to_row", None)
+    def test_generated_orders_are_in_the_contract(self):
+        """Every generated order is in the writer's contract, so writing it,
+        anonymized too, raises nothing."""
         orders = generate(ScenarioConfig(kind=ScenarioKind.SLID, seed=4,
                                          slid_drain_count=30, lifetime_days=40)).orders
         with tempfile.TemporaryDirectory() as tmp:

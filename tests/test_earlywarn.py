@@ -227,8 +227,8 @@ class TestSweep:
     def test_sweep_shapes_and_reproducibility(self, small_dataset):
         d_list = (120, 57)
         windows = prepare_windows(small_dataset, d_list)
-        first = sweep(windows, d_list, seed=3)
-        second = sweep(windows, d_list, seed=3)
+        first = sweep(windows, seed=3)
+        second = sweep(windows, seed=3)
         assert first == second
         assert len(first) == len(d_list) * 3
         detectors = {m.detector for m in first}

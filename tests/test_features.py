@@ -1,11 +1,14 @@
 """Windowed feature extraction: canonical names, counts, ratios, monotonicity."""
 
 import dataclasses
+import functools
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slidscan.dataio import SchemaError
 from slidscan.features import (
@@ -24,7 +27,8 @@ from slidscan.ledger import SECONDS_PER_DAY
 from slidscan.metrics import profit_report
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
 
-from conftest import T0, USER, make_order
+from conftest import OWNER, T0, USER, make_order, make_pool
+from feature_oracle import SCHEMA_NAMES, oracle_features
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "feature_schema.md"
 
@@ -288,3 +292,136 @@ class TestCsvRoundTrip:
             read_features_csv(path)
         assert err.value.lineno == 3
         assert message in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The independent oracle (tests/feature_oracle.py) as referee
+# ---------------------------------------------------------------------------
+
+# Features whose value rests on the owner share, which the oracle takes from
+# LP-unit accounting and the extractor from the ledger's rescaling rule: the
+# two agree to rounding, not bit for bit. Every other value is summed in the
+# same order on both sides and must match exactly.
+SHARE_FEATURES = {"owner_unrealized", "owner_total_pnl", "r_owner_total_on_invested",
+                  "r_owner_unrealized_on_realized", "r_owner_unrealized_on_invested"}
+
+
+def assert_matches_oracle(pool, orders, d):
+    values = window(pool, orders, d)
+    expected = oracle_features(pool, orders, d)
+    for name, value, want in zip(FEATURE_NAMES, values, expected):
+        if name in SHARE_FEATURES:
+            assert math.isclose(value, want, rel_tol=1e-9), (name, d, value, want)
+        else:
+            assert value == want, (name, d, value, want)
+
+
+# Each kind with its defaults, but with a slow start that fits its lifetime,
+# and a rug day that varies with the seed.
+def _scenario_config(kind, seed):
+    overrides = {
+        ScenarioKind.RUGPULL: {"rug_drain_day": 7 * (seed % 8), "lifetime_days": 60},
+        ScenarioKind.SLID_SLOW: {"slow_start_day": 40, "lifetime_days": 100,
+                                 "slid_drain_count": 60},
+    }.get(kind, {})
+    return ScenarioConfig(kind=kind, seed=seed, **overrides)
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario(kind, seed):
+    scenario = generate(_scenario_config(kind, seed))
+    return scenario.pool, tuple(scenario.orders)
+
+
+_POOL = make_pool(deployment_gas_usd=3.5)
+_DAY = SECONDS_PER_DAY
+_OTHER = "0xuser000000000000000000000000000000000009"
+# Hand-built histories: (name, orders), every order at or after deployment.
+HAND_BUILT = [
+    ("no orders", []),
+    ("first order on day 6", [
+        make_order("Deposit", 100.0, 10.0, ts=T0 + 6 * _DAY + 5),
+        make_order("Buy", 2.0, 1.0, sender=USER, ts=T0 + 7 * _DAY)]),
+    ("owner-only days", [
+        make_order("Deposit", 100.0, 10.0, ts=T0, gas=1.5),
+        make_order("Buy", 4.0, 1.0, ts=T0 + _DAY + 1, gas=0.25),
+        make_order("Buy", 3.0, 1.0, sender=USER, ts=T0 + 2 * _DAY + 1),
+        make_order("Sell", 1.5, 1.0, sender=_OTHER, ts=T0 + 2 * _DAY + 2),
+        make_order("Sell", 6.0, 1.0, ts=T0 + 4 * _DAY - 1, gas=0.5),
+        make_order("Sell", 2.0, 1.0, ts=T0 + 40 * _DAY)]),
+    ("exit against an empty pool", [
+        make_order("Deposit", 100.0, 10.0, ts=T0),
+        make_order("Withdraw", 100.0, 10.0, ts=T0 + 10),
+        make_order("Sell", 0.0, 0.0, ts=T0 + 20),
+        make_order("Sell", 5e-7, 1.0, ts=T0 + 30),
+        make_order("Deposit", 50.0, 5.0, sender=USER, ts=T0 + _DAY),
+        make_order("Deposit", 50.0, 5.0, ts=T0 + _DAY + 10),
+        make_order("Buy", 20.0, 1.0, sender=_OTHER, ts=T0 + 2 * _DAY),
+        make_order("Sell", 30.0, 1.0, ts=T0 + 3 * _DAY, gas=4.0),
+        make_order("Withdraw", 25.0, 1.0, ts=T0 + 3 * _DAY + 5)]),
+    ("orders on day 0 only", [
+        make_order("Deposit", 100.0, 10.0, ts=T0),
+        make_order("Buy", 5.0, 1.0, sender=USER, ts=T0 + 60, price_base=1.25),
+        make_order("Buy", 7.0, 1.0, sender=_OTHER, ts=T0 + 120, price_base=0.75),
+        make_order("Sell", 9.0, 1.0, ts=T0 + 180, gas=2.0),
+        make_order("Sell", 3.0, 1.0, sender=USER, ts=T0 + _DAY - 1)]),
+]
+
+
+@st.composite
+def _histories(draw):
+    """A random history of up to 25 orders by the owner and two users, at
+    gaps that cross day edges; an exit takes none, some or all of the pool
+    value, so the pool empties and exits hit an empty pool. The histories
+    are ones an AMM can record: only the owner withdraws, and nobody buys
+    from an empty pool. The two owner-share models part on a user who
+    withdraws more than was deposited, and on value that no deposit
+    brought in."""
+    orders, ts, value = [], T0, 0.0
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        ts += draw(st.sampled_from([0, 1, 3600, _DAY - 1, _DAY, 3 * _DAY, 35 * _DAY]))
+        sender = draw(st.sampled_from([OWNER, USER, _OTHER]))
+        category = draw(st.sampled_from(["Buy", "Deposit", "Sell"]
+                                        + ["Withdraw"] * (sender == OWNER)))
+        if category == "Buy" and value == 0.0:
+            category = "Deposit"
+        price = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        if category in ("Buy", "Deposit"):
+            y_base = draw(st.just(0.0) | st.floats(min_value=0.01, max_value=1e4))
+            value += y_base * price
+        else:
+            y_base = draw(st.sampled_from([0.0, 0.3, 1.0])) * value / price
+            value = max(value - y_base * price, 0.0)
+        orders.append(make_order(category, y_base, 1.0, ts=ts, price_base=price,
+                                 sender=sender,
+                                 gas=draw(st.sampled_from([0.0, 1.5]))))
+    return orders
+
+
+_KINDS = st.sampled_from(list(ScenarioKind))
+_DAYS = st.integers(min_value=1, max_value=300)
+
+
+class TestFeatureOracle:
+    """`extract_with_report` against `oracle_features`, a brute-force
+    reading of docs/feature_schema.md."""
+
+    def test_oracle_names_are_the_schema(self):
+        assert SCHEMA_NAMES == list(FEATURE_NAMES)
+
+    @given(kind=_KINDS, seed=st.integers(min_value=0, max_value=5), d=_DAYS)
+    @settings(max_examples=120, deadline=None)
+    def test_generated_scenarios(self, kind, seed, d):
+        pool, orders = _scenario(kind, seed)
+        assert_matches_oracle(pool, orders, d)
+
+    @given(case=st.sampled_from(HAND_BUILT), d=_DAYS)
+    @settings(max_examples=60, deadline=None)
+    def test_hand_built_histories(self, case, d):
+        _, orders = case
+        assert_matches_oracle(_POOL, orders, d)
+
+    @given(orders=_histories(), d=_DAYS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_histories(self, orders, d):
+        assert_matches_oracle(_POOL, orders, d)
