@@ -12,12 +12,11 @@ computed):
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
-from .dataio import Dataset
+from .dataio import Dataset, write_csv
 from .features import ALIVE_HORIZON_SECONDS
 from .ledger import SECONDS_PER_DAY, Category, PoolRecord
 from .metrics import profit_report
@@ -112,8 +111,5 @@ def analyze(dataset: Dataset, which: str,
 
 
 def write_report_csv(report: AnalysisReport, path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(HEADERS[report.kind])
-        for key in sorted(report.rows):
-            writer.writerow([key, *report.rows[key]])
+    write_csv(path, HEADERS[report.kind],
+              ((key, *report.rows[key]) for key in sorted(report.rows)))

@@ -20,7 +20,6 @@ one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
 from __future__ import annotations
 
 import argparse
-import csv
 import signal
 import sys
 from pathlib import Path
@@ -36,6 +35,10 @@ from .ledger import LedgerError
 from .models import ScaleOverflow
 from .synth import InfeasibleConfig, ScenarioKind
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Label
+
+
+# The header of the labels.csv that `generate` writes and `features --labels` reads.
+LABELS_CSV_HEADER = ("pool_address", "true_label")
 
 
 class UsageError(Exception):
@@ -135,14 +138,9 @@ def cmd_generate(args) -> int:
         dataio.write_pools_jsonl(pools, pools_path, anonymize=args.anonymize)
         profiles = dict(sorted(profiles.items()))
         dataio.write_profiles_jsonl(profiles, profiles_path, anonymize=args.anonymize)
-        with open(labels_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["pool_address", "true_label"])
-            for address, label in labels:    # scenarios arrive by address
-                writer.writerow([
-                    dataio.anonymize_address(address) if args.anonymize else address,
-                    label,
-                ])
+        dataio.write_csv(labels_path, LABELS_CSV_HEADER, (    # scenarios arrive by address
+            (dataio.anonymize_address(address) if args.anonymize else address, label)
+            for address, label in labels))
         for name, path in zip(names, partial):
             path.replace(out / name)
     except BaseException:
@@ -180,30 +178,26 @@ def cmd_detect(args) -> int:
 def _load_labels_csv(path, addresses: List[str]) -> List[bool]:
     """SLID or not for each of `addresses`, from a `generate` labels.csv: the
     header `pool_address,true_label`, then one row per pool whose label is a
-    ScenarioKind value. Anything else, a byte that is not UTF-8 included,
-    raises SchemaError with its line, and so does a file without a row for
-    one of `addresses`, naming the first."""
+    ScenarioKind value. Anything else raises SchemaError with its line
+    (`dataio.iter_csv`), and so does a file without a row for one of
+    `addresses`, naming the first, on the file's last line."""
     slid_kinds = {ScenarioKind.SLID, ScenarioKind.SLID_SLOW,
                   ScenarioKind.SLID_MULTI_ADDRESS}
     labels: Dict[str, bool] = {}
-    with dataio.open_text(path, newline="") as handle:
-        reader = csv.reader(dataio.text_lines(path, handle))
-        if next(reader, None) != ["pool_address", "true_label"]:
-            raise SchemaError(path, 1, "labels CSV header is not pool_address,true_label")
-        for row in reader:
-            try:
-                if len(row) != 2:
-                    raise ValueError(f"{len(row)} columns, expected 2")
-                address, value = row
-                if address in labels:
-                    raise ValueError(f"pool_address {address!r} repeats an earlier row")
-                labels[address] = ScenarioKind(value) in slid_kinds
-            except ValueError as exc:
-                raise SchemaError(path, reader.line_num,
-                                  f"bad labels row: {exc}") from exc
+
+    def decode(row):
+        address, value = row
+        if address in labels:
+            raise ValueError(f"pool_address {address!r} repeats an earlier row")
+        return address, ScenarioKind(value) in slid_kinds
+
+    lineno = 1
+    for lineno, (address, slid) in dataio.iter_csv(path, LABELS_CSV_HEADER, decode,
+                                                    "labels"):
+        labels[address] = slid
     for address in addresses:
         if address not in labels:
-            raise SchemaError(path, reader.line_num, "labels file ends without a "
+            raise SchemaError(path, lineno, "labels file ends without a "
                               f"row for pool_address {address!r}")
     return [labels[address] for address in addresses]
 
@@ -263,14 +257,10 @@ def cmd_sweep(args) -> int:
     analysis.enrich(dataset, cfg)
     windows = earlywarn.prepare_windows(dataset, args.d_list, cfg)
     results = earlywarn.sweep(windows, seed=args.seed)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["detector", "d", "accuracy", "precision", "recall",
-                         "f1", "tp", "fp", "tn", "fn"])
-        for m in results:
-            writer.writerow([m.detector, m.window_days, repr(m.accuracy),
-                             repr(m.precision), repr(m.recall), repr(m.f1),
-                             *m.confusion])
+    dataio.write_csv(args.out, ("detector", "d", "accuracy", "precision", "recall",
+                                "f1", "tp", "fp", "tn", "fn"),
+                     ((m.detector, m.window_days, repr(m.accuracy), repr(m.precision),
+                       repr(m.recall), repr(m.f1), *m.confusion) for m in results))
     speedup = earlywarn.window_speedup(results)
     print(f"sweep: {len(dataset.pools)} pools, {_orders_summary(dataset)}, "
           f"{len(results)} detector/window cells -> {args.out} "

@@ -22,18 +22,20 @@ differs in notation (`_float_texts`).
 Every row is read by `iter_jsonl` and checked by one decoder for its format;
 every record decodes to the same value, or the same error line, with or
 without orjson installed. Every command reads an order file in one pass,
-`replay_orders`. Every input file is read as UTF-8 (`open_text`), and the
-first line that holds a byte that is not UTF-8 is the error line.
+`replay_orders`. Every CSV file is read by `iter_csv` and written by
+`write_csv`. Every input file is read as UTF-8 (`open_text`), and the first
+line that holds a byte that is not UTF-8 is the error line.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union, get_type_hints
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .ledger import Category, DexOrder, LedgerError, PoolRecord
 from .metrics import ProfitReport, ProfitTracker
@@ -77,6 +79,11 @@ _INF = math.inf
 # What a malformed row raises while decoded; `iter_jsonl` wraps it in SchemaError.
 ROW_ERRORS = (KeyError, ValueError, TypeError, OverflowError)
 
+
+# The longest line or amount string orjson reads: its parser recurses on the C
+# stack without limit. Valid text this long nests at most 512 levels, within
+# the stdlib reader's limit of 1,000, so both readers read it alike.
+_ORJSON_MAX_TEXT = 1024
 
 _FLOAT_MAX = sys.float_info.max
 # The smallest integer that float() rounds to infinity. An integer literal
@@ -150,13 +157,13 @@ def _amount(value, name: str) -> float:
     """A token amount: `_number(value, name)`, read faster. A string that
     orjson reads as a float is that float: JSON number syntax, whitespace
     included, is float() syntax, and both readers round correctly. Any other
-    string (one orjson reads as an integer, such as "-0", or rejects, such as
-    "inf", "1_0" or "1e400"), and every string without orjson, go to
-    float(); any other value goes to `_number`."""
+    string (orjson reads "-0" as an integer, rejects "inf", "1_0" or "1e400",
+    and never sees one longer than `_ORJSON_MAX_TEXT`), and every string
+    without orjson, go to float(); any other value goes to `_number`."""
     if type(value) is not str:
         return _number(value, name)
     loads = _orjson_loads
-    if loads is not None:
+    if loads is not None and len(value) <= _ORJSON_MAX_TEXT:
         try:
             number = loads(value)
         except ValueError:
@@ -337,6 +344,15 @@ def _write_rows(rows: Iterable[dict], path: PathLike, address_keys: Tuple[str, .
             handle.write(dump_row(row) + "\n")
 
 
+def write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: `header`, then `rows`, in the csv module's
+    default dialect, as UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_pools_jsonl(pools: Iterable[PoolRecord], path: PathLike,
                       anonymize: bool = False) -> None:
     _write_rows(map(record_to_row, pools), path,
@@ -412,17 +428,6 @@ def utf8_fault(line: str) -> Optional[str]:
     return None
 
 
-def text_lines(path: PathLike, handle):
-    """The lines of `handle`, opened by `open_text` on `path`; the first line
-    that holds a byte that is not UTF-8 raises SchemaError with its number.
-    A csv reader over these lines counts them as they are numbered here."""
-    for lineno, line in enumerate(handle, start=1):
-        fault = utf8_fault(line)
-        if fault is not None:
-            raise SchemaError(path, lineno, fault)
-        yield line
-
-
 _SCAN_JSON = json.JSONDecoder().scan_once
 
 
@@ -433,21 +438,22 @@ def iter_jsonl(path: PathLike, decode, what: str):
     invalid JSON, rows that are not objects and bytes that are not UTF-8
     raise SchemaError too.
 
-    With orjson installed, a line is first read by `orjson.loads` and its
-    object goes straight to `decode`. A line that orjson rejects, whose row
-    is no object, or whose row `decode` rejects is read again by the stdlib
-    reader below and decoded again, so an error line always shows the
-    stdlib's values. orjson's object differs from the stdlib's only where it
-    reads an integer literal past 64 bits as a float; `decode` rejects that
-    float in an integer field and reads it as the stdlib integer's `float()`
-    in a number field. So every record decodes to the same value, or the
-    same error line, with or without orjson. `decode` must change nothing:
-    it may run twice on one line."""
+    With orjson installed, a line of at most `_ORJSON_MAX_TEXT` characters
+    is first read by `orjson.loads` and its object goes straight to
+    `decode`. A longer line, one that orjson rejects, whose row is no object,
+    or whose row `decode` rejects is read by the stdlib reader below (a line
+    nested past its recursion limit is invalid JSON) and decoded again, so
+    an error line always shows the stdlib's values. orjson's object differs
+    from the stdlib's only where it reads an integer literal past 64 bits as
+    a float; `decode` rejects that float in an integer field and reads it as
+    the stdlib integer's `float()` in a number field. So every record
+    decodes to the same value, or the same error line, with or without
+    orjson. `decode` must change nothing: it may run twice on one line."""
     scan = _SCAN_JSON
     fast_loads = _orjson_loads
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if fast_loads is not None:
+            if fast_loads is not None and len(line) <= _ORJSON_MAX_TEXT:
                 try:
                     row = fast_loads(line)
                 except ValueError:
@@ -467,14 +473,14 @@ def iter_jsonl(path: PathLike, decode, what: str):
             # Stdlib fast path skips json.loads' per-line wrapper; loads does the rest.
             try:
                 row, end = scan(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end < 0 or not line[end:].isspace():
                 if line.isspace():
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise SchemaError(path, lineno, f"invalid JSON: {exc}") from exc
             if type(row) is not dict:
                 raise SchemaError(path, lineno, "row is not a JSON object")
@@ -483,6 +489,33 @@ def iter_jsonl(path: PathLike, decode, what: str):
             except ROW_ERRORS as exc:
                 raise SchemaError(path, lineno, f"bad {what} row: {exc}") from exc
             yield lineno, value
+
+
+def iter_csv(path: PathLike, header: Sequence[str], decode, what: str):
+    """(line number, decode(row)) for every row after the header: the one
+    CSV reader. Line 1 must be `header`. A row without one field per column,
+    one that `decode` rejects with one of ROW_ERRORS, and a csv.Error (such
+    as a field past 131,072 characters) are `bad <what> row: <error>`. Each
+    fault, a byte that is not UTF-8 included, is a SchemaError naming its
+    line (a row's last)."""
+    def lines(handle):    # the csv reader counts lines as they are numbered here
+        for lineno, line in enumerate(handle, start=1):
+            fault = utf8_fault(line)
+            if fault is not None:
+                raise SchemaError(path, lineno, fault)
+            yield line
+
+    with open_text(path, newline="") as handle:
+        reader = csv.reader(lines(handle))
+        try:
+            if next(reader, None) != list(header):
+                raise SchemaError(path, 1, f"unexpected {what} CSV header")
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} columns, expected {len(header)}")
+                yield reader.line_num, decode(row)
+        except (csv.Error, *ROW_ERRORS) as exc:
+            raise SchemaError(path, reader.line_num, f"bad {what} row: {exc}") from exc
 
 
 def _read_keyed(path: PathLike, cls, key: str, optional: frozenset,

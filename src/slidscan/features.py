@@ -19,14 +19,13 @@ anchored at pool deployment.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dataio import ROW_ERRORS, SchemaError, anonymize_address, open_text, text_lines
+from .dataio import anonymize_address, iter_csv, write_csv
 from .ledger import SECONDS_PER_DAY, Category, DexOrder, PoolRecord
 from .metrics import ProfitReport, ProfitTracker
 
@@ -258,13 +257,10 @@ def write_features_csv(addresses: Sequence[str], window_days: int,
                        path: Union[str, Path], anonymize: bool = False) -> None:
     """One row per pool, by ascending address: row i of X holds the
     `window_days`-day features of addresses[i], labelled labels[i]."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_HEADER)
-        for i in sorted(range(len(addresses)), key=addresses.__getitem__):
-            address = anonymize_address(addresses[i]) if anonymize else addresses[i]
-            writer.writerow([address, window_days, int(bool(labels[i]))]
-                            + [repr(float(v)) for v in X[i]])
+    write_csv(path, _CSV_HEADER, (
+        [anonymize_address(addresses[i]) if anonymize else addresses[i],
+         window_days, int(bool(labels[i]))] + [repr(float(v)) for v in X[i]]
+        for i in sorted(range(len(addresses)), key=addresses.__getitem__)))
 
 
 def read_features_csv(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
@@ -272,34 +268,23 @@ def read_features_csv(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
     (rows, 57), y 0/1 int64. A wrong header, a malformed row (column count,
     a window that is not an integer or differs from the first row's, a label
     that is not `0` or `1`), a non-finite value or a byte that is not UTF-8
-    raises SchemaError with its line number."""
-    rows: List[List[float]] = []
-    labels: List[int] = []
-    window_days = None
-    with open_text(path, newline="") as handle:
-        reader = csv.reader(text_lines(path, handle))
-        if next(reader, None) != _CSV_HEADER:
-            raise SchemaError(path, 1, "unexpected feature CSV header")
-        for row in reader:
-            try:
-                if len(row) != len(_CSV_HEADER):
-                    raise ValueError(f"{len(row)} columns, expected {len(_CSV_HEADER)}")
-                values = [float(v) for v in row[3:]]
-                for i, value in enumerate(values):
-                    if not math.isfinite(value):
-                        raise ValueError(f"non-finite {FEATURE_NAMES[i]} {row[3 + i]!r}")
-                window = int(row[1])
-                if window_days is None:
-                    window_days = window
-                elif window != window_days:
-                    raise ValueError(f"window_days {row[1]!r} differs from the first "
-                                     f"row's {window_days}")
-                if row[2] not in ("0", "1"):
-                    raise ValueError(f"label {row[2]!r} is not 0 or 1")
-                labels.append(int(row[2]))
-            except ROW_ERRORS as exc:
-                raise SchemaError(path, reader.line_num,
-                                  f"bad feature row: {exc}") from exc
-            rows.append(values)
-    X = np.array(rows, dtype=np.float64).reshape(len(rows), FEATURE_COUNT)
-    return X, np.array(labels, dtype=np.int64)
+    raises SchemaError with its line number (`dataio.iter_csv`)."""
+    windows: List[int] = []    # each row's window_days
+
+    def decode(row):
+        values = [float(v) for v in row[3:]]
+        for i, value in enumerate(values):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {FEATURE_NAMES[i]} {row[3 + i]!r}")
+        windows.append(int(row[1]))
+        if windows[-1] != windows[0]:
+            raise ValueError(f"window_days {row[1]!r} differs from the first "
+                             f"row's {windows[0]}")
+        if row[2] not in ("0", "1"):
+            raise ValueError(f"label {row[2]!r} is not 0 or 1")
+        return values, int(row[2])
+
+    rows = [value for _, value in iter_csv(path, _CSV_HEADER, decode, "feature")]
+    X = np.array([values for values, _ in rows], dtype=np.float64)
+    return (X.reshape(len(rows), FEATURE_COUNT),
+            np.array([label for _, label in rows], dtype=np.int64))

@@ -51,7 +51,7 @@ class SwapOverflow(LedgerError):
 
 
 class NonMonotonicTime(LedgerError):
-    """Order timestamp precedes the last applied order."""
+    """Order timestamp precedes the last applied order or its pool's deployment."""
 
 
 class NegativePoolValue(LedgerError):

@@ -31,6 +31,7 @@ from typing import Iterable
 from .ledger import (
     DexOrder,
     LedgerState,
+    NonMonotonicTime,
     PoolRecord,
     SwapOverflow,
     advance_state,
@@ -62,10 +63,10 @@ class ProfitReport:
 class ProfitTracker:
     """Incremental profit accounting for one pool.
 
-    Feed orders in execution order (timestamps never decrease) via add(),
-    the decoded values of one order row; report() covers the orders added
-    so far and may be called between adds. Keeps O(1) state:
-    a LedgerState plus running sums, counts and impact extrema.
+    Feed orders in execution order via add() (timestamps never decrease, nor
+    precede the pool's deployment), the decoded values of one order row;
+    report() covers the orders added so far and may be called between adds.
+    Keeps O(1) state: a LedgerState plus running sums, counts and impact extrema.
     """
 
     __slots__ = (
@@ -77,6 +78,7 @@ class ProfitTracker:
     def __init__(self, pool: PoolRecord):
         self.pool = pool
         self.state = LedgerState()
+        self.state.last_timestamp = pool.created_time_pool
         self.invested = 0.0
         self.returned = 0.0
         self.gas = float(pool.deployment_gas_usd)
@@ -101,7 +103,13 @@ class ProfitTracker:
 
         is_owner = sender == self.pool.owner_address
         value_before = state.pool_value_usd
-        advance_state(state, timestamp, category, is_owner, y_base, price_base)
+        try:
+            advance_state(state, timestamp, category, is_owner, y_base, price_base)
+        except NonMonotonicTime:
+            if timestamp >= self.pool.created_time_pool:
+                raise
+            raise NonMonotonicTime(f"order at {timestamp} before its pool's deployment "
+                                   f"at {self.pool.created_time_pool}") from None
         if not is_owner:
             return
 

@@ -9,13 +9,12 @@ each order is added where it stands in the file.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from .dataio import (anonymize_address, decode_order, read_pools, read_profiles,
-                     replay_orders)
+                     replay_orders, write_csv)
 from .metrics import ProfitReport, ProfitTracker
 from .validators import DEFAULT_CONFIG, HeuristicConfig, Verdict, classify_pool
 
@@ -73,23 +72,12 @@ def stream_detect(pools_file: PathLike, orders_file: PathLike,
 def write_verdicts_csv(results: Dict[str, Tuple[ProfitReport, Verdict]],
                        path: PathLike, anonymize: bool = False) -> None:
     """Stable-ordered verdict export, one row per pool."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "pool_address", "label", "honeypot_pass", "profit_pass",
-            "owner_activity_pass", "realized_usd", "unrealized_1m_usd",
-            "max_impact", "c",
-        ])
-        for address in sorted(results):
-            report, verdict = results[address]
-            writer.writerow([
-                anonymize_address(address) if anonymize else address,
-                verdict.label.value,
-                int(verdict.honeypot_pass),
-                int(verdict.profit_pass),
-                int(verdict.owner_activity_pass),
-                repr(report.realized_profit_usd),
-                repr(report.unrealized_first_month_usd),
-                repr(report.max_impact),
-                report.profit_taking_count,
-            ])
+    write_csv(path, ("pool_address", "label", "honeypot_pass", "profit_pass",
+                     "owner_activity_pass", "realized_usd", "unrealized_1m_usd",
+                     "max_impact", "c"), (
+        (anonymize_address(address) if anonymize else address, verdict.label.value,
+         int(verdict.honeypot_pass), int(verdict.profit_pass),
+         int(verdict.owner_activity_pass), repr(report.realized_profit_usd),
+         repr(report.unrealized_first_month_usd), repr(report.max_impact),
+         report.profit_taking_count)
+        for address, (report, verdict) in sorted(results.items())))

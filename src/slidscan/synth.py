@@ -223,15 +223,15 @@ class _PoolSim:
         self.holdings[investor] = max(self.holdings[investor] - y_paired, 0.0)
         self._emit(ts, Category.DEPOSIT, investor, y_paired, y_base)
 
-    def withdraw(self, ts: int, sender: str, y_base: float, gas: float = 0.0) -> None:
+    def withdraw(self, ts: int, y_base: float, gas: float) -> None:
+        """The owner removes liquidity at the pool's price."""
         y_base = min(y_base, self.rb * 0.999999)
         y_paired = y_base * (self.rp / self.rb)
-        if sender == self.owner:
-            self.owner_gas += gas
+        self.owner_gas += gas
         self.rp -= y_paired
         self.rb -= y_base
         self.k = self.rp * self.rb
-        self._emit(ts, Category.WITHDRAW, sender, y_paired, y_base, gas)
+        self._emit(ts, Category.WITHDRAW, self.owner, y_paired, y_base, gas)
 
     def buy(self, ts: int, sender: str, y_base: float, gas: float = 0.0) -> float:
         out, self.rb, self.rp = swap_amount_out(self.rb, self.rp, self.k, y_base)
@@ -253,7 +253,7 @@ class _PoolSim:
         return out
 
     def sell_for_value(self, ts: int, sender: str, target_base_out: float,
-                       gas: float = 0.0) -> float:
+                       gas: float) -> float:
         """Sell exactly enough paired tokens to extract ~target_base_out."""
         target_base_out = max(min(target_base_out, self.rb * 0.999), 1e-9)
         amount_in = self.k / (self.rb - target_base_out) - self.rp
@@ -332,8 +332,8 @@ class _Campaign:
 
 def _drain_days(rng: np.random.Generator, count: int, start_day: int,
                 end_day: int) -> List[Tuple[int, int]]:
-    """(day, intra-day second) of each drain, in time order."""
-    span = max(end_day - start_day + 1, 1) * SECONDS_PER_DAY
+    """(day, intra-day second) of each drain, in time order; end_day >= start_day."""
+    span = (end_day - start_day + 1) * SECONDS_PER_DAY
     offsets = np.sort(rng.integers(0, span, size=count)) + start_day * SECONDS_PER_DAY
     return [divmod(offset, SECONDS_PER_DAY) for offset in offsets.tolist()]
 
@@ -343,11 +343,10 @@ def _execute_drain(sim: _PoolSim, rng: np.random.Generator, ts: int,
     impact = _uniform(rng, campaign.lo, campaign.hi)
     remaining = (campaign.target_profit + sim.owner_invested + sim.owner_gas
                  - campaign.returned)
-    if campaign.n_left > 0:
-        # Keep a minimum operating value so late drains stay well-defined
-        # even after the extraction target has been met.
-        desired = max(remaining / campaign.n_left, 1.0)
-        sim.ensure_value(ts, desired / impact)
+    # Keep a minimum operating value so late drains stay well-defined even
+    # after the extraction target has been met.
+    desired = max(remaining / campaign.n_left, 1.0)
+    sim.ensure_value(ts, desired / impact)
     state = sim.state
     value = impact * state.pool_value_usd
     # Withdrawals are the rare drain flavour and stay well inside the owner's
@@ -363,8 +362,8 @@ def _execute_drain(sim: _PoolSim, rng: np.random.Generator, ts: int,
         sender = sim.owner
     else:
         sender = campaign.senders[int(rng.integers(0, len(campaign.senders)))]
-    if use_withdraw:
-        sim.withdraw(ts, sender, value, gas=_GAS_PER_ORDER_USD)
+    if use_withdraw:    # the owner's own campaign only
+        sim.withdraw(ts, value, gas=_GAS_PER_ORDER_USD)
     else:
         value = sim.sell_for_value(ts, sender, value, gas=_GAS_PER_ORDER_USD)
     campaign.returned += value
@@ -442,7 +441,7 @@ def _run_timeline(sim: _PoolSim, rng: np.random.Generator, *, lifetime_days: int
                     sim.sell_for_value(
                         ts - int(rng.integers(200, 1100)), sim.owner,
                         state.pool_value_usd * _uniform(rng, 0.02, 0.15), gas=gas)
-                sim.withdraw(ts, sim.owner, payload * state.pool_value_usd, gas=gas)
+                sim.withdraw(ts, payload * state.pool_value_usd, gas=gas)
             elif kind == _PUMP:
                 share = max(state.owner_share, 1e-6)
                 sim.ensure_value(ts, payload / share)

@@ -492,6 +492,32 @@ class TestBadOrderRows:
                               f'line {lineno}: SwapOverflow: owner sums out of float range')
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("gap", [1, 10 ** 400], ids=["one-second", "huge"])
+    def test_order_before_deployment(self, corpus, tmp_path, capsys, gap):
+        """An order timestamped before its pool's deployment is a ledger
+        violation: detect, features, sweep and report print the same line,
+        naming the order's timestamp and the deployment time, and write
+        nothing (a huge gap once overflowed features, and a small one gave
+        report rows for negative days)."""
+        bad = tmp_path / "bad"
+        shutil.copytree(corpus, bad)
+        orders = [json.loads(line) for line in (bad / "orders.jsonl").open()]
+        first = orders[0]
+        created = first["timestamp"] + gap
+
+        def deploy_later(rows):
+            [row] = [row for row in rows if row["pool_address"] == first["pool_address"]]
+            row["created_time_pool"] = created
+
+        rewrite_rows(bad / "pools.jsonl", deploy_later)
+        expected = (f'error code=2 kind=SchemaError msg="{bad / "orders.jsonl"} line 1: '
+                    f'NonMonotonicTime: order at {first["timestamp"]} before its '
+                    f'pool\'s deployment at {created}"\n')
+        for command in ("detect", "features", "sweep", "trend"):
+            assert run_on(command, bad, tmp_path) == 2, command
+            assert capsys.readouterr().err == expected, command
+            assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("mutate,message", [
         pytest.param(lambda row: {**row, "y_base": "nan"},
                      "bad order row: non-finite amount", id="nan"),
@@ -1343,3 +1369,108 @@ class TestUnusableInputs:
                 "--profiles", str(tmp_path / "c" / "profiles.jsonl")]
         assert_error_line(argv, location, 2, "SchemaError", tmp_path / "out", capsys)
 
+
+
+def _labels_input(corpus, tmp_path):
+    """features --labels, its labels file a copy of the corpus's."""
+    path = tmp_path / "labels.csv"
+    shutil.copy(corpus / "labels.csv", path)
+    return path, "labels", ["features", "--pools", str(corpus / "pools.jsonl"),
+                            "--orders", str(corpus / "orders.jsonl"),
+                            "--labels", str(path), "--window", "57"]
+
+
+def _features_input(corpus, tmp_path):
+    """train --features on a two-row features file."""
+    path = _features_csv_with_value(tmp_path, "2.0")
+    return path, "feature", ["train", "--features", str(path), "--model", "RandomForest"]
+
+
+def _edit_line(path, lineno, edit):
+    """Replace line `lineno` of `path` by `edit` of its text."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+class TestCsvInputs:
+    """Both CSV inputs are read by one reader, `dataio.iter_csv`, so each
+    fault gives the same kind of line in `features --labels` and `train`."""
+
+    @pytest.mark.parametrize("fault", ["oversize-field", "short-row", "wrong-header",
+                                       "byte-ff"])
+    @pytest.mark.parametrize("build", [_labels_input, _features_input],
+                             ids=["labels", "features"])
+    def test_documented_error_line(self, corpus, tmp_path, capsys, build, fault):
+        """A field past the csv module's 131,072-character limit, a row
+        without one field per column, a wrong header and a byte that is not
+        UTF-8 each end with `<file> line <n>: ...`, exit 2, no output."""
+        path, what, argv = build(corpus, tmp_path)
+        if fault == "oversize-field":
+            _edit_line(path, 2, lambda line: "0x" + "a" * 131_072 + line[line.index(","):])
+            location = f"{path} line 2: bad {what} row: field larger than field limit (131072)"
+        elif fault == "short-row":
+            _edit_line(path, 3, lambda line: line.split(",")[0])
+            location = f"{path} line 3: bad {what} row: 1 columns, expected "
+        elif fault == "wrong-header":
+            _edit_line(path, 1, lambda line: line.replace("pool_address", "address"))
+            location = f"{path} line 1: unexpected {what} CSV header"
+        else:
+            location = with_byte_ff(path, 2)
+        assert_error_line(argv, location, 2, "SchemaError", tmp_path / "out", capsys)
+
+
+def _deep_json(shape, depth=100_000):
+    """A JSON object or array nested `depth` levels deep."""
+    if shape == "object":
+        return '{"":' * depth + "0" + "}" * depth
+    return "[" * depth + "]" * depth
+
+
+class TestDeepNesting:
+    """A deeply nested JSONL line is invalid JSON on both reader paths. Each
+    case runs the CLI in its own child process: orjson's parser once
+    overflowed the C stack on such a line (SIGSEGV), which would otherwise
+    end the test run."""
+
+    @pytest.mark.parametrize("shape", ["object", "array"])
+    @pytest.mark.parametrize("name", ["orders.jsonl", "pools.jsonl", "profiles.jsonl"])
+    def test_deep_line_is_invalid_json(self, corpus, tmp_path, reader, name, shape):
+        shutil.copytree(corpus, tmp_path / "c")
+        path = tmp_path / "c" / name
+        _edit_line(path, 2, lambda line: _deep_json(shape))
+        self.assert_child_error_line(tmp_path, reader, (
+            f"{path} line 2: invalid JSON: maximum recursion depth exceeded "
+            f"while decoding a JSON {shape}"))
+
+    def test_deep_amount_string_is_no_number(self, corpus, tmp_path, reader):
+        """An amount string holding a deep object is no number, as float()
+        says, on both reader paths."""
+        shutil.copytree(corpus, tmp_path / "c")
+        path = tmp_path / "c" / "orders.jsonl"
+        rewrite_rows(path, lambda rows: rows[1].update(y_base=_deep_json("object")))
+        self.assert_child_error_line(tmp_path, reader, (
+            f"{path} line 2: bad order row: could not convert string to float: "))
+
+    @staticmethod
+    def assert_child_error_line(tmp_path, reader, location):
+        """detect over tmp_path/c in a child process, on the `reader` path,
+        ends with one code-2 line that names `location` and writes nothing."""
+        c, out = tmp_path / "c", tmp_path / "out.csv"
+        hide = ("d._orjson_loads = d._orjson_dumps = None; "
+                if reader == "stdlib" else "")
+        env = dict(os.environ)
+        src = str(Path(synth.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", f"import sys, slidscan.dataio as d; {hide}"
+             "from slidscan.cli import main; sys.exit(main(sys.argv[1:]))",
+             "detect", "--pools", str(c / "pools.jsonl"), "--orders",
+             str(c / "orders.jsonl"), "--profiles", str(c / "profiles.jsonl"),
+             "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+        assert child.returncode == 2, child.stderr[-2000:]
+        assert child.stderr.startswith(f'error code=2 kind=SchemaError msg="{location}')
+        assert child.stderr.count("\n") == 1
+        assert not out.exists()

@@ -684,15 +684,37 @@ class TestReaderPathsAgree:
                  f"bad order row: {column} must be null, or finite and non-negative")
         assert fast[2:] == [error, error]
 
+    @pytest.mark.parametrize("depth", [300, 1500])
+    def test_nested_unused_key_reads_alike(self, depth):
+        """A pool row with an unused key holding nested arrays reads the same
+        on both paths: 300 levels fit in a line orjson reads and both accept;
+        1,500 levels, which orjson reads and the stdlib's recursion limit
+        rejects, make a line too long for orjson, so it is one error line."""
+        files = corpus_lines()
+        line = files["pools.jsonl"][0]
+        files["pools.jsonl"][0] = line[:-1] + ',"unused":' + "[" * depth + "]" * depth + "}"
+        assert (len(files["pools.jsonl"][0]) <= dataio._ORJSON_MAX_TEXT) == (depth == 300)
+        fast = decode_corpus(files)
+        with mock.patch.object(dataio, "_orjson_loads", None):
+            assert decode_corpus(files) == fast
+        if depth == 300:
+            assert fast == decode_corpus(corpus_lines())
+        else:
+            assert fast[0] == ("SchemaError: <root>/pools.jsonl line 1: invalid JSON: "
+                               "maximum recursion depth exceeded while decoding a JSON "
+                               "array from a unicode string")
+
     @given(_line)
     @settings(max_examples=400, deadline=None)
     def test_orjson_rows_differ_only_in_wide_integers(self, line):
         """Through an identity decoder a line gives the stdlib's row, or the
-        same error, on both paths, except that an object orjson reads holds
-        each integer outside [-2**63, 2**64) as its float."""
+        same error, on both paths, except that an object orjson reads (from
+        a line of at most `_ORJSON_MAX_TEXT` characters) holds each integer
+        outside [-2**63, 2**64) as its float."""
         fast = read_lines([line])
         try:
-            widen = type(dataio._orjson_loads(line)) is dict
+            widen = (len(line) <= dataio._ORJSON_MAX_TEXT
+                     and type(dataio._orjson_loads(line)) is dict)
         except ValueError:    # the stdlib reads the line on both paths
             widen = False
         with mock.patch.object(dataio, "_orjson_loads", None):

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slidscan.ledger import NonMonotonicTime
 from slidscan.metrics import ProfitTracker, profit_report
 from slidscan.synth import ScenarioConfig, ScenarioKind, generate, oracle_report
 
@@ -24,6 +25,26 @@ def replayed_to(pool, orders, at):
             break
         add(tracker, order)
     return tracker
+
+
+class TestOrderTimes:
+    def test_order_at_deployment_is_accepted(self):
+        tracker = ProfitTracker(make_pool(created=T0))
+        add(tracker, make_order("Deposit", 100.0, 100.0, ts=T0))
+        assert tracker.report().invested_usd == 100.0
+
+    def test_order_before_deployment_is_named_by_both_times(self):
+        tracker = ProfitTracker(make_pool(created=T0))
+        with pytest.raises(NonMonotonicTime, match=f"^order at {T0 - 1} before its "
+                           f"pool's deployment at {T0}$"):
+            add(tracker, make_order("Deposit", 100.0, 100.0, ts=T0 - 1))
+
+    def test_order_before_the_previous_one_is_named_by_both_times(self):
+        tracker = ProfitTracker(make_pool(created=T0))
+        add(tracker, make_order("Deposit", 100.0, 100.0, ts=T0 + 10))
+        with pytest.raises(NonMonotonicTime, match=f"^order at {T0 + 5} before last "
+                           f"applied {T0 + 10}$"):
+            add(tracker, make_order("Buy", 1.0, ts=T0 + 5))
 
 
 class TestRealizedProfit:
