@@ -230,9 +230,8 @@ def cmd_train(args) -> int:
     if not len(y):
         raise SingleClassInput("empty training matrix")
     kind = ClassifierKind(args.model)
-    grid = earlywarn.DEFAULT_HYPER_GRID[kind] if args.grid else None
     try:
-        model = earlywarn.train(X, y, kind, seed=args.seed, hyper_grid=grid)
+        model = earlywarn.train(X, y, kind, seed=args.seed, grid=args.grid)
     except ScaleOverflow as exc:
         # Line 1, the header, names the column.
         raise SchemaError(args.features, 1, f"feature column "
@@ -271,6 +270,9 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     if args.config and not args.labels_filter:
         raise UsageError("report reads --config only to label pools for --labels-filter")
+    if args.corpus and (args.pools or args.orders or args.profiles):
+        raise UsageError("report reads either --corpus or --pools, --orders and "
+                         "--profiles, not both")
     cfg = _heuristic_config(args)
     if args.corpus:
         pools_file, orders_file, profiles_file = _corpus_files(args.corpus)

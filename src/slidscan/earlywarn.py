@@ -132,9 +132,7 @@ def _fit(kind: ClassifierKind, X: np.ndarray, y: np.ndarray,
          class_weights: Tuple[float, float], params: Dict[str, object], seed: int):
     if kind == ClassifierKind.LOGISTIC_REGRESSION:
         return fit_logistic(X, y, class_weights, **params)
-    if kind == ClassifierKind.RANDOM_FOREST:
-        return fit_forest(X, y, class_weights, seed=seed, **params)
-    raise ValueError(f"unsupported classifier kind {kind!r}")
+    return fit_forest(X, y, class_weights, seed=seed, **params)
 
 
 def stratified_split(y: np.ndarray, test_fraction: float,
@@ -169,10 +167,10 @@ def _grid_candidates(grid: Dict[str, list]) -> List[Dict[str, object]]:
 
 
 def train(X: np.ndarray, y: np.ndarray, kind: Union[str, ClassifierKind],
-          seed: int = 0, hyper_grid: Optional[Dict[str, list]] = None
-          ) -> ClassifierModel:
-    """Fit a classifier on feature rows X and 0/1 labels y; optional grid
-    search by stratified 5-fold F1.
+          seed: int = 0, grid: bool = False) -> ClassifierModel:
+    """Fit a classifier on feature rows X and 0/1 labels y, with
+    _DEFAULT_PARAMS or, with `grid`, the DEFAULT_HYPER_GRID candidate of the
+    best stratified 5-fold F1.
 
     Class weights are inversely proportional to class frequencies.
     Degenerate inputs (identical rows, mixed labels) fall back to a
@@ -196,8 +194,8 @@ def train(X: np.ndarray, y: np.ndarray, kind: Union[str, ClassifierKind],
         return ClassifierModel(kind, weights, {}, names,
                                majority_label=majority, seed=seed)
 
-    if hyper_grid:
-        candidates = _grid_candidates(hyper_grid)
+    if grid:
+        candidates = _grid_candidates(DEFAULT_HYPER_GRID[kind])
         folds = _stratified_folds(y, 5, seed)
         best_params = None
         best_f1 = -1.0

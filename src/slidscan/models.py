@@ -2,12 +2,13 @@
 
 Both are deterministic given a seed and support per-class weighting for
 imbalanced corpora (weights inversely proportional to class frequencies).
-The forest bins each feature into quantile buckets once per fit, so node
-splitting reduces to histogram prefix sums; trees compare raw feature values
-against the bin-edge thresholds at prediction time, which keeps training
-fast without changing the learned splits. Each node takes one histogram pass
-over all its sampled features together and scores every (feature, bin) pair
-at once. On a tied score the feature drawn first wins, then its lowest bin.
+The forest bins each feature into quantile buckets once per fit and grows
+its trees on the bin codes alone: each node takes one histogram pass over
+all its sampled features together, scores every (feature, bin) pair at once
+from prefix sums, and sends a row left when its code is at most the bin. On
+a tied score the feature drawn first wins, then its lowest bin. A node keeps
+the bin's edge as its threshold for scoring and export, which compare raw
+feature values against it and so route every training row alike.
 
 A tree is the list of its nodes, root first, each a `[feature, threshold,
 left, right, prob]` list: an inner node sends rows whose feature value is
@@ -70,8 +71,7 @@ class LogisticModel:
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
-                 learning_rate: float = 0.1, l2: float = 0.01,
-                 epochs: int = 500) -> LogisticModel:
+                 learning_rate: float, l2: float, epochs: int) -> LogisticModel:
     """Full-batch gradient descent on weighted cross-entropy with L2 penalty.
 
     Features are z-scored on the training data; constant columns get unit
@@ -150,51 +150,45 @@ def _best_split(codes: np.ndarray, idx: np.ndarray, y_node: np.ndarray,
     return int(features[k]), best_bin
 
 
-def _grow_tree(X: np.ndarray, codes: np.ndarray, y: np.ndarray,
-               edges: List[np.ndarray], bin_valid: np.ndarray,
-               rng: np.random.Generator, max_depth: int, min_leaf: int, mtry: int,
+def _grow_tree(codes: np.ndarray, y: np.ndarray, edges: List[np.ndarray],
+               bin_valid: np.ndarray, rng: np.random.Generator, max_depth: int,
+               min_leaf: int, mtry: int,
                class_weights: Tuple[float, float]) -> List[list]:
-    """One CART tree on pre-binned features, Gini impurity, class weights:
-    its [feature, threshold, left, right, prob] nodes, root first."""
+    """One CART tree on bin codes, Gini impurity, class weights: its
+    [feature, threshold, left, right, prob] nodes, root first.
+
+    A split on (feature, bin) sends a row left when its code is at most the
+    bin. Codes count the sorted, distinct edges at or below a value, so that
+    is exactly when the value is below the bin's edge, the node's threshold.
+    """
     nodes: List[list] = []
     w0, w1 = class_weights
-
-    def leaf(y_node: np.ndarray) -> int:
-        n1 = int(y_node.sum())
-        weight0, weight1 = w0 * (len(y_node) - n1), w1 * n1
-        total = weight0 + weight1
-        nodes.append([-1, 0.0, -1, -1, weight1 / total if total > 0 else 0.5])
-        return len(nodes) - 1
-
-    def grow(idx: np.ndarray, depth: int) -> int:
+    # (rows, depth, parent node, the parent's slot for this node's id). The
+    # right child is pushed first, so ids and feature draws run in preorder.
+    stack: List[tuple] = [(np.arange(len(y)), 0, None, 0)]
+    while stack:
+        idx, depth, parent, slot = stack.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
         y_node = y[idx]
         n = len(idx)
         n1 = int(y_node.sum())
-        if depth >= max_depth or n < 2 * min_leaf or n1 == 0 or n1 == n:
-            return leaf(y_node)
-        features = rng.choice(codes.shape[1], size=mtry, replace=False)
-        split = _best_split(codes, idx, y_node, features, bin_valid, min_leaf,
-                            class_weights)
+        split = None
+        if depth < max_depth and n >= 2 * min_leaf and 0 < n1 < n:
+            features = rng.choice(codes.shape[1], size=mtry, replace=False)
+            split = _best_split(codes, idx, y_node, features, bin_valid, min_leaf,
+                                class_weights)
         if split is None:
-            return leaf(y_node)
+            weight0, weight1 = w0 * (n - n1), w1 * n1
+            total = weight0 + weight1
+            nodes.append([-1, 0.0, -1, -1, weight1 / total if total > 0 else 0.5])
+            continue
         feature, bin_ = split
-        threshold = float(edges[feature][bin_])
-        mask = X[idx, feature] < threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        if len(left_idx) < min_leaf or len(right_idx) < min_leaf:
-            return leaf(y_node)
-        node = [feature, threshold, -1, -1, 0.0]
+        node = [feature, float(edges[feature][bin_]), -1, -1, 0.0]
         nodes.append(node)
-        node_id = len(nodes) - 1
-        node[2] = grow(left_idx, depth + 1)
-        node[3] = grow(right_idx, depth + 1)
-        return node_id
-
-    grow(np.arange(len(y)), 0)
-    # grow reaches itself through its closure. Deleting the name breaks that
-    # cycle, so the tree's bootstrap arrays are freed on return rather than
-    # at the next cyclic collection, which raised a sweep's peak RSS.
-    del grow
+        left = codes[idx, feature] <= bin_
+        stack.append((idx[~left], depth + 1, node, 3))
+        stack.append((idx[left], depth + 1, node, 2))
     return nodes
 
 
@@ -237,8 +231,7 @@ def _quantile_edges(X: np.ndarray) -> List[np.ndarray]:
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
-               n_trees: int = 50, max_depth: int = 8, min_leaf: int = 1,
-               seed: int = 0) -> ForestModel:
+               n_trees: int, max_depth: int, min_leaf: int, seed: int) -> ForestModel:
     """Bootstrap-aggregated CART trees with sqrt(n_features) splits per node."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -256,6 +249,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
     trees = []
     for _ in range(n_trees):
         sample = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[sample], codes[sample], y[sample], edges, bin_valid,
-                                rng, max_depth, min_leaf, mtry, class_weights))
+        trees.append(_grow_tree(codes[sample], y[sample], edges, bin_valid, rng,
+                                max_depth, min_leaf, mtry, class_weights))
     return ForestModel(n_trees, max_depth, min_leaf, mtry, seed, trees)

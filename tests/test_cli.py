@@ -1210,6 +1210,12 @@ def _trend_report_with_config(corpus, tmp_path):
             "--config")
 
 
+def _report_with_corpus_and_pools(corpus, tmp_path):
+    return (["report", "--kind", "age", "--corpus", str(corpus),
+             "--pools", str(corpus / "pools.jsonl")],
+            "--corpus")
+
+
 def _corpus_config_with_one_value_range(corpus, tmp_path):
     return (_corpus_config(tmp_path, "slid.count = 1\nslid.slid_impact_range = 0.5\n"),
             "slid.slid_impact_range: '0.5'")
@@ -1303,6 +1309,7 @@ class TestUnusableInputs:
         (_corpus_config_with_endless_lifetime, 4, "InfeasibleConfig"),
         (_features_with_labels_and_config, 4, "UsageError"),
         (_trend_report_with_config, 4, "UsageError"),
+        (_report_with_corpus_and_pools, 4, "UsageError"),
         (_corpus_config_with_negative_arrival, 4, "InfeasibleConfig"),
         (_corpus_config_with_nan_arrival, 4, "InfeasibleConfig"),
         (_corpus_config_out_of_bounds(

@@ -75,8 +75,7 @@ class TestTrain:
     def test_grid_search_selects_from_grid(self):
         X, y = toy_separable(n=80, noise=0.2, seed=3)
         grid = DEFAULT_HYPER_GRID[ClassifierKind.LOGISTIC_REGRESSION]
-        model = train(X, y, ClassifierKind.LOGISTIC_REGRESSION, seed=0,
-                      hyper_grid=grid)
+        model = train(X, y, ClassifierKind.LOGISTIC_REGRESSION, seed=0, grid=True)
         assert model.hyperparameters["learning_rate"] in grid["learning_rate"]
         assert model.hyperparameters["l2"] in grid["l2"]
 
@@ -189,7 +188,8 @@ class TestClassWeightEffect:
             # train() weights classes; the same fit with uniform weights
             # is the baseline.
             weighted = train(X, y, ClassifierKind.LOGISTIC_REGRESSION, seed=seed)
-            uniform = fit_logistic(X, y, (1.0, 1.0))
+            uniform = fit_logistic(X, y, (1.0, 1.0), learning_rate=0.1, l2=0.01,
+                                   epochs=500)
             recalls = {}
             for weighting, model in ((True, weighted), (False, uniform)):
                 pred = model.scores(test_X) >= 0.5

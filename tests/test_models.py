@@ -1,10 +1,12 @@
 """The forest's split search: one histogram per node over the sampled features
-grows the same trees as a search that scores one feature at a time."""
+grows the same trees as a search that scores one feature at a time, and a
+split on bin codes picks the rows that its threshold does."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slidscan import models
 from slidscan.models import balanced_class_weights, fit_forest
@@ -81,6 +83,9 @@ def test_same_trees_as_per_feature_search(monkeypatch, seed, min_leaf, max_depth
                                 min_leaf=min_leaf, max_depth=max_depth)
     assert fast == reference
     assert any(len(tree) > 1 for tree in fast.trees)
+    # Nodes are numbered in preorder: an inner node's left child comes next.
+    assert all(node[2] == i + 1 for tree in fast.trees
+               for i, node in enumerate(tree) if node[0] >= 0)
 
 
 def test_tied_features_pick_the_first_sampled():
@@ -92,7 +97,8 @@ def test_tied_features_pick_the_first_sampled():
     y = (column >= 5).astype(np.int64)
     first_drawn_higher = False
     for seed in range(10):
-        forest = fit_forest(X, y, (1.0, 1.0), n_trees=1, max_depth=1, seed=seed)
+        forest = fit_forest(X, y, (1.0, 1.0), n_trees=1, max_depth=1, min_leaf=1,
+                            seed=seed)
         rng = np.random.default_rng(seed)
         rng.integers(0, n, size=n)
         drawn = rng.choice(4, size=forest.mtry, replace=False)
@@ -103,7 +109,8 @@ def test_tied_features_pick_the_first_sampled():
 
 def test_constant_column_is_never_split(monkeypatch):
     X, y = _binned_data(3)
-    fast, reference = _fit_both(monkeypatch, X, y, n_trees=10, seed=3)
+    fast, reference = _fit_both(monkeypatch, X, y, n_trees=10, max_depth=8, min_leaf=1,
+                                seed=3)
     assert fast == reference
     assert all(node[0] != 2 for tree in fast.trees for node in tree)
 
@@ -114,7 +121,8 @@ def test_all_constant_features_give_single_leaves(min_leaf):
     empty side would meet min_leaf."""
     X = np.full((50, 9), 2.5)
     y = np.arange(50) % 2
-    forest = fit_forest(X, y, (1.0, 1.0), n_trees=5, min_leaf=min_leaf, seed=0)
+    forest = fit_forest(X, y, (1.0, 1.0), n_trees=5, max_depth=8, min_leaf=min_leaf,
+                        seed=0)
     for tree in forest.trees:
         assert len(tree) == 1
         assert tree[0][0] == -1
@@ -137,3 +145,29 @@ def test_quantile_edges_equal_per_column_quantiles(seed):
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes(), f
     assert len(edges[2]) == 0
+
+
+@st.composite
+def _edges_and_probes(draw):
+    """The quantile edges of a column whose values tie, and probe values:
+    the column itself, the edges, their float neighbours and arbitrary
+    finite floats."""
+    values = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+    column = np.array(draw(st.lists(st.sampled_from(values), min_size=2, max_size=300)))
+    edges = models._quantile_edges(column[:, None])[0]
+    probes = [*column, *edges, *np.nextafter(edges, -np.inf), *np.nextafter(edges, np.inf),
+              *draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))]
+    return edges, np.array(probes, dtype=np.float64)
+
+
+@given(_edges_and_probes())
+@settings(max_examples=200, deadline=None)
+def test_codes_split_like_thresholds(case):
+    """A tree splits rows on `code <= bin` and scores them on `value <
+    threshold`, the bin's edge; on sorted, distinct edges both pick the
+    same rows."""
+    edges, x = case
+    assert np.all(np.diff(edges) > 0)
+    codes = np.searchsorted(edges, x, side="right")
+    for b, edge in enumerate(edges):
+        assert np.array_equal(codes <= b, x < edge), (b, edge)
