@@ -386,7 +386,9 @@ class Dataset:
     """The one corpus object: pools, each pool's orders in execution order,
     profiles keyed by paired token, the order-file rows read and skipped,
     and (after `analysis.enrich`) every pool's full-history profit report
-    and verdict."""
+    and verdict. As `ingest` builds it, each pool address and each sender is
+    held once: an order's `pool_address` is its `pools` key, and equal
+    senders are one string."""
 
     pools: Dict[str, PoolRecord]
     orders: Dict[str, List[DexOrder]]
@@ -595,16 +597,22 @@ def ingest(pool_file: PathLike, orders_file: PathLike,
     (`replay_orders`) that `pipeline.stream_detect` makes. Each pool keeps
     its orders in file order, their execution order; each order is added to
     its pool's `ProfitTracker` as it is read, so a row that breaks the
-    ledger's rules gives `replay_orders`' error line."""
+    ledger's rules gives `replay_orders`' error line. As it is stored, an
+    order's pool address becomes its pool's key string, and its sender the
+    first equal string seen (a pool's owner address first), so the dataset
+    holds each address once."""
     pools = read_pools(pool_file)
     profiles = read_profiles(profiles_file)
     orders: Dict[str, List[DexOrder]] = {address: [] for address in pools}
-    books = {address: (orders[address], ProfitTracker(pool))
+    books = {address: (address, orders[address], ProfitTracker(pool))
              for address, pool in pools.items()}
+    senders = {pool.owner_address: pool.owner_address for pool in pools.values()}
 
     def add(book, order):
-        pool_orders, tracker = book
-        tracker.add(order.timestamp, order.category, order.sender,
+        address, pool_orders, tracker = book
+        order.pool_address = address
+        sender = order.sender = senders.setdefault(order.sender, order.sender)
+        tracker.add(order.timestamp, order.category, sender,
                     order.y_base, order.price_base, order.gas_fee_usd)
         pool_orders.append(order)
 

@@ -20,6 +20,7 @@ anchored at pool deployment.
 from __future__ import annotations
 
 import math
+import struct
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -250,6 +251,8 @@ def _window_values(pool: PoolRecord, d: int, report: ProfitReport,
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["pool_address", "window_days", "label"] + list(FEATURE_NAMES)
+# One row of feature values as the bytes of a float64 matrix row.
+_ROW_BYTES = struct.Struct(f"{FEATURE_COUNT}d")
 
 
 def write_features_csv(addresses: Sequence[str], window_days: int,
@@ -268,23 +271,29 @@ def read_features_csv(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
     (rows, 57), y 0/1 int64. A wrong header, a malformed row (column count,
     a window that is not an integer or differs from the first row's, a label
     that is not `0` or `1`), a non-finite value or a byte that is not UTF-8
-    raises SchemaError with its line number (`dataio.iter_csv`)."""
-    windows: List[int] = []    # each row's window_days
+    raises SchemaError with its line number (`dataio.iter_csv`). Each row's
+    values go straight into one buffer of float64 bytes that becomes X, so
+    reading holds about the matrix's own bytes."""
+    matrix = bytearray()    # every row's values, row after row
+    first_window = None
 
     def decode(row):
+        nonlocal first_window
         values = [float(v) for v in row[3:]]
         for i, value in enumerate(values):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite {FEATURE_NAMES[i]} {row[3 + i]!r}")
-        windows.append(int(row[1]))
-        if windows[-1] != windows[0]:
+        window = int(row[1])
+        if first_window is None:
+            first_window = window
+        if window != first_window:
             raise ValueError(f"window_days {row[1]!r} differs from the first "
-                             f"row's {windows[0]}")
+                             f"row's {first_window}")
         if row[2] not in ("0", "1"):
             raise ValueError(f"label {row[2]!r} is not 0 or 1")
-        return values, int(row[2])
+        matrix.extend(_ROW_BYTES.pack(*values))
+        return int(row[2])
 
-    rows = [value for _, value in iter_csv(path, _CSV_HEADER, decode, "feature")]
-    X = np.array([values for values, _ in rows], dtype=np.float64)
-    return (X.reshape(len(rows), FEATURE_COUNT),
-            np.array([label for _, label in rows], dtype=np.int64))
+    y = np.fromiter((label for _, label in iter_csv(path, _CSV_HEADER, decode, "feature")),
+                    dtype=np.int64)
+    return np.frombuffer(matrix, dtype=np.float64).reshape(len(y), FEATURE_COUNT), y

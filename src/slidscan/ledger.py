@@ -69,7 +69,7 @@ class Category(str, Enum):
     WITHDRAW = "Withdraw"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolRecord:
     """Static identity of one liquidity pool."""
 
@@ -111,8 +111,9 @@ class DexOrder:
 
     The class is slotted and mutable, which makes construction several times
     cheaper than a frozen dataclass: orders compare by field and work with
-    `dataclasses.replace`, but are not hashable. Nothing changes an order
-    once built.
+    `dataclasses.replace`, but are not hashable. Nothing changes an order's
+    values once built: `dataio.ingest` only swaps its pool address and
+    sender for equal strings that it holds once.
     """
 
     block: int

@@ -42,7 +42,7 @@ FIRST_MONTH_SECONDS = 30 * 86_400
 _INF = math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class ProfitReport:
     """Aggregate owner-profit view of one pool's history."""
 

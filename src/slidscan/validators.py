@@ -38,7 +38,7 @@ class Label(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecurityProfile:
     """Contract-level security features of the paired token."""
 
@@ -91,7 +91,7 @@ class HeuristicConfig:
 DEFAULT_CONFIG = HeuristicConfig()
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     """Per-pool classification with the validator flags that produced it."""
 

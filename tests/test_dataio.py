@@ -5,6 +5,7 @@ import math
 import struct
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -31,25 +32,30 @@ from slidscan.dataio import (
     write_profiles_jsonl,
 )
 from slidscan.ledger import Category, DexOrder, PoolRecord
-from slidscan.metrics import ProfitTracker
+from slidscan.metrics import ProfitReport, ProfitTracker
 from slidscan.pipeline import stream_detect
 from slidscan.synth import ScenarioConfig, ScenarioKind, build_corpus, generate
-from slidscan.validators import SecurityProfile
+from slidscan.validators import Label, SecurityProfile, Verdict
 
 from conftest import T0, USER, make_order, make_pool, order_to_row
 
 
-@pytest.fixture(scope="module")
-def corpus_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("corpus")
+def corpus_scenarios():
+    """The scenarios `corpus_dir` writes: 7 pools, 1,026 orders."""
     counts = {ScenarioKind.LEGITIMATE: 3, ScenarioKind.SLID: 2,
               ScenarioKind.RUGPULL: 2}
     overrides = {
         ScenarioKind.LEGITIMATE: {"lifetime_days": 30, "investor_arrival": 1.5},
         ScenarioKind.SLID: {"slid_drain_count": 40, "lifetime_days": 50},
     }
-    scenarios = list(build_corpus(counts, seed=17, overrides=overrides,
-                                  sort_by_address=True))
+    return list(build_corpus(counts, seed=17, overrides=overrides,
+                             sort_by_address=True))
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    scenarios = corpus_scenarios()
     pools = [s.pool for s in scenarios]
     profiles = dict(sorted((s.pool.paired_address, s.profile) for s in scenarios))
     write_pools_jsonl(pools, out / "pools.jsonl")
@@ -116,6 +122,88 @@ class TestRoundTrip:
         assert list(a.pools) == list(b.pools)
         for address in a.pools:
             assert a.orders[address] == b.orders[address]
+
+
+class TestSharedStrings:
+    """`ingest` holds each pool address and each sender once."""
+
+    def ingest(self, corpus_dir):
+        return ingest(corpus_dir / "pools.jsonl", corpus_dir / "orders.jsonl",
+                      corpus_dir / "profiles.jsonl")
+
+    def test_pool_address_is_the_pools_key(self, reader, corpus_dir):
+        dataset = self.ingest(corpus_dir)
+        for address, pool in dataset.pools.items():
+            assert pool.pool_address is address
+            assert dataset.orders[address]
+            assert all(order.pool_address is address for order in dataset.orders[address])
+
+    def test_equal_senders_are_one_string(self, reader, corpus_dir):
+        dataset = self.ingest(corpus_dir)
+        senders = {}
+        for address, pool in dataset.pools.items():
+            for order in dataset.orders[address]:
+                assert senders.setdefault(order.sender, order.sender) is order.sender
+                if order.sender == pool.owner_address:
+                    assert order.sender is pool.owner_address
+        assert 1 < len(senders) < sum(map(len, dataset.orders.values()))
+
+    def test_orders_equal_the_generated_ones(self, reader, corpus_dir):
+        dataset = self.ingest(corpus_dir)
+        for scenario in corpus_scenarios():
+            assert dataset.orders[scenario.pool.pool_address] == scenario.orders
+
+    def test_bytes_held_per_order(self, reader, corpus_dir):
+        """Each order holds its own hash, numbers and record, and no address:
+        about 524 bytes per order on this corpus, where a copy of the pool
+        address and of the sender in every order took about 682."""
+        self.ingest(corpus_dir)    # any first-call caches fill outside the count
+        tracemalloc.start()
+        try:
+            dataset = self.ingest(corpus_dir)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        orders = sum(map(len, dataset.orders.values()))
+        assert orders == 1026
+        assert held / orders < 600
+
+
+class TestSlottedRecords:
+    """The per-pool records are slotted and still compare, copy and encode
+    by field."""
+
+    @pytest.mark.parametrize("record,change", [
+        (make_pool(), {"name": "other"}),
+        (SecurityProfile(buy_tax=0.25, anti_whale=True), {"buy_tax": 0.5}),
+        (ProfitReport(realized_profit_usd=1.5, profit_taking_count=3),
+         {"profit_taking_count": 4}),
+        (Verdict(Label.SLID, True, False, True), {"label": Label.LEGITIMATE}),
+    ], ids=lambda value: type(value).__name__)
+    def test_slotted_and_compared_by_field(self, record, change):
+        assert not hasattr(record, "__dict__")
+        assert replace(record) == record
+        changed = replace(record, **change)
+        assert type(changed) is type(record)
+        assert changed != record
+        assert replace(changed, **{name: getattr(record, name) for name in change}) == record
+
+    def test_record_rows_are_unchanged(self):
+        assert record_to_row(make_pool(lpt_burned=True, deployment_gas_usd=2.5)) == {
+            "pool_address": "0xpool000000000000000000000000000000000003",
+            "base_address": "0xbase", "paired_address": "0xpaired",
+            "owner_address": "0xowner00000000000000000000000000000000001",
+            "created_time_pool": T0, "created_time_token": T0 - 3600,
+            "dex": "Synthetic", "name": "", "lpt_burned": True,
+            "deployment_gas_usd": 2.5}
+        assert record_to_row(SecurityProfile(sell_tax=0.5, buyable=False),
+                             token_address="0xt") == {
+            "token_address": "0xt", "buy_tax": 0.0, "sell_tax": 0.5,
+            "tax_modifiable": False, "buyable": False, "can_sell_all": True,
+            "balance_change_by_owner": False, "trading_cooldown": False,
+            "trading_pausable": False, "anti_whale": False,
+            "slippage_modifiable": False, "personal_slippage_modifiable": False,
+            "transfer_pausable": False}
 
 
 class TestIngestContracts:

@@ -268,30 +268,57 @@ class TestCsvRoundTrip:
         write_features_csv([high, low], 57, [False, True], X, path)
         loaded, y = read_features_csv(path)
         assert loaded.shape == (2, 57)
-        assert np.array_equal(loaded, X[::-1])
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        assert loaded.tobytes() == X[::-1].tobytes()
+        assert y.dtype == np.int64
         assert y.tolist() == [1, 0]
         rows = [line.split(",")[:3] for line in path.read_text().splitlines()[1:]]
         assert rows == [[low, "57", "1"], [high, "57", "0"]]
 
-    @pytest.mark.parametrize("column,value,message", [
-        (2, "2", "label '2' is not 0 or 1"),
-        (2, "true", "label 'true' is not 0 or 1"),
-        (1, "30", "window_days '30' differs from the first row's 57"),
-    ])
-    def test_label_and_window_are_checked(self, tmp_path, column, value, message):
-        """A label is 0 or 1, and every row has the first row's window."""
+    @staticmethod
+    def read_with_line_3(tmp_path, edits):
+        """The SchemaError of reading a two-row export whose second row (line
+        3) has `edits` (column -> cell) applied."""
         path = tmp_path / "features.csv"
         write_features_csv(["0xa", "0xb"], 57, [False, True],
                            np.ones((2, FEATURE_COUNT)), path)
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
-        cells[column] = value
+        for column, value in edits.items():
+            cells[column] = value
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError) as err:
             read_features_csv(path)
         assert err.value.lineno == 3
-        assert message in str(err.value)
+        return str(err.value).replace(str(path), "<path>")
+
+    @pytest.mark.parametrize("column,value,message", [
+        (2, "2", "label '2' is not 0 or 1"),
+        (2, "true", "label 'true' is not 0 or 1"),
+        (1, "30", "window_days '30' differs from the first row's 57"),
+        (1, "x", "invalid literal for int() with base 10: 'x'"),
+        (3, "inf", "non-finite owner_dep 'inf'"),
+        (59, "nan", "non-finite r_pval_min_on_max 'nan'"),
+        (9, "1e400", "non-finite user_buy '1e400'"),
+        (4, "x", "could not convert string to float: 'x'"),
+    ])
+    def test_label_and_window_are_checked(self, tmp_path, column, value, message):
+        """Every value is a finite number, every row has the first row's
+        window, and a label is 0 or 1."""
+        assert self.read_with_line_3(tmp_path, {column: value}) == (
+            f"<path> line 3: bad feature row: {message}")
+
+    @pytest.mark.parametrize("edits,message", [
+        ({3: "inf", 4: "x", 1: "30", 2: "2"}, "could not convert string to float: 'x'"),
+        ({3: "inf", 1: "30", 2: "2"}, "non-finite owner_dep 'inf'"),
+        ({1: "30", 2: "2"}, "window_days '30' differs from the first row's 57"),
+    ])
+    def test_first_fault_of_a_row_is_its_error(self, tmp_path, edits, message):
+        """A row's checks run in one order: every value parses, every value
+        is finite, the window, then the label."""
+        assert self.read_with_line_3(tmp_path, edits) == (
+            f"<path> line 3: bad feature row: {message}")
 
 
 # ---------------------------------------------------------------------------
