@@ -3,7 +3,8 @@
 Subcommands cover the full pipeline: generate a synthetic corpus, run the
 streaming detector, export feature matrices, train a classifier, run the
 shrinking-window sweep, and produce population reports. Failures exit with
-one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
+one machine-parsable stderr line, `error code=<n> kind=<type> msg=<message>`,
+the message a JSON string in ASCII (`_fail`), never a traceback:
 
   2  SchemaError (a malformed row or header, with file and line) or a
      ledger violation; an order row that breaks the ledger's rules gives the
@@ -12,14 +13,21 @@ one machine-parsable stderr line: `error code=<n> kind=<type> msg=...`:
      class only, or a sweep's verdicts have fewer than 2 pools in a class)
   4  ConfigError, InfeasibleConfig, UsageError (bad arguments, checked
      while they are parsed, such as a --config no step of the command
-     reads) or a missing input file
+     reads) or an OSError: an input or output path that cannot be opened
 
 `generate` stopped by SIGTERM exits 143, with no line, and leaves no file.
+
+JSONL inputs are read by `dataio.iter_jsonl`, CSV inputs by `dataio.iter_csv`
+and `--config` files by `config.parse_kv_file`, the last two through
+`dataio.read_lines`. A line longer than `dataio.LINE_LIMIT` characters is a
+SchemaError, or a ConfigError in a `--config` file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import signal
 import sys
 from pathlib import Path
@@ -144,10 +152,13 @@ def cmd_generate(args) -> int:
         for name, path in zip(names, partial):
             path.replace(out / name)
     except BaseException:
+        # Undo what the run made; the error that stopped it is the one raised.
         for path in partial:
-            path.unlink(missing_ok=True)
-        if created and out.exists():
-            out.rmdir()
+            with contextlib.suppress(OSError):
+                path.unlink()
+        if created:
+            with contextlib.suppress(OSError):
+                out.rmdir()
         raise
     finally:
         signal.signal(signal.SIGTERM, previous_handler)
@@ -374,14 +385,23 @@ def main(argv=None) -> int:
         return _fail(3, exc)
     except (ConfigError, InfeasibleConfig, UsageError) as exc:
         return _fail(4, exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(4, exc)
 
 
+# The longest message an error line holds, in characters. A longer one is
+# cut in the middle: its head names the file and line, its tail the fault.
+MESSAGE_LIMIT = 1000
+
+
 def _fail(code: int, exc: Exception) -> int:
-    kind = type(exc).__name__
-    message = str(exc).replace("\n", " ")
-    print(f'error code={code} kind={kind} msg="{message}"', file=sys.stderr)
+    message = str(exc)
+    if len(message) > MESSAGE_LIMIT:
+        keep = MESSAGE_LIMIT // 2 - 20
+        message = (f"{message[:keep]} ...[{len(message) - 2 * keep} characters cut]... "
+                   f"{message[-keep:]}")
+    print(f"error code={code} kind={type(exc).__name__} msg={json.dumps(message)}",
+          file=sys.stderr)
     return code
 
 

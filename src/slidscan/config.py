@@ -10,7 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
-from .dataio import open_text, utf8_fault
+from .dataio import SchemaError, read_lines
 from .validators import HeuristicConfig
 
 
@@ -19,23 +19,24 @@ class ConfigError(Exception):
 
 
 def parse_kv_file(path: Union[str, Path]) -> Dict[str, str]:
-    """Read a key=value file into an ordered dict of raw strings. The first
-    line that is not `key=value`, or that holds a byte that is not UTF-8,
-    raises ConfigError naming it."""
+    """Read a key=value file into an ordered dict of raw strings. Its lines
+    come from `dataio.read_lines`, the CSV readers' line reader, so a line
+    ends at a line feed, a carriage return, or both. The first line that is
+    not `key=value`, that holds a byte that is not UTF-8, or that is longer
+    than `dataio.LINE_LIMIT` characters raises ConfigError naming it."""
     options: Dict[str, str] = {}
-    with open_text(path) as handle:
-        text = handle.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fault = utf8_fault(raw)
-        if fault is not None:
-            raise ConfigError(f"{path} line {lineno}: {fault}")
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path} line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        options[key.strip()] = value.strip()
+    try:
+        for lineno, raw in read_lines(path):
+            raw = raw.removesuffix("\n")
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path} line {lineno}: expected key=value, got {raw!r}")
+            key, value = line.split("=", 1)
+            options[key.strip()] = value.strip()
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
     return options
 
 

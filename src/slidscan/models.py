@@ -65,9 +65,13 @@ class LogisticModel:
     epochs: int
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        Z = (X - self.mean) / self.scale
-        logits = Z @ self.weights + self.bias
-        return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+        Z = X - self.mean    # z-scored in place: one copy of X
+        Z /= self.scale
+        return _sigmoid(Z @ self.weights + self.bias)
+
+
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float],
@@ -87,7 +91,8 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float
     if len(bad):
         raise ScaleOverflow(int(bad[0]))
     scale[scale == 0.0] = 1.0
-    Z = (X - mean) / scale
+    Z = X - mean    # z-scored in place: one copy of X
+    Z /= scale
 
     n, f = Z.shape
     w = np.zeros(f)
@@ -95,8 +100,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, class_weights: Tuple[float, float
     sample_w = np.where(y == 1.0, class_weights[1], class_weights[0])
     total_w = sample_w.sum()
     for _ in range(epochs):
-        logits = Z @ w + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+        p = _sigmoid(Z @ w + b)
         err = sample_w * (p - y)
         grad_w = Z.T @ err / total_w + l2 * w
         grad_b = err.sum() / total_w

@@ -1,9 +1,12 @@
 """CLI subcommands end to end: generate, detect, features, train, sweep, report."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -13,12 +16,43 @@ from pathlib import Path
 
 import pytest
 
-from slidscan import analysis, dataio, pipeline, synth
-from slidscan.cli import main
+from slidscan import analysis, cli, dataio, pipeline, synth
+from slidscan.dataio import LINE_LIMIT, SchemaError
 from slidscan.features import FEATURE_NAMES
 from slidscan.validators import SecurityProfile
 
 from conftest import T0, USER, make_order, make_pool
+
+# The documented error line; its message is a JSON string.
+ERROR_LINE = re.compile(r'^error code=(\d+) kind=(\w+) msg=(".*")$')
+
+
+def error_message(err: str, code: int, kind=None) -> str:
+    """The message of a failed run's stderr `err`, which must be exactly one
+    error line of at most 8 KiB, in the documented grammar, with exit code
+    `code` (and `kind`, if given); its message must decode as JSON."""
+    assert err.endswith("\n") and err.count("\n") == 1, err[-2000:]
+    line = err[:-1]
+    assert len(line.encode()) <= 8192, len(line)
+    match = ERROR_LINE.match(line)
+    assert match, line[:2000]
+    assert int(match[1]) == code, line[:2000]
+    assert kind is None or match[2] == kind, line[:2000]
+    message = json.loads(match[3])
+    assert type(message) is str
+    return message
+
+
+def main(argv) -> int:
+    """`slidscan.cli.main(argv)`, its stderr passed on to the test's capture.
+    A failed run must print one error line (`error_message`)."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    sys.stderr.write(err.getvalue())
+    if code:
+        error_message(err.getvalue(), code)
+    return code
+
 
 CORPUS_CFG = """
 seed = 11
@@ -139,11 +173,16 @@ def mutated_corpus(corpus, out, mutate, name="orders.jsonl"):
     return rewrite_rows(out / name, mutate)
 
 
+def corpus_inputs(corpus):
+    """The options that name every input file of `corpus`."""
+    return ["--pools", str(corpus / "pools.jsonl"),
+            "--orders", str(corpus / "orders.jsonl"),
+            "--profiles", str(corpus / "profiles.jsonl")]
+
+
 def run_on(command, corpus, tmp_path):
     """One subcommand over `corpus` with every input file, writing to tmp."""
-    inputs = ["--pools", str(corpus / "pools.jsonl"),
-              "--orders", str(corpus / "orders.jsonl"),
-              "--profiles", str(corpus / "profiles.jsonl")]
+    inputs = corpus_inputs(corpus)
     out = ["--out", str(tmp_path / "out.csv")]
     if command == "detect":
         return main(["detect"] + inputs + out)
@@ -1262,12 +1301,9 @@ def assert_error_line(argv, location, code, kind, out, capsys):
     traceback, names `location` if given, and writes no `out`."""
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == code
-    err = capsys.readouterr().err
-    assert err.startswith(f"error code={code} kind={kind} msg=")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    message = error_message(capsys.readouterr().err, code, kind)
     if location is not None:
-        assert location in err
+        assert location in message
     assert not out.exists()
 
 
@@ -1446,38 +1482,247 @@ class TestDeepNesting:
         shutil.copytree(corpus, tmp_path / "c")
         path = tmp_path / "c" / name
         _edit_line(path, 2, lambda line: _deep_json(shape))
-        self.assert_child_error_line(tmp_path, reader, (
+        self.assert_child_error_line(
+            ["detect", *corpus_inputs(tmp_path / "c")], reader,
             f"{path} line 2: invalid JSON: maximum recursion depth exceeded "
-            f"while decoding a JSON {shape}"))
+            f"while decoding a JSON {shape}", tmp_path / "out")
 
     def test_deep_amount_string_is_no_number(self, corpus, tmp_path, reader):
         """An amount string holding a deep object is no number, as float()
-        says, on both reader paths."""
+        says, on both reader paths. The message, longer than the error
+        line holds, keeps its head and its tail."""
         shutil.copytree(corpus, tmp_path / "c")
         path = tmp_path / "c" / "orders.jsonl"
         rewrite_rows(path, lambda rows: rows[1].update(y_base=_deep_json("object")))
-        self.assert_child_error_line(tmp_path, reader, (
-            f"{path} line 2: bad order row: could not convert string to float: "))
+        message = self.assert_child_error_line(
+            ["detect", *corpus_inputs(tmp_path / "c")], reader,
+            f"{path} line 2: bad order row: could not convert string to float: ",
+            tmp_path / "out")
+        assert len(message) <= cli.MESSAGE_LIMIT
+        assert " characters cut]... " in message
+        assert message.endswith("}" * 400 + "'")
 
     @staticmethod
-    def assert_child_error_line(tmp_path, reader, location):
-        """detect over tmp_path/c in a child process, on the `reader` path,
-        ends with one code-2 line that names `location` and writes nothing."""
-        c, out = tmp_path / "c", tmp_path / "out.csv"
+    def assert_child_error_line(argv, reader, location, out, code=2,
+                                kind="SchemaError", margin=None):
+        """The CLI run with `argv` and `--out out` in a child process, on the
+        `reader` path, ends with one error line of `code` and `kind` whose
+        message starts with `location`, and writes no `out`. With `margin`,
+        the child's address space is capped at its size after import plus
+        `margin` bytes (RLIMIT_AS). Returns the message."""
         hide = ("d._orjson_loads = d._orjson_dumps = None; "
                 if reader == "stdlib" else "")
+        cap = ("import resource; "
+               "size = int(open('/proc/self/statm').read().split()[0]); "
+               f"limit = size * resource.getpagesize() + {margin}; "
+               "resource.setrlimit(resource.RLIMIT_AS, "
+               "(limit, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+               if margin is not None else "")
         env = dict(os.environ)
         src = str(Path(synth.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         child = subprocess.run(
             [sys.executable, "-c", f"import sys, slidscan.dataio as d; {hide}"
-             "from slidscan.cli import main; sys.exit(main(sys.argv[1:]))",
-             "detect", "--pools", str(c / "pools.jsonl"), "--orders",
-             str(c / "orders.jsonl"), "--profiles", str(c / "profiles.jsonl"),
-             "--out", str(out)],
+             f"from slidscan.cli import main; {cap}sys.exit(main(sys.argv[1:]))",
+             *argv, "--out", str(out)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             timeout=120)
-        assert child.returncode == 2, child.stderr[-2000:]
-        assert child.stderr.startswith(f'error code=2 kind=SchemaError msg="{location}')
-        assert child.stderr.count("\n") == 1
+        assert child.returncode == code, child.stderr[-2000:]
+        message = error_message(child.stderr, code, kind)
+        assert message.startswith(location)
         assert not out.exists()
+        return message
+
+
+def _too_long(path, lineno):
+    return f"{path} line {lineno}: line longer than {LINE_LIMIT} characters"
+
+
+class TestLineLimit:
+    """A line of LINE_LIMIT characters, its newline included, is read as
+    any other; one character more is its file's error line, naming the file
+    and the line: exit 2, or 4 in a --config file."""
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_orders_line(self, corpus, tmp_path, capsys, reader, extra):
+        """An order row padded with spaces to the limit reads as itself."""
+        assert run_on("detect", corpus, tmp_path) == 0
+        expected = (tmp_path / "out.csv").read_bytes()
+        (tmp_path / "out.csv").unlink()
+        shutil.copytree(corpus, tmp_path / "c")
+        path = tmp_path / "c" / "orders.jsonl"
+        _edit_line(path, 3, lambda line: line + " " * (LINE_LIMIT - 1 + extra - len(line)))
+        assert len(path.read_text().splitlines(keepends=True)[2]) == LINE_LIMIT + extra
+        if extra:
+            assert_error_line(["detect", *corpus_inputs(tmp_path / "c")],
+                              _too_long(path, 3), 2, "SchemaError",
+                              tmp_path / "out.csv", capsys)
+        else:
+            assert run_on("detect", tmp_path / "c", tmp_path) == 0
+            assert (tmp_path / "out.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_features_line(self, corpus, tmp_path, capsys, extra):
+        """A features row whose values are padded with spaces to the limit
+        trains the model of the unpadded file."""
+        path, _, argv = _features_input(corpus, tmp_path)
+        assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+
+        def pad(line):
+            fields = line.split(",")
+            each, more = divmod(LINE_LIMIT - 1 + extra - len(line), len(FEATURE_NAMES))
+            fields[3:] = [value + " " * (each + (i < more))
+                          for i, value in enumerate(fields[3:])]
+            return ",".join(fields)
+
+        _edit_line(path, 3, pad)
+        if extra:
+            assert_error_line(argv, _too_long(path, 3), 2, "SchemaError",
+                              tmp_path / "out", capsys)
+        else:
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+            assert ((tmp_path / "out").read_bytes()
+                    == (tmp_path / "plain.json").read_bytes())
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_labels_line(self, corpus, tmp_path, capsys, extra):
+        """No labels row is that long, so a line at the limit, eleven
+        fields, is read and rejected for its columns."""
+        path, _, argv = _labels_input(corpus, tmp_path)
+        letters, more = divmod(LINE_LIMIT - 1 + extra - 10, 11)
+        _edit_line(path, 2, lambda line: ",".join(
+            "a" * (letters + (i < more)) for i in range(11)))
+        location = (_too_long(path, 2) if extra else
+                    f"{path} line 2: bad labels row: 11 columns, expected 2")
+        assert_error_line(argv, location, 2, "SchemaError", tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_config_line(self, tmp_path, capsys, extra):
+        """A comment line at the limit is read and ignored."""
+        comment = "# " + "x" * (LINE_LIMIT - 3 + extra)
+        argv = _corpus_config(tmp_path, f"seed = 3\n{comment}\nlegitimate.count = 2\n"
+                                        "legitimate.lifetime_days = 20\n")
+        out = tmp_path / "out"
+        if extra:
+            assert_error_line(argv, _too_long(tmp_path / "bad.cfg", 2), 4,
+                              "ConfigError", out, capsys)
+        else:
+            assert main(argv + ["--out", str(out)]) == 0
+            assert (out / "orders.jsonl").exists()
+
+
+@pytest.fixture
+def huge_line():
+    """Insert a line of 100,000,000 characters before line `lineno` of a
+    file, writing it in pieces; returns the location its error line names.
+    The file is removed after the test."""
+    paths = []
+
+    def insert(path, lineno):
+        paths.append(path)
+        lines = path.read_text().splitlines(keepends=True)
+        piece = "x" * 2 ** 20
+        with open(path, "w") as handle:
+            handle.writelines(lines[:lineno - 1])
+            for _ in range(100_000_000 // len(piece)):
+                handle.write(piece)
+            handle.write(piece[:100_000_000 % len(piece)] + "\n")
+            handle.writelines(lines[lineno - 1:])
+        return _too_long(path, lineno)
+
+    yield insert
+    for path in paths:
+        path.unlink(missing_ok=True)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the child reads its size from /proc/self/statm")
+class TestHugeLines:
+    """A 100 MB line in an input file gives its one error line, no
+    traceback and no output, in a child process whose address space is
+    capped at 64 MiB above its size after import: a reader that held the
+    line whole would end in MemoryError."""
+
+    MARGIN = 64 * 2 ** 20
+
+    def test_orders_line(self, corpus, tmp_path, reader, huge_line):
+        shutil.copytree(corpus, tmp_path / "c")
+        location = huge_line(tmp_path / "c" / "orders.jsonl", 2)
+        TestDeepNesting.assert_child_error_line(
+            ["detect", *corpus_inputs(tmp_path / "c")], reader, location,
+            tmp_path / "out", margin=self.MARGIN)
+
+    @pytest.mark.parametrize("build", [_labels_input, _features_input],
+                             ids=["labels", "features"])
+    def test_csv_line(self, corpus, tmp_path, huge_line, build):
+        path, _, argv = build(corpus, tmp_path)
+        TestDeepNesting.assert_child_error_line(
+            argv, None, huge_line(path, 2), tmp_path / "out", margin=self.MARGIN)
+
+    def test_config_line(self, tmp_path, huge_line):
+        argv = _corpus_config(tmp_path, "seed = 3\nlegitimate.count = 2\n")
+        TestDeepNesting.assert_child_error_line(
+            argv, None, huge_line(tmp_path / "bad.cfg", 2), tmp_path / "out",
+            code=4, kind="ConfigError", margin=self.MARGIN)
+
+
+class TestErrorLineGrammar:
+    @pytest.mark.parametrize("category", ['Bu"y x=1 msg="ok', "B\\uüy "],
+                             ids=["quotes", "backslash-and-non-ascii"])
+    def test_forged_field_stays_in_msg(self, corpus, tmp_path, capsys, category):
+        """A field holding quotes and `msg=`, a backslash or characters that
+        are not ASCII cannot forge or break the error line: its msg is an
+        ASCII JSON string that decodes to the original message."""
+        bad = tmp_path / "bad"
+        lineno = mutated_corpus(corpus, bad, set_middle_row(category=category))
+        assert run_on("detect", bad, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.isascii()
+        assert error_message(err, 2, "SchemaError") == (
+            f"{bad / 'orders.jsonl'} line {lineno}: bad order row: "
+            f"unknown category {category!r}")
+
+    def test_long_message_is_cut_in_the_middle(self, capsys):
+        """A message past MESSAGE_LIMIT keeps its head and its tail."""
+        message = "head " + "x" * 5000 + " tail"
+        assert cli._fail(2, SchemaError("f.jsonl", 7, message)) == 2
+        cut = error_message(capsys.readouterr().err, 2, "SchemaError")
+        assert len(cut) <= cli.MESSAGE_LIMIT
+        full = f"f.jsonl line 7: {message}"
+        keep = cli.MESSAGE_LIMIT // 2 - 20
+        assert cut == (f"{full[:keep]} ...[{len(full) - 2 * keep} characters cut]... "
+                       f"{full[-keep:]}")
+
+
+class TestUnopenablePaths:
+    """A path that cannot be opened as asked exits 4 with one line naming
+    it, and writes nothing."""
+
+    def test_detect_out_is_a_directory(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["detect", *corpus_inputs(corpus), "--out", str(out)]) == 4
+        message = error_message(capsys.readouterr().err, 4, "IsADirectoryError")
+        assert repr(str(out)) in message
+        assert list(out.iterdir()) == []
+
+    def test_detect_pools_is_a_directory(self, corpus, tmp_path, capsys):
+        argv = ["detect", *corpus_inputs(corpus)]
+        argv[argv.index("--pools") + 1] = str(corpus)
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 4
+        message = error_message(capsys.readouterr().err, 4, "IsADirectoryError")
+        assert repr(str(corpus)) in message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_generate_out_is_a_file(self, tmp_path, capsys):
+        """The error of the --out path is the one named, not one from
+        removing the run's temporary files."""
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text("seed = 3\nlegitimate.count = 2\nlegitimate.lifetime_days = 20\n")
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 4
+        message = error_message(capsys.readouterr().err, 4, "FileExistsError")
+        assert repr(str(out)) in message
+        assert out.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [out, cfg]

@@ -598,6 +598,23 @@ class TestJsonlReader:
         assert_reemit_identical(corpus_dir, tmp_path)
 
 
+class TestLineReader:
+    def test_lines_and_their_endings(self, tmp_path):
+        """`read_lines` numbers every line. By default a carriage return,
+        with or without a line feed, ends a line read as ending in a line
+        feed; with `newline=""` each line keeps its own ending, which counts
+        towards LINE_LIMIT."""
+        path = tmp_path / "lines.txt"
+        limit = dataio.LINE_LIMIT
+        path.write_bytes(b"a\r\nbb\rc\x0cc\n" + b"d" * (limit - 2) + b"\r\ne")
+        assert list(dataio.read_lines(path)) == [
+            (1, "a\n"), (2, "bb\n"), (3, "c\x0cc\n"), (4, "d" * (limit - 2) + "\n"),
+            (5, "e")]
+        assert list(dataio.read_lines(path, newline="")) == [
+            (1, "a\r\n"), (2, "bb\r"), (3, "c\x0cc\n"), (4, "d" * (limit - 2) + "\r\n"),
+            (5, "e")]
+
+
 _NUMERIC_COLUMNS = ["block", "timestamp", "price_paired", "price_base", "gas_fee_usd"]
 _EDGE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0", "-0.0",
                   "1e-400", '"\\ud800"', '"\\udc00"', '"\\ud83d\\ude00"', "true",

@@ -171,3 +171,34 @@ def test_codes_split_like_thresholds(case):
     codes = np.searchsorted(edges, x, side="right")
     for b, edge in enumerate(edges):
         assert np.array_equal(codes <= b, x < edge), (b, edge)
+
+
+def test_logistic_z_scores_in_place_as_the_formula():
+    """The fit and its scores z-score on one copy of X, in place: weights,
+    bias and scores are bit-identical to `(X - mean) / scale` on a seeded
+    matrix with a constant column, and X is left as it was."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(3.0, 2.0, size=(300, 7))
+    X[:, 4] = 2.5
+    y = (X[:, 0] + rng.normal(size=300) > 3.0).astype(np.int64)
+    before = X.copy()
+    class_weights, lr, l2, epochs = balanced_class_weights(y), 0.1, 1e-3, 50
+    model = models.fit_logistic(X, y, class_weights, lr, l2, epochs)
+
+    mean, scale = X.mean(axis=0), X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    Z = (X - mean) / scale
+    sample_w = np.where(y == 1, class_weights[1], class_weights[0])
+    w, b = np.zeros(X.shape[1]), 0.0
+    for _ in range(epochs):
+        p = 1.0 / (1.0 + np.exp(-np.clip(Z @ w + b, -60, 60)))
+        err = sample_w * (p - y)
+        w -= lr * (Z.T @ err / sample_w.sum() + l2 * w)
+        b -= lr * (err.sum() / sample_w.sum())
+    scores = 1.0 / (1.0 + np.exp(-np.clip(Z @ w + b, -60, 60)))
+
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias == b
+    assert model.scale[4] == 1.0
+    assert model.scores(X).tobytes() == scores.tobytes()
+    assert X.tobytes() == before.tobytes()
