@@ -19,15 +19,20 @@ the message a JSON string in ASCII (`_fail`), never a traceback:
 
 JSONL inputs are read by `dataio.iter_jsonl`, CSV inputs by `dataio.iter_csv`
 and `--config` files by `config.parse_kv_file`, the last two through
-`dataio.read_lines`. A line longer than `dataio.LINE_LIMIT` characters is a
-SchemaError, or a ConfigError in a `--config` file.
+`dataio.read_lines`. A line longer than `dataio.LINE_LIMIT` characters, or
+a CSV row longer than that over its lines, is a SchemaError, or a
+ConfigError in a `--config` file. `detect`, `features`, `sweep`, `report`
+and `train` check that `--out` can be written (`_check_out`) before they
+read any input, so its OSError is named first.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
+import os
 import signal
 import sys
 from pathlib import Path
@@ -106,6 +111,20 @@ def _heuristic_config(args) -> HeuristicConfig:
     return DEFAULT_CONFIG
 
 
+def _check_out(path) -> None:
+    """Raise now the OSError that writing the output file `path` would
+    raise, before a command reads its inputs, and leave the path as it
+    was: a new file is made and removed, an existing one opened to append."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+    except FileExistsError:
+        with open(path, "a"):
+            pass
+    else:
+        os.close(fd)
+        os.unlink(path)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -174,6 +193,7 @@ def _orders_summary(counts) -> str:
 
 
 def cmd_detect(args) -> int:
+    _check_out(args.out)
     cfg = _heuristic_config(args)
     summary, _ = pipeline.stream_detect(
         args.pools, args.orders, profiles_file=args.profiles, cfg=cfg,
@@ -216,6 +236,7 @@ def _load_labels_csv(path, addresses: List[str]) -> List[bool]:
 def cmd_features(args) -> int:
     if args.labels and args.config:
         raise UsageError("features reads --config only to label pools, not with --labels")
+    _check_out(args.out)
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(args.pools, args.orders, profiles_file=args.profiles)
     addresses = list(dataset.pools)
@@ -237,6 +258,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out)
     X, y = features.read_features_csv(args.features)
     if not len(y):
         raise SingleClassInput("empty training matrix")
@@ -262,6 +284,7 @@ def _corpus_files(corpus_dir) -> Tuple[Path, Path, Optional[Path]]:
 
 
 def cmd_sweep(args) -> int:
+    _check_out(args.out)
     cfg = _heuristic_config(args)
     dataset = dataio.ingest(*_corpus_files(args.corpus))
     analysis.enrich(dataset, cfg)
@@ -284,13 +307,14 @@ def cmd_report(args) -> int:
     if args.corpus and (args.pools or args.orders or args.profiles):
         raise UsageError("report reads either --corpus or --pools, --orders and "
                          "--profiles, not both")
-    cfg = _heuristic_config(args)
     if args.corpus:
         pools_file, orders_file, profiles_file = _corpus_files(args.corpus)
     else:
         if not (args.pools and args.orders):
             raise UsageError("report needs --corpus or both --pools and --orders")
         pools_file, orders_file, profiles_file = args.pools, args.orders, args.profiles
+    _check_out(args.out)
+    cfg = _heuristic_config(args)
     dataset = dataio.ingest(pools_file, orders_file, profiles_file=profiles_file)
     if args.labels_filter:
         analysis.enrich(dataset, cfg)
@@ -389,19 +413,29 @@ def main(argv=None) -> int:
         return _fail(4, exc)
 
 
-# The longest message an error line holds, in characters. A longer one is
-# cut in the middle: its head names the file and line, its tail the fault.
+# The longest message an error line holds, in characters of its JSON text,
+# escapes included. A longer one is cut in the middle, on whole characters:
+# its head names the file and line, its tail the fault.
 MESSAGE_LIMIT = 1000
+
+
+def _chars_within(chars, budget: int) -> int:
+    """How many of `chars`, in order, fit in `budget` characters of JSON
+    text, where a character takes 1 to 12; not all of them may fit."""
+    used = itertools.accumulate(len(json.dumps(char)) - 2 for char in chars)
+    return next(count for count, total in enumerate(used) if total > budget)
 
 
 def _fail(code: int, exc: Exception) -> int:
     message = str(exc)
-    if len(message) > MESSAGE_LIMIT:
+    text = json.dumps(message)
+    if len(text) - 2 > MESSAGE_LIMIT:
         keep = MESSAGE_LIMIT // 2 - 20
-        message = (f"{message[:keep]} ...[{len(message) - 2 * keep} characters cut]... "
-                   f"{message[-keep:]}")
-    print(f"error code={code} kind={type(exc).__name__} msg={json.dumps(message)}",
-          file=sys.stderr)
+        head = _chars_within(message, keep)
+        tail = _chars_within(reversed(message), keep)
+        text = json.dumps(f"{message[:head]} ...[{len(message) - head - tail} characters "
+                          f"cut]... {message[len(message) - tail:]}")
+    print(f"error code={code} kind={type(exc).__name__} msg={text}", file=sys.stderr)
     return code
 
 

@@ -25,9 +25,10 @@ without orjson installed. Every command reads an order file in one pass,
 `replay_orders`. Every CSV file is read by `iter_csv` and written by
 `write_csv`. Every input file is read as UTF-8 (`open_text`), and the first
 line that holds a byte that is not UTF-8 is the error line. No reader holds
-a line longer than `LINE_LIMIT` characters: such a line is the error line.
-The CSV readers and `config.parse_kv_file` read their lines through
-`read_lines`; `iter_jsonl` reads its own, under the same bound.
+a line longer than `LINE_LIMIT` characters, nor a CSV row longer than that
+over all its lines: such a line or row is the error line. The CSV readers
+and `config.parse_kv_file` read their lines through `read_lines`;
+`iter_jsonl` reads its own, under the same bound.
 """
 
 from __future__ import annotations
@@ -439,6 +440,7 @@ def utf8_fault(line: str) -> Optional[str]:
 # at most LINE_LIMIT + 1 characters of a line, so no line is held whole.
 LINE_LIMIT = 2 ** 20
 _LONG_LINE = f"line longer than {LINE_LIMIT} characters"
+_LONG_ROW = f"row longer than {LINE_LIMIT} characters"
 
 
 def read_lines(path: PathLike, newline: Optional[str] = None):
@@ -536,12 +538,27 @@ def iter_csv(path: PathLike, header: Sequence[str], decode, what: str):
     as a field past 131,072 characters) are `bad <what> row: <error>`. The
     lines come from `read_lines`. Each fault, a byte that is not UTF-8 and a
     line longer than LINE_LIMIT included, is a SchemaError naming its line
-    (a row's last)."""
-    reader = csv.reader(line for _, line in read_lines(path, newline=""))
+    (a row's last). A quoted field may hold newlines, so one row may span
+    lines: a row longer than LINE_LIMIT characters, its newlines included,
+    is `row longer than <LINE_LIMIT> characters` on the line that crosses
+    the bound, and no row is held whole."""
+    row_chars = 0    # the characters of the row being read, so far
+
+    def lines():
+        nonlocal row_chars
+        for lineno, line in read_lines(path, newline=""):
+            row_chars += len(line)
+            if row_chars > LINE_LIMIT:
+                raise SchemaError(path, lineno, _LONG_ROW)
+            yield line
+
+    reader = csv.reader(lines())
     try:
         if next(reader, None) != list(header):
             raise SchemaError(path, 1, f"unexpected {what} CSV header")
+        row_chars = 0
         for row in reader:
+            row_chars = 0
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} columns, expected {len(header)}")
             yield reader.line_num, decode(row)

@@ -68,13 +68,6 @@ FEATURE_NAMES = OAF_NAMES + UAF_NAMES + PF_NAMES + LPF_NAMES
 FEATURE_COUNT = len(FEATURE_NAMES)
 assert FEATURE_COUNT == 57
 
-_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
-
-
-def _set(values: np.ndarray, name: str, value: float) -> None:
-    values[_INDEX[name]] = value
-
-
 def _ratio(num: float, den: float) -> float:
     """num / den; 0/0 is 0 and x/0 is RATIO_CAP with the sign of x."""
     if den == 0.0:
@@ -98,19 +91,31 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
     where values is a float64 array of shape (57,) in FEATURE_NAMES order; a
     repeated d gets the same pair. A window with no orders is not an error:
     its values are all zero.
+
+    The running state is O(1) per pool: the replay holds only the current
+    day's users, volume and closing value, the day-0 figures, and extrema
+    over the days already closed. When an order opens a new day, the
+    previous day is folded into those extrema, so a window costs the same
+    however many days are active in it.
     """
     if any(d < 1 for d in d_list):
         raise ValueError("window must be at least one day")
     start = pool.created_time_pool
     tracker = ProfitTracker(pool)
+    state = tracker.state
     owner = pool.owner_address
 
-    counts = {("owner", c): 0 for c in Category}
-    counts.update({("user", c): 0 for c in Category})
+    owner_counts = dict.fromkeys(Category, 0)
+    user_counts = dict.fromkeys(Category, 0)
     all_users = set()
-    day_users: Dict[int, set] = {}
-    day_volume: Dict[int, float] = {}
-    day_close: Dict[int, float] = {}
+    day = None            # the current day: the last order's
+    day_users = set()     # its non-owner senders
+    day_volume = 0.0      # its base-leg USD, summed in order from 0.0
+    day_close = 0.0       # the pool value after its last order
+    first = (0, 0.0, 0.0)  # day 0's users, volume and close, once closed
+    # Over the closed days: user count high and low, volume min and max.
+    u_high, u_low = 0, math.inf
+    v_min, v_max = math.inf, -math.inf
     pval_min = math.inf
     pval_max = -math.inf
     last_ts: Optional[int] = None
@@ -121,129 +126,98 @@ def extract_with_report(pool: PoolRecord, orders: Sequence[DexOrder],
     for d in sorted(set(d_list)):
         window_end = start + d * SECONDS_PER_DAY
         while order is not None and order.timestamp < window_end:
-            tracker.add(order.timestamp, order.category, order.sender,
-                        order.y_base, order.price_base, order.gas_fee_usd)
-            day = (order.timestamp - start) // SECONDS_PER_DAY
-            is_owner = order.sender == owner
-            counts[("owner" if is_owner else "user", order.category)] += 1
-            if not is_owner:
-                all_users.add(order.sender)
-                day_users.setdefault(day, set()).add(order.sender)
+            timestamp, sender = order.timestamp, order.sender
+            tracker.add(timestamp, order.category, sender, order.y_base,
+                        order.price_base, order.gas_fee_usd)
+            order_day = (timestamp - start) // SECONDS_PER_DAY
+            if order_day != day:
+                if day is not None:
+                    users = len(day_users)
+                    if day == 0:
+                        first = (users, day_volume, day_close)
+                    u_high = max(u_high, users)
+                    u_low = min(u_low, users)
+                    v_min = min(v_min, day_volume)
+                    v_max = max(v_max, day_volume)
+                day, day_users, day_volume = order_day, set(), 0.0
+            if sender == owner:
+                owner_counts[order.category] += 1
             else:
-                day_users.setdefault(day, set())
-            day_volume[day] = day_volume.get(day, 0.0) + order.y_base * order.price_base
-            value = tracker.state.pool_value_usd
-            day_close[day] = value
-            pval_min = min(pval_min, value)
-            pval_max = max(pval_max, value)
-            last_ts = order.timestamp
+                user_counts[order.category] += 1
+                all_users.add(sender)
+                day_users.add(sender)
+            day_volume += order.y_base * order.price_base
+            day_close = value = state.pool_value_usd
+            if value < pval_min:     # min() and max(), inline
+                pval_min = value
+            if value > pval_max:
+                pval_max = value
+            last_ts = timestamp
             order = next(stream, None)
         report = tracker.report()
-        values = _window_values(pool, d, report, counts, len(all_users),
-                                day_users, day_volume, day_close, pval_min,
-                                pval_max, last_ts)
+        if last_ts is None:
+            values = np.zeros(FEATURE_COUNT, dtype=np.float64)
+        else:
+            users = len(day_users)
+            u_first, v_first, p_first = (users, day_volume, day_close) if day == 0 else first
+            values = _window_values(
+                pool, d, report, owner_counts, user_counts, len(all_users),
+                (u_first, max(u_high, users), users, min(u_low, users)),
+                (v_first, day_volume, min(v_min, day_volume), max(v_max, day_volume)),
+                (p_first, day_close, pval_min, pval_max), last_ts)
         by_d[d] = (values, report)
     return [by_d[d] for d in d_list]
 
 
 def _window_values(pool: PoolRecord, d: int, report: ProfitReport,
-                   counts: Dict[tuple, int], user_count: int,
-                   day_users: Dict[int, set], day_volume: Dict[int, float],
-                   day_close: Dict[int, float], pval_min: float,
-                   pval_max: float, last_ts: Optional[int]) -> np.ndarray:
-    """One window's values from the replay's running state, which it only
-    reads: the replay goes on to later windows after it."""
-    values = np.zeros(FEATURE_COUNT, dtype=np.float64)
-    if last_ts is None:
-        return values
-
-    _set(values, "owner_dep", counts[("owner", Category.DEPOSIT)])
-    _set(values, "owner_with", counts[("owner", Category.WITHDRAW)])
-    _set(values, "owner_buy", counts[("owner", Category.BUY)])
-    _set(values, "owner_sell", counts[("owner", Category.SELL)])
-
-    _set(values, "user_dep", counts[("user", Category.DEPOSIT)])
-    _set(values, "user_with", counts[("user", Category.WITHDRAW)])
-    _set(values, "user_buy", counts[("user", Category.BUY)])
-    _set(values, "user_sell", counts[("user", Category.SELL)])
-    _set(values, "user_count", user_count)
-
-    daily_counts = {day: len(users) for day, users in day_users.items()}
-    last_day = max(daily_counts)
-    u_first = daily_counts.get(0, 0)
-    u_last = daily_counts[last_day]
-    u_high = max(daily_counts.values())
-    u_low = min(daily_counts.values())
-    _set(values, "user_count_first", u_first)
-    _set(values, "user_count_high", u_high)
-    _set(values, "user_count_last", u_last)
-    _set(values, "user_count_low", u_low)
-    _set(values, "r_user_first_on_high", _ratio(u_first, u_high))
-    _set(values, "r_user_last_on_low", _ratio(u_last, u_low))
-    _set(values, "r_user_first_on_low", _ratio(u_first, u_low))
-    _set(values, "r_user_first_on_last", _ratio(u_first, u_last))
-    _set(values, "r_user_last_on_high", _ratio(u_last, u_high))
-    _set(values, "r_user_low_on_high", _ratio(u_low, u_high))
-
+                   owner_counts: Dict[Category, int], user_counts: Dict[Category, int],
+                   user_count: int, users: Tuple[int, int, int, int],
+                   volumes: Tuple[float, float, float, float],
+                   pvals: Tuple[float, float, float, float],
+                   last_ts: int) -> np.ndarray:
+    """One non-empty window's 57 values, in FEATURE_NAMES order, from the
+    replay's figures at its end: the per-category counts, the distinct
+    users, the daily user counts (first, high, last, low), the daily
+    volumes and the pool values (first, last, min, max each), and the last
+    order's timestamp."""
+    u_first, u_high, u_last, u_low = users
     invested = report.invested_usd
     realized = report.returned_usd
     unrealized = report.unrealized_current_usd
     total_pnl = report.realized_profit_usd + unrealized
-    _set(values, "owner_invested", invested)
-    _set(values, "owner_realized", realized)
-    _set(values, "owner_unrealized", unrealized)
-    _set(values, "owner_total_pnl", total_pnl)
-    _set(values, "r_owner_total_on_invested", _ratio(total_pnl, invested))
-    _set(values, "r_owner_realized_on_invested", _ratio(realized, invested))
-    _set(values, "r_owner_roi", _ratio(realized - invested, invested))
-    _set(values, "r_owner_unrealized_on_realized", _ratio(unrealized, realized))
-    _set(values, "r_owner_unrealized_on_invested", _ratio(unrealized, invested))
-    _set(values, "owner_taking_count", report.profit_taking_count)
-
     i_min, i_max, i_avg = report.min_impact, report.max_impact, report.mean_impact
-    _set(values, "impact_min", i_min)
-    _set(values, "impact_max", i_max)
-    _set(values, "impact_avg", i_avg)
-    _set(values, "r_impact_min_on_avg", _ratio(i_min, i_avg))
-    _set(values, "r_impact_max_on_avg", _ratio(i_max, i_avg))
-    _set(values, "r_impact_min_on_max", _ratio(i_min, i_max))
+    start = pool.created_time_pool
+    lifetime_days = (last_ts - start) // SECONDS_PER_DAY + 1
+    alive = (start + d * SECONDS_PER_DAY - last_ts) <= ALIVE_HORIZON_SECONDS
+    return np.array([
+        # OAF_NAMES
+        owner_counts[Category.DEPOSIT], owner_counts[Category.WITHDRAW],
+        owner_counts[Category.BUY], owner_counts[Category.SELL],
+        # UAF_NAMES
+        user_counts[Category.DEPOSIT], user_counts[Category.WITHDRAW],
+        user_counts[Category.BUY], user_counts[Category.SELL],
+        user_count, u_first, u_high, u_last, u_low,
+        _ratio(u_first, u_high), _ratio(u_last, u_low), _ratio(u_first, u_low),
+        _ratio(u_first, u_last), _ratio(u_last, u_high), _ratio(u_low, u_high),
+        # PF_NAMES
+        invested, realized, unrealized, total_pnl,
+        _ratio(total_pnl, invested), _ratio(realized, invested),
+        _ratio(realized - invested, invested), _ratio(unrealized, realized),
+        _ratio(unrealized, invested), report.profit_taking_count,
+        i_min, i_max, i_avg,
+        _ratio(i_min, i_avg), _ratio(i_max, i_avg), _ratio(i_min, i_max),
+        # LPF_NAMES
+        min(d, lifetime_days), 1.0 if alive else 0.0,
+        *volumes, *pvals,
+        *_pair_ratios(*volumes), *_pair_ratios(*pvals),
+    ], dtype=np.float64)
 
-    lifetime_days = (last_ts - pool.created_time_pool) // SECONDS_PER_DAY + 1
-    _set(values, "age_days", min(d, lifetime_days))
-    window_end = pool.created_time_pool + d * SECONDS_PER_DAY
-    alive = (window_end - last_ts) <= ALIVE_HORIZON_SECONDS
-    _set(values, "is_alive", 1.0 if alive else 0.0)
 
-    v_first = day_volume.get(0, 0.0)
-    v_last = day_volume[last_day]
-    v_min = min(day_volume.values())
-    v_max = max(day_volume.values())
-    _set(values, "vol_first", v_first)
-    _set(values, "vol_last", v_last)
-    _set(values, "vol_min", v_min)
-    _set(values, "vol_max", v_max)
-
-    p_first = day_close.get(0, 0.0)
-    p_last = day_close[last_day]
-    _set(values, "pval_first", p_first)
-    _set(values, "pval_last", p_last)
-    _set(values, "pval_min", pval_min)
-    _set(values, "pval_max", pval_max)
-
-    _set(values, "r_vol_first_on_last", _ratio(v_first, v_last))
-    _set(values, "r_vol_first_on_min", _ratio(v_first, v_min))
-    _set(values, "r_vol_first_on_max", _ratio(v_first, v_max))
-    _set(values, "r_vol_last_on_min", _ratio(v_last, v_min))
-    _set(values, "r_vol_last_on_max", _ratio(v_last, v_max))
-    _set(values, "r_vol_min_on_max", _ratio(v_min, v_max))
-    _set(values, "r_pval_first_on_last", _ratio(p_first, p_last))
-    _set(values, "r_pval_first_on_min", _ratio(p_first, pval_min))
-    _set(values, "r_pval_first_on_max", _ratio(p_first, pval_max))
-    _set(values, "r_pval_last_on_min", _ratio(p_last, pval_min))
-    _set(values, "r_pval_last_on_max", _ratio(p_last, pval_max))
-    _set(values, "r_pval_min_on_max", _ratio(pval_min, pval_max))
-
-    return values
+def _pair_ratios(first: float, last: float, low: float, high: float) -> Tuple[float, ...]:
+    """The six LPF ratios of one group: first on last, min and max, last on
+    min and max, and min on max."""
+    return (_ratio(first, last), _ratio(first, low), _ratio(first, high),
+            _ratio(last, low), _ratio(last, high), _ratio(low, high))
 
 
 # ---------------------------------------------------------------------------

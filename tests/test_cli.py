@@ -1538,6 +1538,23 @@ def _too_long(path, lineno):
     return f"{path} line {lineno}: line longer than {LINE_LIMIT} characters"
 
 
+def _too_long_row(path, lineno):
+    return f"{path} line {lineno}: row longer than {LINE_LIMIT} characters"
+
+
+def _multiline_row(size, fields):
+    """A CSV row of `size` characters, its newlines included: `fields`
+    quoted fields of letters, each split by a newline."""
+    letters, more = divmod(size - 4 * fields, fields)
+    parts = []
+    for i in range(fields):
+        count = letters + (i < more)
+        parts.append(f'"{"a" * (count // 2)}\n{"a" * (count - count // 2)}"')
+    row = ",".join(parts) + "\n"
+    assert len(row) == size
+    return row
+
+
 class TestLineLimit:
     """A line of LINE_LIMIT characters, its newline included, is read as
     any other; one character more is its file's error line, naming the file
@@ -1594,6 +1611,21 @@ class TestLineLimit:
             "a" * (letters + (i < more)) for i in range(11)))
         location = (_too_long(path, 2) if extra else
                     f"{path} line 2: bad labels row: 11 columns, expected 2")
+        assert_error_line(argv, location, 2, "SchemaError", tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_labels_row_over_lines(self, corpus, tmp_path, capsys, extra):
+        """A row's lines count together: a labels row of eleven quoted
+        fields, each holding a newline, spans twelve lines. At the limit it
+        is read and rejected for its columns; one character more is the
+        row's error line, on its last line, where the bound is crossed."""
+        path, _, argv = _labels_input(corpus, tmp_path)
+        row = _multiline_row(LINE_LIMIT + extra, 11)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + row + "".join(lines[1:]))
+        last = 2 + row.count("\n") - 1
+        location = (_too_long_row(path, last) if extra else
+                    f"{path} line {last}: bad labels row: 11 columns, expected 2")
         assert_error_line(argv, location, 2, "SchemaError", tmp_path / "out", capsys)
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
@@ -1659,6 +1691,29 @@ class TestHugeLines:
         TestDeepNesting.assert_child_error_line(
             argv, None, huge_line(path, 2), tmp_path / "out", margin=self.MARGIN)
 
+    def test_labels_row_over_lines(self, corpus, tmp_path):
+        """A labels row of 1,000 quoted 100,000-character fields, each over
+        two lines (100 MB): the bound on a row, not only on a line, ends it
+        on the line that crosses LINE_LIMIT."""
+        path, _, argv = _labels_input(corpus, tmp_path)
+        half = "x" * 50_000
+        lines = path.read_text().splitlines(keepends=True)
+        try:
+            with open(path, "w") as handle:
+                handle.write(lines[0])
+                handle.write(f'"{half}\n')
+                for _ in range(999):
+                    handle.write(f'{half}","{half}\n')
+                handle.write(f'{half}",Legitimate\n')
+                handle.writelines(lines[1:])
+            # The row's first line holds 50,002 characters, each next one 100,004.
+            crossing = 2 + -(-(LINE_LIMIT + 1 - 50_002) // 100_004)
+            TestDeepNesting.assert_child_error_line(
+                argv, None, _too_long_row(path, crossing), tmp_path / "out",
+                margin=self.MARGIN)
+        finally:
+            path.unlink()
+
     def test_config_line(self, tmp_path, huge_line):
         argv = _corpus_config(tmp_path, "seed = 3\nlegitimate.count = 2\n")
         TestDeepNesting.assert_child_error_line(
@@ -1694,6 +1749,42 @@ class TestErrorLineGrammar:
                        f"{full[-keep:]}")
 
 
+    def test_escaped_text_is_what_is_cut(self, corpus, tmp_path, capsys):
+        """A category of 2,000 emoji, 12 characters each in JSON text, is
+        cut on its escaped text, so the line stays short and parses."""
+        bad = tmp_path / "bad"
+        category = "\U0001F600" * 2000
+        lineno = mutated_corpus(corpus, bad, set_middle_row(category=category))
+        assert run_on("detect", bad, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.isascii() and len(err) < 1100
+        message = error_message(err, 2, "SchemaError")
+        assert len(json.dumps(message)) - 2 <= cli.MESSAGE_LIMIT
+        head, tail = message.split(" characters cut]... ")
+        assert head.startswith(f"{bad / 'orders.jsonl'} line {lineno}: bad order row: "
+                               "unknown category '\U0001F600")
+        assert tail == "\U0001F600" * (len(tail) - 1) + "'"
+
+    def test_cut_keeps_whole_escaped_characters(self, capsys):
+        """Head and tail are the most whole characters whose JSON text fits
+        in MESSAGE_LIMIT // 2 - 20 characters each; the count names the rest."""
+        message = 'é"\\' * 400 + "\U0001F600" * 400 + "x\n" * 400
+        assert cli._fail(2, SchemaError("f.csv", 3, message)) == 2
+        cut = error_message(capsys.readouterr().err, 2, "SchemaError")
+        full = f"f.csv line 3: {message}"
+        head, rest = cut.split(" ...[")
+        count, tail = rest.split(" characters cut]... ")
+        keep = cli.MESSAGE_LIMIT // 2 - 20
+
+        def size(text):
+            return len(json.dumps(text)) - 2
+
+        assert full.startswith(head) and full.endswith(tail)
+        assert size(head) <= keep < size(full[:len(head) + 1])
+        assert size(tail) <= keep < size(full[len(full) - len(tail) - 1:])
+        assert int(count) == len(full) - len(head) - len(tail)
+
+
 class TestUnopenablePaths:
     """A path that cannot be opened as asked exits 4 with one line naming
     it, and writes nothing."""
@@ -1713,6 +1804,40 @@ class TestUnopenablePaths:
         message = error_message(capsys.readouterr().err, 4, "IsADirectoryError")
         assert repr(str(corpus)) in message
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["detect", "features", "sweep", "report", "train"])
+    def test_out_is_named_before_a_missing_input(self, corpus, tmp_path, capsys, command):
+        """--out is checked before any input is read: with --out a directory
+        and the orders file (for train, the features file) missing, the
+        directory is the error named. With a writable --out, the missing
+        input is named, a new --out is not left behind and an existing one
+        keeps its bytes."""
+        missing = tmp_path / "missing"
+        missing.mkdir()
+        inputs = corpus_inputs(corpus)
+        inputs[inputs.index("--orders") + 1] = str(missing / "orders.jsonl")
+        argv = {"detect": ["detect", *inputs],
+                "features": ["features", *inputs, "--window", "57"],
+                "sweep": ["sweep", "--corpus", str(missing)],
+                "report": ["report", "--kind", "trend", *inputs],
+                "train": ["train", "--features", str(missing / "features.csv"),
+                          "--model", "RandomForest"]}[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(argv + ["--out", str(out)]) == 4
+        message = error_message(capsys.readouterr().err, 4, "IsADirectoryError")
+        assert repr(str(out)) in message
+        assert list(out.iterdir()) == []
+
+        assert main(argv + ["--out", str(tmp_path / "new.csv")]) == 4
+        message = error_message(capsys.readouterr().err, 4, "FileNotFoundError")
+        assert f"{missing}{os.sep}" in message
+        kept = tmp_path / "kept.csv"
+        kept.write_text("kept\n")
+        assert main(argv + ["--out", str(kept)]) == 4
+        capsys.readouterr()
+        assert kept.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [kept, missing, out]
 
     def test_generate_out_is_a_file(self, tmp_path, capsys):
         """The error of the --out path is the one named, not one from

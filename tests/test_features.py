@@ -333,14 +333,18 @@ SHARE_FEATURES = {"owner_unrealized", "owner_total_pnl", "r_owner_total_on_inves
                   "r_owner_unrealized_on_realized", "r_owner_unrealized_on_invested"}
 
 
-def assert_matches_oracle(pool, orders, d):
-    values = window(pool, orders, d)
-    expected = oracle_features(pool, orders, d)
-    for name, value, want in zip(FEATURE_NAMES, values, expected):
-        if name in SHARE_FEATURES:
-            assert math.isclose(value, want, rel_tol=1e-9), (name, d, value, want)
-        else:
-            assert value == want, (name, d, value, want)
+def assert_matches_oracle(pool, orders, d_list):
+    """Every window of one extract_with_report call over `d_list` equals the
+    oracle's reading of that window alone."""
+    windows = extract_with_report(pool, orders, d_list)
+    assert len(windows) == len(d_list)
+    for d, (values, _) in zip(d_list, windows):
+        expected = oracle_features(pool, orders, d)
+        for name, value, want in zip(FEATURE_NAMES, values, expected):
+            if name in SHARE_FEATURES:
+                assert math.isclose(value, want, rel_tol=1e-9), (name, d, value, want)
+            else:
+                assert value == want, (name, d, value, want)
 
 
 # Each kind with its defaults, but with a slow start that fits its lifetime,
@@ -386,6 +390,15 @@ HAND_BUILT = [
         make_order("Buy", 20.0, 1.0, sender=_OTHER, ts=T0 + 2 * _DAY),
         make_order("Sell", 30.0, 1.0, ts=T0 + 3 * _DAY, gas=4.0),
         make_order("Withdraw", 25.0, 1.0, ts=T0 + 3 * _DAY + 5)]),
+    ("windows that end on days without orders", [
+        make_order("Deposit", 100.0, 10.0, ts=T0, gas=1.0),
+        make_order("Buy", 4.0, 1.0, sender=USER, ts=T0 + 100),
+        make_order("Buy", 6.0, 1.0, sender=_OTHER, ts=T0 + 200, price_base=1.5),
+        make_order("Sell", 2.0, 1.0, sender=USER, ts=T0 + _DAY + 7),
+        make_order("Sell", 3.0, 1.0, ts=T0 + 4 * _DAY, gas=0.5),
+        make_order("Buy", 40.0, 1.0, sender=_OTHER, ts=T0 + 9 * _DAY + 3),
+        make_order("Buy", 1.0, 1.0, sender=USER, ts=T0 + 10 * _DAY - 1),
+        make_order("Withdraw", 30.0, 3.0, ts=T0 + 20 * _DAY)]),
     ("orders on day 0 only", [
         make_order("Deposit", 100.0, 10.0, ts=T0),
         make_order("Buy", 5.0, 1.0, sender=USER, ts=T0 + 60, price_base=1.25),
@@ -429,26 +442,47 @@ _KINDS = st.sampled_from(list(ScenarioKind))
 _DAYS = st.integers(min_value=1, max_value=300)
 
 
+@st.composite
+def _d_lists(draw):
+    """The windows of one call: 1-6 days of 1-300, in no order, and at
+    times with the first repeated last. Short windows end before a late
+    first order or on a day without orders, long ones past the last order."""
+    d_list = draw(st.lists(_DAYS, min_size=1, max_size=6))
+    if len(d_list) > 1 and draw(st.booleans()):
+        d_list[-1] = d_list[0]
+    return d_list
+
+
 class TestFeatureOracle:
     """`extract_with_report` against `oracle_features`, a brute-force
-    reading of docs/feature_schema.md."""
+    reading of docs/feature_schema.md. The replay carries running state from
+    one window to the next, so each call asks for several windows and every
+    one of them is checked."""
 
     def test_oracle_names_are_the_schema(self):
         assert SCHEMA_NAMES == list(FEATURE_NAMES)
 
-    @given(kind=_KINDS, seed=st.integers(min_value=0, max_value=5), d=_DAYS)
+    @given(kind=_KINDS, seed=st.integers(min_value=0, max_value=5), d_list=_d_lists())
     @settings(max_examples=120, deadline=None)
-    def test_generated_scenarios(self, kind, seed, d):
+    def test_generated_scenarios(self, kind, seed, d_list):
         pool, orders = _scenario(kind, seed)
-        assert_matches_oracle(pool, orders, d)
+        assert_matches_oracle(pool, orders, d_list)
 
-    @given(case=st.sampled_from(HAND_BUILT), d=_DAYS)
+    @given(case=st.sampled_from(HAND_BUILT), d_list=_d_lists())
     @settings(max_examples=60, deadline=None)
-    def test_hand_built_histories(self, case, d):
+    def test_hand_built_histories(self, case, d_list):
         _, orders = case
-        assert_matches_oracle(_POOL, orders, d)
+        assert_matches_oracle(_POOL, orders, d_list)
 
-    @given(orders=_histories(), d=_DAYS)
+    @given(orders=_histories(), d_list=_d_lists())
     @settings(max_examples=300, deadline=None)
-    def test_random_histories(self, orders, d):
-        assert_matches_oracle(_POOL, orders, d)
+    def test_random_histories(self, orders, d_list):
+        assert_matches_oracle(_POOL, orders, d_list)
+
+    @pytest.mark.parametrize("case", HAND_BUILT, ids=[name for name, _ in HAND_BUILT])
+    def test_every_day_of_hand_built_histories(self, case):
+        """Windows of 1 to 45 days in one call, largest first and with
+        repeats: each ends on a day with orders, on one without, before the
+        first order or past the last."""
+        _, orders = case
+        assert_matches_oracle(_POOL, orders, [45, *range(1, 46), 3, 1, 45])

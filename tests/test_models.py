@@ -129,22 +129,32 @@ def test_all_constant_features_give_single_leaves(min_leaf):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_quantile_edges_equal_per_column_quantiles(seed):
-    """One np.quantile call over every column gives, bit for bit, the edges
-    of one call per column, with ties, constant and wide-ranged columns."""
+def test_quantile_edges_equal_per_column_quantiles(monkeypatch, seed):
+    """Binning from contiguous blocks of columns gives, bit for bit, the
+    edges of one np.quantile call per column and the codes of one
+    searchsorted per column, with ties, constant and wide-ranged columns,
+    in one block and in blocks of four columns that leave a short one."""
     X, _ = _binned_data(seed, n=240, f=57)
     X[:, 7] *= 1e9
     X[:, 11] = np.round(X[:, 11] * 3.0)
     qs = np.linspace(0.0, 1.0, models.MAX_BINS + 1)[1:-1]
-    edges = models._quantile_edges(X)
-    assert len(edges) == X.shape[1]
-    for f, got in enumerate(edges):
+    wants = []
+    for f in range(X.shape[1]):
         col = X[:, f]
         want = np.unique(np.quantile(col, qs))
-        want = want[(want > col.min()) & (want <= col.max())]
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes(), f
-    assert len(edges[2]) == 0
+        wants.append(want[(want > col.min()) & (want <= col.max())])
+    want_codes = np.stack([np.searchsorted(wants[f], X[:, f], side="right")
+                           for f in range(X.shape[1])], axis=1).astype(np.int16)
+    assert len(wants[2]) == 0
+    for block_bytes in (models._BIN_BLOCK_BYTES, 4 * 8 * len(X)):
+        monkeypatch.setattr(models, "_BIN_BLOCK_BYTES", block_bytes)
+        edges, codes = models._bin_columns(X)
+        assert len(edges) == X.shape[1]
+        for f, (got, want) in enumerate(zip(edges, wants)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), f
+        assert codes.dtype == np.int16 and codes.flags.c_contiguous
+        assert codes.tobytes() == want_codes.tobytes()
 
 
 @st.composite
@@ -154,7 +164,7 @@ def _edges_and_probes(draw):
     finite floats."""
     values = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
     column = np.array(draw(st.lists(st.sampled_from(values), min_size=2, max_size=300)))
-    edges = models._quantile_edges(column[:, None])[0]
+    edges = models._bin_columns(column[:, None])[0][0]
     probes = [*column, *edges, *np.nextafter(edges, -np.inf), *np.nextafter(edges, np.inf),
               *draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))]
     return edges, np.array(probes, dtype=np.float64)
