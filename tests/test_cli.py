@@ -1811,7 +1811,8 @@ class TestUnopenablePaths:
         and the orders file (for train, the features file) missing, the
         directory is the error named. With a writable --out, the missing
         input is named, a new --out is not left behind and an existing one
-        keeps its bytes."""
+        keeps its bytes. Through a link to no file, the missing input is
+        named and the link's target is not made."""
         missing = tmp_path / "missing"
         missing.mkdir()
         inputs = corpus_inputs(corpus)
@@ -1837,7 +1838,24 @@ class TestUnopenablePaths:
         assert main(argv + ["--out", str(kept)]) == 4
         capsys.readouterr()
         assert kept.read_text() == "kept\n"
-        assert sorted(tmp_path.iterdir()) == [kept, missing, out]
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        assert main(argv + ["--out", str(link)]) == 4
+        message = error_message(capsys.readouterr().err, 4, "FileNotFoundError")
+        assert f"{missing}{os.sep}" in message
+        assert sorted(tmp_path.iterdir()) == [kept, link, missing, out]
+        assert not link.exists()
+
+    def test_out_through_a_link_to_no_file(self, corpus, tmp_path, capsys):
+        """An --out link to no file is written through, as before the check:
+        the check makes and removes its target, detect then writes it."""
+        link = tmp_path / "link.csv"
+        target = tmp_path / "target.csv"
+        link.symlink_to(target)
+        assert main(["detect", *corpus_inputs(corpus), "--out", str(link)]) == 0
+        capsys.readouterr()
+        assert target.read_text().startswith("pool_address,")
+        assert sorted(tmp_path.iterdir()) == [link, target]
 
     def test_generate_out_is_a_file(self, tmp_path, capsys):
         """The error of the --out path is the one named, not one from
